@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import fileio, metrics, reconstruct as recon, randgraph
@@ -39,32 +40,17 @@ def _load_graph(path: str) -> Graph:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--ell-plus", dest="ell_plus", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--lambda-rot", dest="lambda_rot", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-pairs", dest="batch_pairs")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--radial-init", dest="radial_init", help="lo,hi")
-    p.add_argument("--curvature-residuals", dest="curvature_residuals",
-                   choices=["normalized", "raw"])
+    for key, default in TrainConfig().to_flat().items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=f"default: {default}")
 
 
 def _build_config(args: argparse.Namespace) -> TrainConfig:
+    """The --config file, if any, overlaid with the config flags given."""
     cfg = TrainConfig()
     if args.config:
         cfg = fileio.load_config(args.config, cfg)
-    overrides = {}
-    for key in ("tau", "epsilon", "gamma", "ell_plus", "delta", "lambda_rot",
-                "learning_rate", "epochs", "batch_pairs", "seed", "radial_init",
-                "curvature_residuals"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = str(val)
+    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+                 if getattr(args, f.name) is not None}
     return fileio.config_from_mapping(overrides, cfg)
 
 

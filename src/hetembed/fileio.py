@@ -7,7 +7,9 @@ Python's shortest-repr decimals (up to 17 significant digits).
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 from pathlib import Path
+
 import numpy as np
 
 from .manifold import check_point, parse_manifold
@@ -95,38 +97,33 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-_FLOAT_KEYS = ("tau", "epsilon", "gamma", "ell_plus", "delta", "lambda_rot", "learning_rate")
-_INT_KEYS = ("epochs", "seed")
+def _parse_value(declared: str, raw: str):
+    """One flat config value, parsed by its TrainConfig field's declared type."""
+    if declared == "float":
+        return float(raw)
+    if declared == "int":
+        return int(raw)
+    if declared == "int | str":
+        return raw if raw in ("all", "auto") else int(raw)
+    if declared.startswith("tuple") and raw != "auto":
+        lo, hi = raw.split(",")
+        return float(lo), float(hi)
+    return raw
 
 
 def config_from_mapping(values: dict[str, str], base: TrainConfig | None = None) -> TrainConfig:
-    cfg = base if base is not None else TrainConfig()
-    known = set(_FLOAT_KEYS) | set(_INT_KEYS) | {"batch_pairs", "radial_init", "curvature_residuals"}
-    unknown = set(values) - known
+    """Overlay flat key=value strings on ``base``; the keys are TrainConfig's fields."""
+    declared = {f.name: f.type for f in fields(TrainConfig)}
+    unknown = set(values) - set(declared)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs: dict = {}
-    for key in _FLOAT_KEYS:
-        if key in values:
-            kwargs[key] = float(values[key])
-    for key in _INT_KEYS:
-        if key in values:
-            kwargs[key] = int(values[key])
-    if "batch_pairs" in values:
-        raw = values["batch_pairs"]
-        kwargs["batch_pairs"] = raw if raw in ("all", "auto") else int(raw)
-    if "radial_init" in values:
-        raw = values["radial_init"]
-        if raw == "auto":
-            kwargs["radial_init"] = "auto"
-        else:
-            lo, hi = raw.split(",")
-            kwargs["radial_init"] = (float(lo), float(hi))
-    if "curvature_residuals" in values:
-        kwargs["curvature_residuals"] = values["curvature_residuals"]
-    from dataclasses import replace
-
-    cfg = replace(cfg, **kwargs)
+    kwargs = {}
+    for key, raw in values.items():
+        try:
+            kwargs[key] = _parse_value(declared[key], raw)
+        except ValueError as exc:
+            raise ValueError(f"config {key}={raw!r}: {exc}") from None
+    cfg = replace(base if base is not None else TrainConfig(), **kwargs)
     cfg.validate()
     return cfg
 
@@ -169,7 +166,7 @@ def write_barycenter_csv(histogram: np.ndarray, path: str | Path) -> None:
         out.write("degree,mass\n")
         for d, m in enumerate(histogram):
             if m > 0:
-                out.write(f"{d},{m!r}\n")
+                out.write(f"{d},{float(m)!r}\n")
 
 
 def write_volume_csv(graph_norm: np.ndarray, vol_norm: np.ndarray, path: str | Path) -> None:

@@ -406,19 +406,6 @@ def check_point(spec: ManifoldSpec, blocks: Sequence[np.ndarray], atol: float = 
                 raise ValueError("radial coordinate must be nonnegative")
 
 
-def factor_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Unit-scale geodesic distance on a single factor (scale applied by callers)."""
-    if factor.kind == "euclidean":
-        return np.linalg.norm(x - y, axis=-1)
-    if factor.kind == "sphere":
-        w = np.clip((x * y).sum(axis=-1), -1.0, 1.0)
-        return np.arccos(w)
-    if factor.kind == "hyperbolic":
-        w = np.maximum(-_mink_inner(x, y), 1.0)
-        return np.arccosh(w)
-    return np.abs(x[..., 0] - y[..., 0])
-
-
 def factor_exp(factor: Factor, p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Exponential map on a single factor, with re-projection for the quadrics."""
     if factor.kind == "euclidean":
@@ -443,11 +430,9 @@ def factor_exp(factor: Factor, p: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def factor_tangency_error(factor: Factor, p: np.ndarray, v: np.ndarray) -> float:
-    if factor.kind == "sphere":
-        return float(np.abs((p * v).sum(axis=-1)).max())
-    if factor.kind == "hyperbolic":
-        return float(np.abs(_mink_inner(p, v)).max())
-    return 0.0
+    if factor.kind in ("euclidean", "rotsym"):
+        return 0.0
+    return float(np.abs(_quadric_inner(factor, p, v)).max())
 
 
 def factor_rgrad(factor: Factor, p: np.ndarray, ambient: np.ndarray) -> np.ndarray:
@@ -466,14 +451,84 @@ def factor_rgrad(factor: Factor, p: np.ndarray, ambient: np.ndarray) -> np.ndarr
     return (h + _mink_inner(h, p)[..., None] * p) / lam2
 
 
+# ---------------------------------------------------------------------------
+# squared-distance kernel, shared by distance, loss, gradients and all pairs
+
+# treat quadric inner products this close to the branch point as coincident
+_COINCIDENT_EPS = 1e-14
+
+
+def _neg_space(x: np.ndarray) -> np.ndarray:
+    """Negates x's space coordinates in place: -<x,y>_M = <_neg_space(x), y>."""
+    np.negative(x[..., :-1], out=x[..., :-1])
+    return x
+
+
+def _quadric_inner(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """w = <x,y> on the sphere, -<x,y>_M on the hyperboloid, for matching rows:
+    the cos or cosh of their distance."""
+    return (x * y).sum(axis=-1) if factor.kind == "sphere" else -_mink_inner(x, y)
+
+
+def _sq_from_inner(factor: Factor, w: np.ndarray) -> np.ndarray:
+    """Unit-scale squared quadric distance from w, clamped onto its domain.
+    Computed in w's memory (often (n, n)): callers pass a fresh array."""
+    w = np.asarray(w)  # single points give a numpy scalar, which has no out=
+    if factor.kind == "sphere":
+        np.arccos(np.clip(w, -1.0, 1.0, out=w), out=w)
+    else:
+        np.arccosh(np.maximum(w, 1.0, out=w), out=w)
+    return np.square(w, out=w)
+
+
+def factor_sq_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Unit-scale squared geodesic distance between matching (broadcast) rows."""
+    if factor.kind == "euclidean":
+        return ((x - y) ** 2).sum(axis=-1)
+    if factor.kind == "rotsym":
+        return (x[..., 0] - y[..., 0]) ** 2
+    return _sq_from_inner(factor, _quadric_inner(factor, x, y))
+
+
+def factor_sq_distance_grad(factor: Factor, x: np.ndarray, y: np.ndarray,
+                            weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``weight`` times the derivatives of :func:`factor_sq_distance` by x and by y.
+
+    The radial factor's derivatives are (P,), by the radius alone. Quadric pairs
+    at the branch point (coincident, or antipodal on the sphere) have a 0/0
+    derivative: they contribute 0 and are counted in the third return value.
+    """
+    if factor.kind == "euclidean":
+        gx = (2.0 * weight)[:, None] * (x - y)
+        return gx, -gx, 0
+    if factor.kind == "rotsym":
+        gx = 2.0 * weight * (x[:, 0] - y[:, 0])
+        return gx, -gx, 0
+    # d(sq)/dw, then dw/dx = y on the sphere and _neg_space(y) on the hyperboloid
+    w = _quadric_inner(factor, x, y)
+    dsq = np.zeros_like(w)
+    if factor.kind == "sphere":
+        ok = (w <= 1.0 - _COINCIDENT_EPS) & (w >= -1.0 + _COINCIDENT_EPS)
+        ws = w[ok]
+        dsq[ok] = -2.0 * (np.arccos(ws) / np.sqrt(1.0 - ws * ws))
+    else:
+        ok = w >= 1.0 + _COINCIDENT_EPS
+        ws = w[ok]
+        dsq[ok] = 2.0 * (np.arccosh(ws) / np.sqrt(ws * ws - 1.0))
+    dsq *= weight  # still 0 at the skipped pairs
+    gx, gy = dsq[:, None] * y, dsq[:, None] * x
+    if factor.kind == "hyperbolic":
+        gx, gy = _neg_space(gx), _neg_space(gy)
+    return gx, gy, int((~ok).sum())
+
+
 def distance(spec: ManifoldSpec, p: Sequence[np.ndarray], q: Sequence[np.ndarray]) -> float | np.ndarray:
     """Product distance: sqrt of the lambda^2-weighted sum of squared factor distances."""
     p = _check_blocks(spec, p, "point p")
     q = _check_blocks(spec, q, "point q")
     total = 0.0
     for f, bp, bq in zip(spec.factors, p, q):
-        d = factor_distance(f, bp, bq)
-        total = total + (f.lam * d) ** 2
+        total = total + f.lam**2 * factor_sq_distance(f, bp, bq)
     out = np.sqrt(total)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -520,23 +575,15 @@ def pairwise_sq_distances(spec: ManifoldSpec, blocks: Sequence[np.ndarray]) -> n
     n = blocks[0].shape[0]
     total = np.zeros((n, n))
     for f, x in zip(spec.factors, blocks):
-        lam2 = f.lam**2
         if f.kind == "euclidean":
             sq = np.maximum(
                 (x * x).sum(axis=1)[:, None] + (x * x).sum(axis=1)[None, :] - 2.0 * x @ x.T, 0.0
             )
-            total += lam2 * sq
-        elif f.kind == "sphere":
-            w = np.clip(x @ x.T, -1.0, 1.0)
-            total += lam2 * np.arccos(w) ** 2
-        elif f.kind == "hyperbolic":
-            xj = x.copy()
-            xj[:, -1] = -xj[:, -1]
-            w = np.maximum(-(xj @ x.T), 1.0)
-            total += lam2 * np.arccosh(w) ** 2
+        elif f.kind == "rotsym":
+            sq = factor_sq_distance(f, x[:, None], x[None, :])
         else:
-            r = x[:, 0]
-            total += lam2 * (r[:, None] - r[None, :]) ** 2
+            sq = _sq_from_inner(f, (x if f.kind == "sphere" else _neg_space(x.copy())) @ x.T)
+        total += f.lam**2 * sq
     np.fill_diagonal(total, 0.0)
     return total
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import UNREACHABLE, FormanSignal, Graph, bfs_apsp, connected_pairs
-from .manifold import annular_volume, rotsym_curvature
-from .optim import Embedding, embedded_sq_distance_matrix
+from .manifold import annular_volume, pairwise_sq_distances, rotsym_curvature
+from .optim import Embedding
 
 
 @dataclass
@@ -43,7 +43,7 @@ def avg_distance_distortion(emb: Embedding, g: Graph, dist: np.ndarray | None = 
     pairs = connected_pairs(dist)
     if pairs.shape[0] == 0:
         raise ValueError("graph has no connected pairs")
-    dm = np.sqrt(embedded_sq_distance_matrix(emb))
+    dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks))
     d_m = dm[pairs[:, 0], pairs[:, 1]]
     d_g = dist[pairs[:, 0], pairs[:, 1]].astype(np.float64)
     return float(np.abs(1.0 - d_m / d_g).mean())
@@ -57,7 +57,7 @@ def mean_average_precision(emb: Embedding, g: Graph) -> float:
     are skipped.
     """
     n = g.n
-    sq = embedded_sq_distance_matrix(emb)
+    sq = pairwise_sq_distances(emb.spec, emb.blocks)
     degrees = g.degrees
     ap_sum = 0.0
     rated = 0

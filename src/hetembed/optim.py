@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -13,11 +13,11 @@ import numpy as np
 from .graph import UNREACHABLE, Graph, bfs_apsp, connected_pairs, forman
 from .manifold import (
     ManifoldSpec,
-    _mink_inner,
     alpha_from_range,
     exp_map,
     factor_exp,
-    pairwise_sq_distances,
+    factor_sq_distance,
+    factor_sq_distance_grad,
     resolve_spec,
     riemannian_gradient,
     rotsym_curvature,
@@ -25,8 +25,6 @@ from .manifold import (
     rotsym_curvature_inverse,
 )
 
-# treat quadric inner products this close to the branch point as coincident
-_COINCIDENT_EPS = 1e-14
 # default pair-batch size for graphs too large for full-batch steps
 _BIG_GRAPH_BATCH = 200_000
 
@@ -59,44 +57,39 @@ class TrainConfig:
     curvature_residuals: str = "normalized"  # or "raw"
 
     def validate(self) -> None:
+        # every float field is finite, and positive except tau
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
+            if f.type == "float" and f.name != "tau" and value <= 0:
+                raise ValueError(f"{f.name} must be positive")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
-        for name in ("epsilon", "gamma", "ell_plus", "delta", "lambda_rot", "learning_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not (isinstance(self.batch_pairs, int) and self.batch_pairs > 0) and self.batch_pairs not in ("all", "auto"):
             raise ValueError("batch_pairs must be a positive integer, 'all' or 'auto'")
         if self.radial_init != "auto":
             lo, hi = self.radial_init
-            if not (0 <= lo < hi):
-                raise ValueError("radial_init must satisfy 0 <= lo < hi or be 'auto'")
+            if not (0 <= lo < hi < math.inf):
+                raise ValueError("radial_init must satisfy 0 <= lo < hi < inf or be 'auto'")
         if self.curvature_residuals not in ("normalized", "raw"):
             raise ValueError("curvature_residuals must be 'normalized' or 'raw'")
 
     def to_flat(self) -> dict[str, str]:
-        return {
-            "tau": repr(self.tau),
-            "epsilon": repr(self.epsilon),
-            "gamma": repr(self.gamma),
-            "ell_plus": repr(self.ell_plus),
-            "delta": repr(self.delta),
-            "lambda_rot": repr(self.lambda_rot),
-            "learning_rate": repr(self.learning_rate),
-            "epochs": str(self.epochs),
-            "batch_pairs": str(self.batch_pairs),
-            "seed": str(self.seed),
-            "radial_init": (
-                "auto" if self.radial_init == "auto"
-                else f"{self.radial_init[0]!r},{self.radial_init[1]!r}"
-            ),
-            "curvature_residuals": self.curvature_residuals,
-        }
+        """Every field as the text a config file line or CLI flag gives for it."""
+        return {f.name: _flat_text(getattr(self, f.name)) for f in fields(self)}
 
     def digest(self) -> str:
         text = "\n".join(f"{k}={v}" for k, v in sorted(self.to_flat().items()))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _flat_text(value) -> str:
+    if isinstance(value, (tuple, list)):
+        return ",".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
@@ -193,18 +186,9 @@ def _pair_sq_distances(emb: Embedding, pairs: np.ndarray) -> np.ndarray:
     pi, pj = pairs[:, 0], pairs[:, 1]
     total = np.zeros(pairs.shape[0])
     for f, x in zip(emb.spec.factors, emb.blocks):
-        lam2 = f.lam**2
+        # named rows outlive the next gather: freeing them at once doubles page faults
         xi, xj = x[pi], x[pj]
-        if f.kind == "euclidean":
-            total += lam2 * ((xi - xj) ** 2).sum(axis=1)
-        elif f.kind == "sphere":
-            w = np.clip((xi * xj).sum(axis=1), -1.0, 1.0)
-            total += lam2 * np.arccos(w) ** 2
-        elif f.kind == "hyperbolic":
-            w = np.maximum(-_mink_inner(xi, xj), 1.0)
-            total += lam2 * np.arccosh(w) ** 2
-        else:
-            total += lam2 * (xi[:, 0] - xj[:, 0]) ** 2
+        total += f.lam**2 * factor_sq_distance(f, xi, xj)
     return total
 
 
@@ -270,40 +254,17 @@ def gradients(emb: Embedding, dist: np.ndarray, f_signal, cfg: TrainConfig,
     base = sigma / d_g2
     skipped = 0
 
-    ambient = [np.zeros_like(b) for b in emb.blocks]
-    for f, x, amb in zip(emb.spec.factors, emb.blocks, ambient):
-        lam2 = f.lam**2
+    ambient = []
+    for f, x in zip(emb.spec.factors, emb.blocks):
         xi, xj = x[pi], x[pj]
-        if f.kind == "euclidean":
-            contrib = (2.0 * lam2 * base)[:, None] * (xi - xj)
-            np.add.at(amb, pi, contrib)
-            np.add.at(amb, pj, -contrib)
-        elif f.kind == "rotsym":
-            contrib = 2.0 * lam2 * base * (xi[:, 0] - xj[:, 0])
-            np.add.at(amb[:, 0], pi, contrib)
-            np.add.at(amb[:, 0], pj, -contrib)
-        elif f.kind == "hyperbolic":
-            w = -_mink_inner(xi, xj)
-            ok = w >= 1.0 + _COINCIDENT_EPS
-            skipped += int((~ok).sum())
-            ratio = np.zeros_like(w)
-            ws = w[ok]
-            ratio[ok] = np.arccosh(ws) / np.sqrt(ws * ws - 1.0)
-            c = np.where(ok, -2.0 * lam2 * base * ratio, 0.0)
-            flip = np.ones(f.block_dim)
-            flip[-1] = -1.0
-            np.add.at(amb, pi, c[:, None] * (xj * flip))
-            np.add.at(amb, pj, c[:, None] * (xi * flip))
-        else:  # sphere
-            w = (xi * xj).sum(axis=1)
-            ok = (w <= 1.0 - _COINCIDENT_EPS) & (w >= -1.0 + _COINCIDENT_EPS)
-            skipped += int((~ok).sum())
-            ratio = np.zeros_like(w)
-            ws = w[ok]
-            ratio[ok] = np.arccos(ws) / np.sqrt(1.0 - ws * ws)
-            c = np.where(ok, -2.0 * lam2 * base * ratio, 0.0)
-            np.add.at(amb, pi, c[:, None] * xj)
-            np.add.at(amb, pj, c[:, None] * xi)
+        gi, gj, singular = factor_sq_distance_grad(f, xi, xj, f.lam**2 * base)
+        skipped += singular
+        # (n,) for the radial factor: a 1-D np.add.at is ~5x faster than (n, 1)
+        amb = np.zeros((x.shape[0], *gi.shape[1:]))
+        np.add.at(amb, pi, gi)
+        np.add.at(amb, pj, gj)
+        ambient.append(amb.reshape(x.shape))
+        del gi, gj  # free before the next factor gathers its rows
 
     if cfg.tau > 0:
         res, weights, rot = _curvature_residuals(emb, f_signal, cfg)
@@ -358,16 +319,10 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
     else:
         if tau > 0 or rot.alpha is None:
             f_signal = forman(g, cfg.gamma)
-        if rot.alpha is None:
-            alpha, delta_hat = alpha_from_range(
+            fitted_alpha, delta_hat = alpha_from_range(
                 f_signal.max_node, f_signal.min_node, cfg.delta, cfg.ell_plus
             )
-        else:
-            alpha = rot.alpha
-            delta_hat = None
-            if tau > 0:
-                span = f_signal.max_node - f_signal.min_node
-                delta_hat = 2.0 / (3.0 * math.pi**2 - 2.0) * (span + cfg.ell_plus) + cfg.delta
+        alpha = fitted_alpha if rot.alpha is None else rot.alpha
         spec_resolved = resolve_spec(spec, alpha=alpha, rot_scale=cfg.lambda_rot)
         if tau > 0:
             shift = ShiftConstants(
@@ -435,7 +390,6 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
     emb.epochs = cfg.epochs
     emb.notes.update(
         batch_size=batch_size,
-        lambda_mode="fixed",
         curvature_loss="active" if tau > 0 else "inactive",
         disconnected_pairs_excluded=int(
             g.n * (g.n - 1) // 2 - all_pairs.shape[0]
@@ -443,7 +397,3 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
     )
     return emb, history
 
-
-def embedded_sq_distance_matrix(emb: Embedding) -> np.ndarray:
-    """(n, n) squared product distances of the embedded nodes."""
-    return pairwise_sq_distances(emb.spec, emb.blocks)

@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, forman, from_edges, triangle_counts
+from .manifold import pairwise_sq_distances
 from .metrics import reconstructed_forman
-from .optim import Embedding, embedded_sq_distance_matrix
+from .optim import Embedding
 
 
 @dataclass
@@ -45,7 +46,7 @@ def nn_graph(emb: Embedding, rho: float) -> Graph:
     """Edges between distinct nodes at embedded distance <= rho."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    sq = embedded_sq_distance_matrix(emb)
+    sq = pairwise_sq_distances(emb.spec, emb.blocks)
     n = sq.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     keep = sq[iu, ju] <= rho * rho
@@ -72,7 +73,7 @@ def tune_threshold(emb: Embedding, g_true: Graph, val_fraction: float = 0.10,
     k = max(1, int(round(val_fraction * n)))
     val = np.sort(rng.choice(n, size=k, replace=False))
 
-    dm = np.sqrt(embedded_sq_distance_matrix(emb))
+    dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks))
     adj = np.zeros((n, n), dtype=bool)
     for i, nbrs in enumerate(g_true.adj):
         adj[i, nbrs] = True
@@ -169,7 +170,7 @@ def curvature_correction(emb: Embedding, a_rho: Graph, rho: float, step: float,
     if step <= 0:
         raise ValueError("step must be positive")
     proxy = reconstructed_forman(emb)
-    dm = np.sqrt(embedded_sq_distance_matrix(emb))
+    dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks))
     n = a_rho.n
 
     edges = a_rho.edge_set()

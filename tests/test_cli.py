@@ -100,11 +100,17 @@ class TestCliCommands:
         assert hist[0] == "epoch,loss_d,loss_c,wall_ms"
         assert len(hist) == 7
 
-    def test_embed_parse_error_exit_1(self, tmp_path):
+    def test_embed_parse_error_exit_1(self, tmp_path, graph_file):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 1\n2 x\n")
         assert run_cli("embed", str(bad), "-m", "e2", "--epochs", "2",
                        "--out", str(tmp_path / "e.json")) == 1
+        # bad flag values are input errors, not numeric aborts or argparse usage errors
+        for flag, value in [("--tau", "abc"), ("--epochs", "2.5"), ("--learning-rate", "nan"),
+                            ("--epsilon", "inf"), ("--radial-init", "0.1,inf"),
+                            ("--curvature-residuals", "cubic")]:
+            assert run_cli("embed", graph_file, "-m", "h2,rot(a=auto)", "--epochs", "2",
+                           flag, value, "--out", str(tmp_path / "e.json")) == 1, flag
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_embed_numeric_abort_exit_2(self, tmp_path, graph_file):
@@ -164,7 +170,9 @@ class TestCliCommands:
         stats = (out_dir / "stats.csv").read_text().splitlines()
         assert len(stats) == 1 + 3 + 1  # header + runs + summary
         assert (out_dir / "run_000.edges").exists()
-        assert (out_dir / "barycenter.csv").read_text().startswith("degree,mass")
+        bary = (out_dir / "barycenter.csv").read_text().splitlines()
+        assert bary[0] == "degree,mass"
+        assert abs(sum(float(line.split(",")[1]) for line in bary[1:]) - 1.0) < 1e-9
 
     def test_generate_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "g1", tmp_path / "g2"

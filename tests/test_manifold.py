@@ -15,6 +15,7 @@ from hetembed.manifold import (
     distance,
     exp_map,
     factor_exp,
+    factor_sq_distance,
     parse_manifold,
     pairwise_sq_distances,
     resolve_spec,
@@ -96,15 +97,22 @@ class TestDistance:
             distance(spec, [np.zeros(2)], [np.zeros(3)])
 
     def test_symmetry_identity_triangle(self, rng):
-        spec = resolve_spec(parse_manifold("h2,s2,e2,rot(a=1.0)"))
-        pts = _random_points(spec, rng, 12)
-        sq = pairwise_sq_distances(spec, pts)
-        d = np.sqrt(sq)
-        assert np.allclose(d, d.T, atol=1e-9)
-        assert np.allclose(np.diag(d), 0.0)
-        for _ in range(200):
-            i, j, k = rng.integers(0, 12, size=3)
-            assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+        for text in ("h2,s2,e2,rot(a=1.0)", "h2,s2,e2,rot(a=1.0,l=0.5)"):
+            spec = resolve_spec(parse_manifold(text))
+            pts = _random_points(spec, rng, 12)
+            sq = pairwise_sq_distances(spec, pts)
+            d = np.sqrt(sq)
+            assert np.allclose(d, d.T, atol=1e-9)
+            assert np.allclose(np.diag(d), 0.0)
+            for _ in range(200):
+                i, j, k = rng.integers(0, 12, size=3)
+                assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+            # the Gram-matrix route agrees with the paired-row kernel
+            iu, ju = np.triu_indices(12, k=1)
+            paired = sum(f.lam**2 * factor_sq_distance(f, b[iu], b[ju])
+                         for f, b in zip(spec.factors, pts))
+            assert paired.min() > 0.1  # well separated: no ill-conditioned arccos/arccosh
+            np.testing.assert_allclose(sq[iu, ju], paired, rtol=1e-12, atol=0.0)
 
 
 def _random_points(spec, rng, n):

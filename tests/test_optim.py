@@ -8,6 +8,7 @@ from hetembed.graph import bfs_apsp, connected_pairs, forman, from_edges
 from hetembed.manifold import (
     _mink_inner,
     factor_exp,
+    pairwise_sq_distances,
     parse_manifold,
     resolve_spec,
     rotsym_curvature,
@@ -19,7 +20,6 @@ from hetembed.optim import (
     NumericAbortError,
     ShiftConstants,
     TrainConfig,
-    embedded_sq_distance_matrix,
     gradients,
     initialize,
     loss_curvature,
@@ -312,7 +312,7 @@ class TestTrain:
         emb, hist = train(g, parse_manifold("e2"), cfg)
         dist = bfs_apsp(g)
         pairs = connected_pairs(dist)
-        dm = np.sqrt(embedded_sq_distance_matrix(emb))
+        dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks))
         ad = np.abs(1 - dm[pairs[:, 0], pairs[:, 1]] / dist[pairs[:, 0], pairs[:, 1]]).mean()
         assert ad <= 1e-3
 
