@@ -22,7 +22,7 @@ from .graph import (
     save_edge_list,
     triangle_counts,
 )
-from .manifold import parse_manifold
+from .manifold import pairwise_sq_distances, parse_manifold
 from .optim import NumericAbortError, TrainConfig, train
 
 
@@ -87,10 +87,11 @@ def _cmd_reconstruct(args) -> int:
     emb = fileio.read_embedding(args.embedding)
     if emb.n != g.n:
         raise ValueError(f"embedding has {emb.n} nodes but graph has {g.n}")
+    sq = pairwise_sq_distances(emb.spec, emb.blocks)  # shared by every stage below
     rho = args.rho if args.rho is not None else recon.tune_threshold(
-        emb, g, val_fraction=args.val_fraction, seed=args.seed
+        emb, g, val_fraction=args.val_fraction, seed=args.seed, sq=sq
     )
-    base = recon.nn_graph(emb, rho)
+    base = recon.nn_graph(emb, rho, sq)
     result = recon.ReconstructionResult(
         rho=rho, graph=base, mismatch=recon.edge_mismatch(base, g)
     )
@@ -100,7 +101,7 @@ def _cmd_reconstruct(args) -> int:
     if args.correct:
         corrected = recon.curvature_correction(
             emb, base, rho=rho, step=args.step if args.step is not None else 0.1 * rho,
-            percentile=args.percentile, gamma=args.forman_gamma, g_true=g,
+            percentile=args.percentile, gamma=args.forman_gamma, g_true=g, sq=sq,
         )
         result = corrected
         payload = corrected.to_json_dict()

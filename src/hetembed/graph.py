@@ -10,6 +10,8 @@ import numpy as np
 
 UNREACHABLE = -1
 MAX_DENSE_NODES = 20000
+# bound on the per-level temporaries of bfs_apsp
+_BFS_BLOCK_BYTES = 1 << 26
 
 
 class EdgeListParseError(ValueError):
@@ -181,36 +183,48 @@ def save_edge_list(g: Graph, out: IO[str] | None = None) -> str:
 
 
 def bfs_apsp(g: Graph) -> np.ndarray:
-    """Exact hop-distance matrix via n breadth-first searches.
+    """Exact hop-distance matrix by a breadth-first search from every node at once.
 
-    Returns an (n, n) int16 matrix; unreachable pairs hold ``UNREACHABLE``.
+    Each node keeps a bitset of the sources whose search has reached it; one
+    level ORs the last level's new bits over every node's neighbours, and adds
+    1 to the distance of every (node, source) pair still unreached. Sources go
+    in blocks that bound the per-level temporaries. Returns an (n, n) int16
+    matrix; unreachable pairs hold ``UNREACHABLE``.
     """
     n = g.n
     if n > MAX_DENSE_NODES:
         raise ValueError(f"dense distance matrix limited to n <= {MAX_DENSE_NODES}, got {n}")
     indptr, indices = g.csr()
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int16)
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        frontier = np.array([s], dtype=np.int64)
-        level = 0
-        while frontier.size:
-            level += 1
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
+    if indices.size == 0:
+        dist = np.full((n, n), UNREACHABLE, dtype=np.int16)
+        np.fill_diagonal(dist, 0)
+        return dist
+    dist = np.zeros((n, n), dtype=np.int16)
+    linked = indptr[:-1] < indptr[1:]
+    starts = indptr[:-1][linked]  # reduceat needs nonempty, in-range segments
+    # bytes per 64-source word: the gathered neighbour rows plus the unpacked bits
+    block = max(1, _BFS_BLOCK_BYTES // (8 * indices.size + 64 * n))
+    for s0 in range(0, n, 64 * block):
+        s1 = min(n, s0 + 64 * block)
+        src = np.arange(s0, s1)
+        frontier = np.zeros((n, (s1 - s0 + 63) // 64), dtype="<u8")
+        frontier[src, (src - s0) // 64] = np.uint64(1) << ((src - s0) % 64).astype(np.uint64)
+        reached = frontier.copy()
+        while True:
+            gathered = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+            frontier = np.zeros_like(reached)
+            frontier[linked] = gathered & ~reached[linked]
+            if not frontier.any():
                 break
-            # gather all neighbors of the frontier in one vectorized pass
-            offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-            cand = indices[np.arange(total, dtype=np.int64) + offsets]
-            fresh = cand[row[cand] == UNREACHABLE]
-            if fresh.size == 0:
-                break
-            row[fresh] = level
-            frontier = np.unique(fresh)
+            dist[:, s0:s1] += _unpack_bits(~reached, s1 - s0)
+            reached |= frontier
+        dist[:, s0:s1][_unpack_bits(~reached, s1 - s0).view(bool)] = UNREACHABLE
     return dist
+
+
+def _unpack_bits(words: np.ndarray, count: int) -> np.ndarray:
+    """(rows, count) uint8 0/1 matrix of the first ``count`` bits of each row."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=count, bitorder="little")
 
 
 def connected_pairs(dist: np.ndarray) -> np.ndarray:

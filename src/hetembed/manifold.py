@@ -481,6 +481,25 @@ def _sq_from_inner(factor: Factor, w: np.ndarray) -> np.ndarray:
     return np.square(w, out=w)
 
 
+def _gram(factor: Factor, x: np.ndarray) -> np.ndarray:
+    """(n, n) matrix of w over all row pairs of x, by one matmul."""
+    return (x if factor.kind == "sphere" else _neg_space(x.copy())) @ x.T
+
+
+def _quadric_sq_dw(factor: Factor, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d(sq)/dw of the unit-scale quadric kernel, and the mask where it is regular.
+    At the branch point (coincident, or antipodal on the sphere) it is 0/0: 0 there."""
+    sphere = factor.kind == "sphere"
+    ok = np.abs(w) <= 1.0 - _COINCIDENT_EPS if sphere else w >= 1.0 + _COINCIDENT_EPS
+    dsq = np.where(ok, w, 0.0 if sphere else 2.0)  # regular stand-ins, zeroed below
+    root = np.sqrt(1.0 - dsq * dsq if sphere else dsq * dsq - 1.0)
+    (np.arccos if sphere else np.arccosh)(dsq, out=dsq)
+    dsq /= root
+    dsq *= -2.0 if sphere else 2.0
+    dsq[~ok] = 0.0
+    return dsq, ok
+
+
 def factor_sq_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Unit-scale squared geodesic distance between matching (broadcast) rows."""
     if factor.kind == "euclidean":
@@ -492,34 +511,32 @@ def factor_sq_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarr
 
 def factor_sq_distance_grad(factor: Factor, x: np.ndarray, y: np.ndarray,
                             weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """``weight`` times the derivatives of :func:`factor_sq_distance` by x and by y.
-
-    The radial factor's derivatives are (P,), by the radius alone. Quadric pairs
-    at the branch point (coincident, or antipodal on the sphere) have a 0/0
-    derivative: they contribute 0 and are counted in the third return value.
-    """
-    if factor.kind == "euclidean":
+    """``weight`` times the derivatives of :func:`factor_sq_distance` by x and by y,
+    and the count of quadric pairs at the branch point (coincident, or antipodal
+    on the sphere), whose 0/0 derivative contributes 0."""
+    if factor.kind in ("euclidean", "rotsym"):
         gx = (2.0 * weight)[:, None] * (x - y)
         return gx, -gx, 0
-    if factor.kind == "rotsym":
-        gx = 2.0 * weight * (x[:, 0] - y[:, 0])
-        return gx, -gx, 0
     # d(sq)/dw, then dw/dx = y on the sphere and _neg_space(y) on the hyperboloid
-    w = _quadric_inner(factor, x, y)
-    dsq = np.zeros_like(w)
-    if factor.kind == "sphere":
-        ok = (w <= 1.0 - _COINCIDENT_EPS) & (w >= -1.0 + _COINCIDENT_EPS)
-        ws = w[ok]
-        dsq[ok] = -2.0 * (np.arccos(ws) / np.sqrt(1.0 - ws * ws))
-    else:
-        ok = w >= 1.0 + _COINCIDENT_EPS
-        ws = w[ok]
-        dsq[ok] = 2.0 * (np.arccosh(ws) / np.sqrt(ws * ws - 1.0))
+    dsq, ok = _quadric_sq_dw(factor, _quadric_inner(factor, x, y))
     dsq *= weight  # still 0 at the skipped pairs
     gx, gy = dsq[:, None] * y, dsq[:, None] * x
     if factor.kind == "hyperbolic":
         gx, gy = _neg_space(gx), _neg_space(gy)
     return gx, gy, int((~ok).sum())
+
+
+def pairwise_sq_distance_grad(factor: Factor, x: np.ndarray, weight: np.ndarray,
+                              pairs: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`factor_sq_distance_grad` over all row pairs of x, for a symmetric
+    (n, n) ``weight`` with zero diagonal; counts singular pairs inside the (n, n)
+    mask ``pairs``. A quadric takes one matmul, (weight * d(sq)/dw) @ x."""
+    if factor.kind in ("euclidean", "rotsym"):
+        return 2.0 * (weight.sum(axis=1)[:, None] * x - weight @ x), 0
+    dsq, ok = _quadric_sq_dw(factor, _gram(factor, x))
+    amb = np.multiply(dsq, weight, out=dsq) @ x
+    singular = int(np.count_nonzero(pairs & ~ok)) // 2
+    return (_neg_space(amb) if factor.kind == "hyperbolic" else amb), singular
 
 
 def distance(spec: ManifoldSpec, p: Sequence[np.ndarray], q: Sequence[np.ndarray]) -> float | np.ndarray:
@@ -582,7 +599,7 @@ def pairwise_sq_distances(spec: ManifoldSpec, blocks: Sequence[np.ndarray]) -> n
         elif f.kind == "rotsym":
             sq = factor_sq_distance(f, x[:, None], x[None, :])
         else:
-            sq = _sq_from_inner(f, (x if f.kind == "sphere" else _neg_space(x.copy())) @ x.T)
+            sq = _sq_from_inner(f, _gram(f, x))
         total += f.lam**2 * sq
     np.fill_diagonal(total, 0.0)
     return total

@@ -36,28 +36,34 @@ class EvalReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def avg_distance_distortion(emb: Embedding, g: Graph, dist: np.ndarray | None = None) -> float:
-    """Mean relative distance distortion |1 - d_M/d_G| over connected pairs."""
+def avg_distance_distortion(emb: Embedding, g: Graph, dist: np.ndarray | None = None,
+                            sq: np.ndarray | None = None) -> float:
+    """Mean relative distance distortion |1 - d_M/d_G| over connected pairs.
+
+    ``sq``, if given, is the embedding's :func:`pairwise_sq_distances` matrix.
+    """
     if dist is None:
         dist = bfs_apsp(g)
     pairs = connected_pairs(dist)
     if pairs.shape[0] == 0:
         raise ValueError("graph has no connected pairs")
-    dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks))
-    d_m = dm[pairs[:, 0], pairs[:, 1]]
+    if sq is None:
+        sq = pairwise_sq_distances(emb.spec, emb.blocks)
+    d_m = np.sqrt(sq[pairs[:, 0], pairs[:, 1]])
     d_g = dist[pairs[:, 0], pairs[:, 1]].astype(np.float64)
     return float(np.abs(1.0 - d_m / d_g).mean())
 
 
-def mean_average_precision(emb: Embedding, g: Graph) -> float:
+def mean_average_precision(emb: Embedding, g: Graph, sq: np.ndarray | None = None) -> float:
     """Neighbor-retrieval mAP with ties counted (<= comparisons).
 
     For every node i and graph neighbor j, precision is the fraction of graph
     neighbors among all nodes embedded at least as close as j. Isolated nodes
-    are skipped.
+    are skipped. ``sq`` as in :func:`avg_distance_distortion`.
     """
     n = g.n
-    sq = pairwise_sq_distances(emb.spec, emb.blocks)
+    if sq is None:
+        sq = pairwise_sq_distances(emb.spec, emb.blocks)
     degrees = g.degrees
     ap_sum = 0.0
     rated = 0
@@ -152,9 +158,10 @@ def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal,
         notes.append("ad_c uses the shifted reconstruction recorded at training time")
     if f_signal.normalized:
         notes.append("forman signal normalized by max endpoint degree")
+    sq = pairwise_sq_distances(emb.spec, emb.blocks)
     return EvalReport(
-        ad_d=avg_distance_distortion(emb, g, dist),
-        map=mean_average_precision(emb, g),
+        ad_d=avg_distance_distortion(emb, g, dist, sq),
+        map=mean_average_precision(emb, g, sq),
         ad_c=ad_c,
         forman_variance=forman_variance(f_signal),
         ad_triangle=None,

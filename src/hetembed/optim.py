@@ -13,11 +13,14 @@ import numpy as np
 from .graph import UNREACHABLE, Graph, bfs_apsp, connected_pairs, forman
 from .manifold import (
     ManifoldSpec,
+    TangencyError,
     alpha_from_range,
     exp_map,
     factor_exp,
     factor_sq_distance,
     factor_sq_distance_grad,
+    pairwise_sq_distance_grad,
+    pairwise_sq_distances,
     resolve_spec,
     riemannian_gradient,
     rotsym_curvature,
@@ -30,7 +33,7 @@ _BIG_GRAPH_BATCH = 200_000
 
 
 class NumericAbortError(RuntimeError):
-    """Training hit a non-finite loss; carries a diagnostic state dump."""
+    """Training broke down numerically; carries a diagnostic state dump."""
 
     def __init__(self, message: str, state: dict):
         super().__init__(message)
@@ -122,9 +125,6 @@ class Embedding:
         i = self.spec.rotsym_index
         return None if i is None else self.blocks[i][:, 0]
 
-    def point(self, i: int) -> list[np.ndarray]:
-        return [b[i] for b in self.blocks]
-
     def copy(self) -> "Embedding":
         return replace(self, blocks=[b.copy() for b in self.blocks])
 
@@ -199,10 +199,27 @@ def _graph_sq_distances(dist: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return hops**2
 
 
+def _dense_ratio(emb: Embedding, dist: np.ndarray, pairs: np.ndarray):
+    """None unless ``pairs`` lists every connected pair once, in :func:`connected_pairs`
+    order. Then (n, n) d_M^2 / d_G^2 (1, so no loss and no gradient, off the
+    connected pairs), d_G^2 (1 off them) and the mask of connected pairs."""
+    real = dist > 0
+    key = pairs[:, 0] * dist.shape[0] + pairs[:, 1]
+    if not (pairs.shape[0] == np.count_nonzero(real) // 2 and (pairs[:, 0] < pairs[:, 1]).all()
+            and (np.diff(key) > 0).all() and real.ravel()[key].all()):
+        return None
+    d_g2 = np.where(real, np.square(dist, dtype=np.float64), 1.0)
+    ratio = np.where(real, pairwise_sq_distances(emb.spec, emb.blocks) / d_g2, 1.0)
+    return ratio, d_g2, real
+
+
 def loss_distance(emb: Embedding, dist: np.ndarray, pairs: np.ndarray) -> float:
     """Relative squared-distance distortion summed over the given pairs."""
     if pairs.shape[0] == 0:
         return 0.0
+    dense = _dense_ratio(emb, dist, pairs)
+    if dense is not None:
+        return float(np.abs(dense[0] - 1.0).sum()) / 2.0  # each pair sits twice in (n, n)
     ratio = _pair_sq_distances(emb, pairs) / _graph_sq_distances(dist, pairs)
     return float(np.abs(ratio - 1.0).sum())
 
@@ -242,29 +259,31 @@ def gradients(emb: Embedding, dist: np.ndarray, f_signal, cfg: TrainConfig,
               pairs: np.ndarray) -> GradientResult:
     """Analytic Riemannian gradients of the total loss at the current state.
 
-    Ambient coordinate derivatives are assembled per factor and mapped through
-    the inverse metric + tangent projection. Pairs whose space-form distance
-    derivative is numerically singular (coincident points, antipodal sphere
-    points) are dropped from that factor's sum and counted.
+    Ambient coordinate derivatives are assembled per factor, from one (n, n)
+    weight matrix when ``pairs`` are all connected pairs and from gathered rows
+    otherwise, and mapped through the inverse metric + tangent projection.
+    Pairs whose space-form distance derivative is numerically singular
+    (coincident points, antipodal sphere points) are dropped and counted.
     """
-    pi, pj = pairs[:, 0], pairs[:, 1]
-    d_g2 = _graph_sq_distances(dist, pairs)
-    d_m2 = _pair_sq_distances(emb, pairs)
-    sigma = np.sign(d_m2 / d_g2 - 1.0)
-    base = sigma / d_g2
-    skipped = 0
-
-    ambient = []
+    dense = _dense_ratio(emb, dist, pairs)
+    if dense is not None:
+        ratio, d_g2, real = dense
+    else:
+        pi, pj = pairs[:, 0], pairs[:, 1]
+        d_g2 = _graph_sq_distances(dist, pairs)
+        ratio = _pair_sq_distances(emb, pairs) / d_g2
+    base = np.sign(ratio - 1.0) / d_g2  # dense: 0 off the connected pairs
+    skipped, ambient = 0, []
     for f, x in zip(emb.spec.factors, emb.blocks):
-        xi, xj = x[pi], x[pj]
-        gi, gj, singular = factor_sq_distance_grad(f, xi, xj, f.lam**2 * base)
+        if dense is not None:
+            amb, singular = pairwise_sq_distance_grad(f, x, f.lam**2 * base, real)
+        else:
+            gi, gj, singular = factor_sq_distance_grad(f, x[pi], x[pj], f.lam**2 * base)
+            # one bincount over flattened (row, column) cells: each sums in pair order
+            cells = (np.concatenate([pi, pj])[:, None] * x.shape[1] + np.arange(x.shape[1])).ravel()
+            amb = np.bincount(cells, np.concatenate([gi, gj]).ravel(), x.size).reshape(x.shape)
         skipped += singular
-        # (n,) for the radial factor: a 1-D np.add.at is ~5x faster than (n, 1)
-        amb = np.zeros((x.shape[0], *gi.shape[1:]))
-        np.add.at(amb, pi, gi)
-        np.add.at(amb, pj, gj)
-        ambient.append(amb.reshape(x.shape))
-        del gi, gj  # free before the next factor gathers its rows
+        ambient.append(amb)
 
     if cfg.tau > 0:
         res, weights, rot = _curvature_residuals(emb, f_signal, cfg)
@@ -370,22 +389,26 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
         else:
             idx = batch_rng.choice(all_pairs.shape[0], size=batch_size, replace=False)
             batch = all_pairs[np.sort(idx)]
-        grad = gradients(emb, dist, f_signal, cfg_run, batch)
-        emb = rsgd_step(emb, grad, lr)
-        l_d = loss_distance(emb, dist, all_pairs)
-        l_c = loss_curvature(emb, f_signal, cfg_run) if tau > 0 else 0.0
-        if not (np.isfinite(l_d) and np.isfinite(l_c)):
+        grad = l_d = l_c = None
+        try:  # rsgd_step raises TangencyError for a step too long for the tangent space
+            grad = gradients(emb, dist, f_signal, cfg_run, batch)
+            emb = rsgd_step(emb, grad, lr)
+            l_d = loss_distance(emb, dist, all_pairs)
+            l_c = loss_curvature(emb, f_signal, cfg_run) if tau > 0 else 0.0
+            if not (np.isfinite(l_d) and np.isfinite(l_c)):
+                raise FloatingPointError("non-finite loss")
+        except (TangencyError, FloatingPointError) as exc:
             raise NumericAbortError(
-                f"non-finite loss at epoch {epoch}",
+                f"{exc} at epoch {epoch}",
                 state={
                     "epoch": epoch,
                     "loss_distance": l_d,
                     "loss_curvature": l_c,
                     "learning_rate": lr,
-                    "skipped_pairs": grad.skipped_pairs,
+                    "skipped_pairs": None if grad is None else grad.skipped_pairs,
                     "max_radius": None if emb.radii() is None else float(emb.radii().max()),
                 },
-            )
+            ) from exc
         history.append(epoch, l_d, l_c, (time.perf_counter() - t0) * 1000.0)
     emb.epochs = cfg.epochs
     emb.notes.update(

@@ -42,11 +42,15 @@ class ReconstructionResult:
         }
 
 
-def nn_graph(emb: Embedding, rho: float) -> Graph:
-    """Edges between distinct nodes at embedded distance <= rho."""
+def nn_graph(emb: Embedding, rho: float, sq: np.ndarray | None = None) -> Graph:
+    """Edges between distinct nodes at embedded distance <= rho.
+
+    ``sq``, if given, is the embedding's :func:`pairwise_sq_distances` matrix.
+    """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    sq = pairwise_sq_distances(emb.spec, emb.blocks)
+    if sq is None:
+        sq = pairwise_sq_distances(emb.spec, emb.blocks)
     n = sq.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     keep = sq[iu, ju] <= rho * rho
@@ -59,12 +63,13 @@ def edge_mismatch(a: Graph, b: Graph) -> int:
 
 
 def tune_threshold(emb: Embedding, g_true: Graph, val_fraction: float = 0.10,
-                   seed: int = 0) -> float:
+                   seed: int = 0, sq: np.ndarray | None = None) -> float:
     """Distance threshold minimizing adjacency disagreements on a node sample.
 
     Disagreements are counted over the adjacency rows of a random 10% node
     sample. Candidate thresholds are midpoints between consecutive observed
     distances of sample-involved pairs; ties resolve to the smaller rho.
+    ``sq`` as in :func:`nn_graph`.
     """
     if not (0.0 < val_fraction < 1.0):
         raise ValueError("val_fraction must be in (0, 1)")
@@ -73,7 +78,7 @@ def tune_threshold(emb: Embedding, g_true: Graph, val_fraction: float = 0.10,
     k = max(1, int(round(val_fraction * n)))
     val = np.sort(rng.choice(n, size=k, replace=False))
 
-    dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks))
+    dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks) if sq is None else sq)
     adj = np.zeros((n, n), dtype=bool)
     for i, nbrs in enumerate(g_true.adj):
         adj[i, nbrs] = True
@@ -155,7 +160,8 @@ def _forman_error(g: Graph, proxy: np.ndarray, gamma: float) -> tuple[np.ndarray
 
 def curvature_correction(emb: Embedding, a_rho: Graph, rho: float, step: float,
                          percentile: float = 90.0, gamma: float = 1.0,
-                         g_true: Graph | None = None) -> ReconstructionResult:
+                         g_true: Graph | None = None,
+                         sq: np.ndarray | None = None) -> ReconstructionResult:
     """Locally re-threshold the worst curvature-mismatch nodes, keeping only
     changes that reduce the total curvature error.
 
@@ -163,14 +169,15 @@ def curvature_correction(emb: Embedding, a_rho: Graph, rho: float, step: float,
     given percentile are processed in descending error order. A node with
     too-low graph curvature gets its incident edges re-thresholded at
     rho + step (densify); too-high at rho - step (sparsify). Each change is
-    accepted only if the summed error strictly decreases.
+    accepted only if the summed error strictly decreases. ``sq`` as in
+    :func:`nn_graph`.
     """
     if not (0.0 < percentile < 100.0):
         raise ValueError("percentile must be in (0, 100)")
     if step <= 0:
         raise ValueError("step must be positive")
     proxy = reconstructed_forman(emb)
-    dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks))
+    dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks) if sq is None else sq)
     n = a_rho.n
 
     edges = a_rho.edge_set()

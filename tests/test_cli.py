@@ -13,6 +13,7 @@ from hetembed.fileio import (
 from hetembed.graph import load_edge_list, save_edge_list
 from hetembed.manifold import parse_manifold
 from hetembed.optim import TrainConfig, train
+from hetembed.randgraph import SampleConfig, generate_heterogeneous
 from hetembed.synthetic import cycle_tree, path_graph, random_connected_graph
 
 
@@ -118,6 +119,25 @@ class TestCliCommands:
                      "--learning-rate", "1e12", "--tau", "0",
                      "--out", str(tmp_path / "e.json"))
         assert rc == 2
+
+    def test_embed_divergence_exit_2(self, tmp_path, capsys):
+        # the acceptance twin's config (learning rate 0.01) on its n=400 sibling:
+        # a step leaves the hyperboloid's tangent space within a few epochs
+        g = generate_heterogeneous(SampleConfig(
+            n=400, tangent_radius=1.6, rho=4.5, ell=10.8, alpha=1.0,
+            radial_interval=(0.0, 2.0), seed=7))
+        path = tmp_path / "g400.edges"
+        with open(path, "w") as fh:
+            save_edge_list(g, fh)
+        rc = run_cli("embed", str(path), "-m", "h5,h5,rot(a=auto)", "--tau", "1.0",
+                     "--epochs", "3000", "--seed", "11", "--learning-rate", "0.01",
+                     "--lambda-rot", "0.5", "--delta", "1.0", "--ell-plus", "1.0",
+                     "--gamma", "1.0", "--curvature-residuals", "raw",
+                     "--out", str(tmp_path / "e.json"))
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "numeric abort: vector not tangent" in err
+        assert '"epoch"' in err and '"learning_rate": 0.01' in err
 
     def test_eval_report(self, tmp_path, graph_file):
         emb_path = tmp_path / "emb.json"

@@ -85,6 +85,19 @@ class TestBfsApsp:
         g = gnp_graph(n, p, seed=seed)
         assert np.array_equal(bfs_apsp(g), floyd_warshall(g))
 
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 26])
+    def test_multiword_bitsets_and_isolated_nodes(self, monkeypatch, block_bytes):
+        # 150 nodes span three 64-bit words; a 1-byte budget runs one word of
+        # sources at a time. Nodes 70-79 and the last ten are isolated.
+        import hetembed.graph as graph
+
+        monkeypatch.setattr(graph, "_BFS_BLOCK_BYTES", block_bytes)
+        base = gnp_graph(130, 0.03, seed=3)
+        remap = np.concatenate([np.arange(70), np.arange(80, 140)])
+        g = from_edges(150, [(remap[i], remap[j]) for i, j in base.edges()])
+        assert g.adj[75].size == 0 and g.adj[149].size == 0
+        assert np.array_equal(bfs_apsp(g), floyd_warshall(g))
+
 
 class TestTriangles:
     def test_k3(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hetembed.optim as optim
-from hetembed.graph import bfs_apsp, connected_pairs, forman, from_edges
+from hetembed.graph import UNREACHABLE, bfs_apsp, connected_pairs, forman, from_edges
 from hetembed.manifold import (
     _mink_inner,
     factor_exp,
@@ -50,7 +50,7 @@ def loss_distance_reference(emb, dist, pairs):
 
     total = 0.0
     for i, j in pairs:
-        d2 = distance(emb.spec, emb.point(int(i)), emb.point(int(j))) ** 2
+        d2 = distance(emb.spec, [b[i] for b in emb.blocks], [b[j] for b in emb.blocks]) ** 2
         total += abs(d2 / float(dist[i, j]) ** 2 - 1.0)
     return total
 
@@ -238,6 +238,44 @@ class TestGradients:
         assert kink_margin(emb, dist, pairs)
         n = directional_fd_check(emb, dist, forman(g), cfg, pairs)
         assert n == g.n * (2 + 2 + 1)
+        # all pairs take the dense route; a strict subset gathers its rows
+        subset = pairs[::3]
+        assert optim._dense_ratio(emb, dist, pairs) is not None
+        assert optim._dense_ratio(emb, dist, subset) is None
+        assert directional_fd_check(emb, dist, forman(g), cfg, subset) == n
+
+    def test_dense_route_matches_gathered_pairs(self):
+        # oracle: the gathered-row route, one pair per call, summed
+        a = random_connected_graph(9, 0.3, seed=23)
+        b = random_connected_graph(5, 0.5, seed=24)
+        split = from_edges(14, [(i, j) for i, j in a.edges()]
+                           + [(i + 9, j + 9) for i, j in b.edges()])
+        assert (bfs_apsp(split) == UNREACHABLE).any()
+        cases = [("e3,s2,h2,rot(a=1.0,l=0.5)", random_connected_graph(12, 0.3, seed=25)),
+                 ("s3,e2", random_connected_graph(10, 0.3, seed=26)),
+                 ("h3,h2,rot(a=1.3)", split)]
+        for spec_text, g in cases:
+            dist = bfs_apsp(g)
+            pairs = connected_pairs(dist)
+            cfg = TrainConfig(tau=0.0, seed=5, epochs=1)
+            emb = make_embedding(spec_text, g, cfg)
+            assert optim._dense_ratio(emb, dist, pairs) is not None
+            dense = gradients(emb, dist, None, cfg, pairs)
+            oracle = [np.zeros_like(blk) for blk in emb.blocks]
+            for k in range(pairs.shape[0]):
+                for acc, blk in zip(oracle, gradients(emb, dist, None, cfg, pairs[k:k + 1]).blocks):
+                    acc += blk
+            assert dense.skipped_pairs == 0
+            for got, want in zip(dense.blocks, oracle):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            if "rot" in spec_text:  # the curvature term rides along on both routes
+                cfg = TrainConfig(tau=0.5, seed=5, epochs=1)
+                f = forman(g, cfg.gamma)
+                dense = gradients(emb, dist, f, cfg, pairs)
+                gathered = gradients(emb, dist, f, cfg, pairs[::-1].copy())
+                for got, want in zip(dense.blocks, gathered.blocks):
+                    np.testing.assert_allclose(got, want, rtol=1e-12,
+                                               atol=1e-12 * np.abs(want).max())
 
     def test_tau_zero_radial_gradient_distance_only(self):
         g = random_connected_graph(7, 0.4, seed=22)
@@ -276,6 +314,21 @@ class TestGradients:
         out = gradients(emb, dist, None, TrainConfig(tau=0.0), pairs)
         assert out.skipped_pairs == 1
         assert np.allclose(out.blocks[0], 0.0)
+        # full batch on a path 0-1-2 plus an isolated node 3: the dense route
+        # counts the coincident edge (0, 1), but neither the diagonal nor the
+        # unreachable coincident pairs (0, 3) and (1, 3); so do gathered rows
+        g = from_edges(4, [(0, 1), (1, 2)])
+        dist = bfs_apsp(g)
+        pairs = connected_pairs(dist)
+        far = [math.sinh(0.5), 0.0, math.cosh(0.5)]
+        emb = Embedding(spec=parse_manifold("h2"),
+                        blocks=[np.array([pole[0], pole[0], far, pole[0]])])
+        assert optim._dense_ratio(emb, dist, pairs) is not None
+        dense = gradients(emb, dist, None, TrainConfig(tau=0.0), pairs)
+        gathered = gradients(emb, dist, None, TrainConfig(tau=0.0), pairs[::-1].copy())
+        assert dense.skipped_pairs == gathered.skipped_pairs == 1
+        assert np.allclose(dense.blocks[0], gathered.blocks[0], rtol=1e-12, atol=1e-15)
+        assert np.abs(dense.blocks[0][:3]).max() > 0.1
 
 
 class TestRsgdStep:
