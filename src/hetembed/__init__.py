@@ -10,6 +10,7 @@ from .graph import (
     forman,
     forman_dirichlet_energy,
     from_edges,
+    from_mask,
     load_edge_list,
     save_edge_list,
     triangle_counts,

@@ -27,8 +27,8 @@ class Graph:
     """Simple undirected graph on nodes 0..n-1 with sorted adjacency arrays.
 
     Invariants: adjacency is symmetric, has no self-loops and no duplicates.
-    Use :func:`from_edges` / :func:`load_edge_list` rather than building the
-    adjacency by hand.
+    Use :func:`from_edges` / :func:`from_mask` / :func:`load_edge_list` rather
+    than building the adjacency by hand.
     """
 
     n: int
@@ -45,14 +45,9 @@ class Graph:
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) int array with i < j, lexicographically sorted."""
-        out = []
-        for i, nbrs in enumerate(self.adj):
-            upper = nbrs[nbrs > i]
-            if upper.size:
-                out.append(np.column_stack([np.full(upper.size, i, dtype=np.int64), upper]))
-        if not out:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(out, axis=0)
+        rows, cols = self.entries()
+        upper = rows < cols
+        return np.column_stack([rows[upper], cols[upper]])
 
     def has_edge(self, i: int, j: int) -> bool:
         nbrs = self.adj[i]
@@ -72,14 +67,22 @@ class Graph:
         )
         return indptr, indices.astype(np.int64, copy=False)
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) arrays of every adjacency entry, in CSR order."""
+        indptr, indices = self.csr()
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr)), indices
+
+    def adjacency_mask(self) -> np.ndarray:
+        """(n, n) boolean adjacency matrix; :func:`from_mask` inverts it."""
+        mask = np.zeros((self.n, self.n), dtype=bool)
+        mask[self.entries()] = True
+        return mask
+
     def adjacency_bits(self) -> np.ndarray:
         """Adjacency rows packed into uint64 words, for fast set intersection."""
-        words = (self.n + 63) // 64
-        bits = np.zeros((self.n, words), dtype=np.uint64)
-        for i, nbrs in enumerate(self.adj):
-            if nbrs.size:
-                masks = np.uint64(1) << (nbrs % 64).astype(np.uint64)
-                np.bitwise_or.at(bits[i], nbrs // 64, masks)
+        rows, cols = self.entries()
+        bits = np.zeros((self.n, (self.n + 63) // 64), dtype=np.uint64)
+        np.bitwise_or.at(bits, (rows, cols // 64), np.uint64(1) << (cols % 64).astype(np.uint64))
         return bits
 
 
@@ -98,6 +101,19 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[i].append(j)
         adj[j].append(i)
     return Graph(n=n, adj=[np.array(sorted(a), dtype=np.int64) for a in adj])
+
+
+def from_mask(mask: np.ndarray) -> Graph:
+    """Build a Graph from an (n, n) boolean mask: edge (i, j) for every True
+    cell with i < j. The diagonal and the lower triangle are not read."""
+    n = mask.shape[0]
+    if mask.shape != (n, n):
+        raise ValueError(f"mask must be square, got shape {mask.shape}")
+    upper = np.triu(mask, k=1)
+    rows, cols = np.nonzero(upper | upper.T)
+    bounds = np.searchsorted(rows, np.arange(n + 1))
+    cols = cols.astype(np.int64, copy=False)
+    return Graph(n=n, adj=[cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
 
 
 def load_edge_list(source: str | bytes | IO) -> Graph:
@@ -234,24 +250,19 @@ def connected_pairs(dist: np.ndarray) -> np.ndarray:
     return np.column_stack([iu[mask], ju[mask]]).astype(np.int64)
 
 
-def triangle_counts(g: Graph) -> tuple[dict[tuple[int, int], int], np.ndarray]:
-    """Per-edge and per-node triangle counts.
+def triangle_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge and per-node triangle counts, as int arrays.
 
-    The edge count is |adj(i) ∩ adj(j)|; node counts obey
-    2·t(i) = Σ_{j~i} t(i,j) since every triangle at i is seen by two of its edges.
+    ``edge_counts[k]`` is |adj(i) ∩ adj(j)| for the k-th edge (i, j) of
+    ``g.edges()``; node counts obey 2·t(i) = Σ_{j~i} t(i,j) since every
+    triangle at i is seen by two of its edges.
     """
     edges = g.edges()
-    node_counts = np.zeros(g.n, dtype=np.int64)
-    edge_counts: dict[tuple[int, int], int] = {}
-    if edges.size == 0:
-        return edge_counts, node_counts
     bits = g.adjacency_bits()
-    common = np.bitwise_count(bits[edges[:, 0]] & bits[edges[:, 1]]).sum(axis=1)
-    for (i, j), c in zip(edges, common):
-        c = int(c)
-        edge_counts[(int(i), int(j))] = c
-        node_counts[i] += c
-        node_counts[j] += c
+    edge_counts = np.bitwise_count(bits[edges[:, 0]] & bits[edges[:, 1]]).sum(
+        axis=1, dtype=np.int64)
+    node_counts = np.zeros(g.n, dtype=np.int64)
+    np.add.at(node_counts, edges, edge_counts[:, None])
     # each triangle at a node is counted once per incident edge pair
     assert np.all(node_counts % 2 == 0)
     return edge_counts, node_counts // 2
@@ -261,16 +272,14 @@ def triangle_counts(g: Graph) -> tuple[dict[tuple[int, int], int], np.ndarray]:
 class FormanSignal:
     """Edge- and node-level discrete curvature for one value of gamma.
 
-    Edge value: 4 - d_i - d_j + 3*gamma*t(i,j); node value: degree average of
-    incident edge values (0 for isolated nodes, which are excluded from
-    min/max).
+    Edge value: 4 - d_i - d_j + 3*gamma*t(i,j), one per row of ``g.edges()``;
+    node value: degree average of incident edge values (0 for isolated nodes,
+    which are excluded from min/max).
     """
 
     gamma: float
-    edge_values: dict[tuple[int, int], float]
+    edge_values: np.ndarray
     node_values: np.ndarray
-    triangle_edge_counts: dict[tuple[int, int], int]
-    triangle_node_counts: np.ndarray
     normalized: bool = False
 
     # degrees are frozen at construction so the signal stays self-contained
@@ -292,29 +301,30 @@ def forman(g: Graph, gamma: float = 1.0, normalize_by_max_degree: bool = False) 
 
     With ``normalize_by_max_degree`` each edge value is divided by the larger
     endpoint degree before the node average (variant used for scale-free
-    graphs whose raw values are dominated by hubs).
+    graphs whose raw values are dominated by hubs). Each node sums its edge
+    values in adjacency order.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     deg = g.degrees
-    edge_tri, node_tri = triangle_counts(g)
-    edge_values: dict[tuple[int, int], float] = {}
-    node_values = np.zeros(g.n, dtype=np.float64)
-    for (i, j), t in edge_tri.items():
-        val = 4.0 - deg[i] - deg[j] + 3.0 * gamma * t
-        if normalize_by_max_degree:
-            val /= max(deg[i], deg[j])
-        edge_values[(i, j)] = val
-        node_values[i] += val
-        node_values[j] += val
-    nz = deg > 0
-    node_values[nz] /= deg[nz]
+    rows, cols = g.entries()
+    upper = rows < cols
+    i, j = rows[upper], cols[upper]  # the rows of g.edges()
+    edge_tri, _ = triangle_counts(g)
+    edge_values = 4.0 - deg[i] - deg[j] + 3.0 * gamma * edge_tri
+    if normalize_by_max_degree:
+        edge_values /= np.maximum(deg[i], deg[j])
+    # edge index of every adjacency entry: entries above the diagonal list the
+    # edges in order, those below list them sorted by (j, i)
+    edge_of = np.empty(rows.size, dtype=np.int64)
+    edge_of[upper] = np.arange(i.size)
+    edge_of[~upper] = np.lexsort((i, j))
+    node_values = np.bincount(rows, weights=edge_values[edge_of], minlength=g.n)
+    node_values = node_values / np.maximum(deg, 1)  # isolated nodes stay 0
     return FormanSignal(
         gamma=gamma,
         edge_values=edge_values,
         node_values=node_values,
-        triangle_edge_counts=edge_tri,
-        triangle_node_counts=node_tri,
         normalized=normalize_by_max_degree,
         _degrees=deg,
     )
@@ -324,7 +334,6 @@ def forman_dirichlet_energy(g: Graph, f: FormanSignal) -> float:
     """Dirichlet energy (1/2) Σ_{i~j} (F_i/√d_i - F_j/√d_j)² over ordered adjacent pairs."""
     deg = g.degrees
     scaled = np.where(deg > 0, f.node_values / np.sqrt(np.maximum(deg, 1)), 0.0)
-    total = 0.0
-    for i, j in g.edges():
-        total += (scaled[i] - scaled[j]) ** 2
-    return float(total)  # the 1/2 cancels against each edge appearing twice in i~j
+    edges = g.edges()
+    # the 1/2 cancels against each edge appearing twice in i~j
+    return float(((scaled[edges[:, 0]] - scaled[edges[:, 1]]) ** 2).sum())

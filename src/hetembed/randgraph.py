@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clique import max_clique
-from .graph import Graph, from_edges, triangle_counts
+from .graph import Graph, from_mask, triangle_counts
 from .manifold import Factor, ManifoldSpec, factor_exp, pairwise_sq_distances, rotsym_curvature
 
 
@@ -67,19 +67,12 @@ def sample_points(cfg: SampleConfig, with_radial: bool, seed: int | None = None)
     return blocks
 
 
-def _threshold_edges(sq_dist: np.ndarray, mask: np.ndarray) -> Graph:
-    n = sq_dist.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    keep = mask[iu, ju]
-    return from_edges(n, zip(iu[keep].tolist(), ju[keep].tolist()))
-
-
 def generate_homogeneous(cfg: SampleConfig, seed: int | None = None) -> Graph:
     """Nearest-neighbor graph of a tangent-uniform H^3 cloud at threshold rho."""
     blocks = sample_points(cfg, with_radial=False, seed=seed)
     spec = ManifoldSpec((_H3,))
     sq = pairwise_sq_distances(spec, blocks)
-    return _threshold_edges(sq, sq <= cfg.rho**2)
+    return from_mask(sq <= cfg.rho**2)
 
 
 def generate_heterogeneous(cfg: SampleConfig, seed: int | None = None) -> Graph:
@@ -97,7 +90,7 @@ def generate_heterogeneous(cfg: SampleConfig, seed: int | None = None) -> Graph:
     curved = rotsym_curvature(cfg.alpha, blocks[1][:, 0]) > cfg.ell
     gate = curved[:, None] & curved[None, :]
     mask = (sq <= 1.0) | (gate & (sq <= cfg.rho**2))
-    return _threshold_edges(sq, mask)
+    return from_mask(mask)
 
 
 def graph_stats(g: Graph, clique_budget: float = 10.0) -> GraphStats:

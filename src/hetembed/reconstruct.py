@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, forman, from_edges, triangle_counts
+from .graph import Graph, forman, from_mask, triangle_counts
 from .manifold import pairwise_sq_distances
 from .metrics import reconstructed_forman
 from .optim import Embedding
@@ -51,15 +51,14 @@ def nn_graph(emb: Embedding, rho: float, sq: np.ndarray | None = None) -> Graph:
         raise ValueError("rho must be positive")
     if sq is None:
         sq = pairwise_sq_distances(emb.spec, emb.blocks)
-    n = sq.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    keep = sq[iu, ju] <= rho * rho
-    return from_edges(n, zip(iu[keep].tolist(), ju[keep].tolist()))
+    return from_mask(sq <= rho * rho)
 
 
 def edge_mismatch(a: Graph, b: Graph) -> int:
     """Size of the symmetric difference of the edge sets."""
-    return len(a.edge_set() ^ b.edge_set())
+    n = max(a.n, b.n)
+    # edge (i, j) as the key i * n + j
+    return int(np.setxor1d(a.edges() @ [n, 1], b.edges() @ [n, 1]).size)
 
 
 def tune_threshold(emb: Embedding, g_true: Graph, val_fraction: float = 0.10,
@@ -79,9 +78,7 @@ def tune_threshold(emb: Embedding, g_true: Graph, val_fraction: float = 0.10,
     val = np.sort(rng.choice(n, size=k, replace=False))
 
     dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks) if sq is None else sq)
-    adj = np.zeros((n, n), dtype=bool)
-    for i, nbrs in enumerate(g_true.adj):
-        adj[i, nbrs] = True
+    adj = g_true.adjacency_mask()
 
     # every (validation node, other node) entry, deduplicated inside the sample
     vi = np.repeat(val, n)
@@ -128,10 +125,9 @@ def estimate_triangles_from_curvature(a_rho: Graph, node_curvature: np.ndarray,
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     deg = a_rho.degrees.astype(float)
+    rows, cols = a_rho.entries()
     est = deg * np.asarray(node_curvature, dtype=float)
-    for i, nbrs in enumerate(a_rho.adj):
-        if nbrs.size:
-            est[i] -= (4.0 - deg[i] - deg[nbrs]).sum()
+    est -= np.bincount(rows, weights=4.0 - deg[rows] - deg[cols], minlength=a_rho.n)
     return est / (6.0 * gamma)
 
 
@@ -150,12 +146,6 @@ def estimate_triangles(emb: Embedding, a_rho: Graph, gamma: float = 4.0) -> Tria
     return TriangleEstimates(
         raw=raw, clamped=np.maximum(raw, 0.0), nn_baseline=nn_counts.astype(float)
     )
-
-
-def _forman_error(g: Graph, proxy: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
-    f = forman(g, gamma)
-    err = np.abs(proxy - f.node_values)
-    return err, float(err.sum())
 
 
 def curvature_correction(emb: Embedding, a_rho: Graph, rho: float, step: float,
@@ -178,17 +168,16 @@ def curvature_correction(emb: Embedding, a_rho: Graph, rho: float, step: float,
         raise ValueError("step must be positive")
     proxy = reconstructed_forman(emb)
     dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks) if sq is None else sq)
-    n = a_rho.n
 
-    edges = a_rho.edge_set()
-    err, err_total = _forman_error(a_rho, proxy, gamma)
+    current, adj = a_rho, a_rho.adjacency_mask()
+    f_now = forman(current, gamma).node_values
+    err = np.abs(proxy - f_now)
+    err_total = float(err.sum())
     cutoff = float(np.percentile(err, percentile))
     worklist = [i for i in np.argsort(-err, kind="stable") if err[i] > cutoff]
 
     log: list[tuple[int, str, bool]] = []
-    current = a_rho
     for i in worklist:
-        f_now = forman(current, gamma).node_values
         diff = proxy[i] - f_now[i]
         if diff == 0.0:
             continue
@@ -198,18 +187,20 @@ def curvature_correction(emb: Embedding, a_rho: Graph, rho: float, step: float,
         else:
             action = "sparsify"
             radius = max(rho - step, 0.0)
-        within = set(np.nonzero(dm[i] <= radius)[0].tolist()) - {i}
-        new_edges = {e for e in edges if i not in e}
-        new_edges |= {(min(i, j), max(i, j)) for j in within}
-        if new_edges == edges:
+        row = dm[i] <= radius
+        row[i] = False
+        if np.array_equal(row, adj[i]):
             log.append((int(i), action, False))
             continue
-        candidate = from_edges(n, new_edges)
-        _, cand_total = _forman_error(candidate, proxy, gamma)
+        cand_adj = adj.copy()
+        cand_adj[i] = cand_adj[:, i] = row
+        candidate = from_mask(cand_adj)
+        f_cand = forman(candidate, gamma).node_values
+        cand_total = float(np.abs(proxy - f_cand).sum())
         accept = cand_total < err_total
         log.append((int(i), action, accept))
         if accept:
-            current, edges, err_total = candidate, new_edges, cand_total
+            current, adj, f_now, err_total = candidate, cand_adj, f_cand, cand_total
 
     mismatch = edge_mismatch(current, g_true) if g_true is not None else None
     return ReconstructionResult(rho=rho, graph=current, mismatch=mismatch, correction_log=log)

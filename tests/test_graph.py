@@ -11,13 +11,14 @@ from hetembed.graph import (
     forman,
     forman_dirichlet_energy,
     from_edges,
+    from_mask,
     load_edge_list,
     save_edge_list,
     triangle_counts,
 )
 from hetembed.synthetic import complete_graph, cycle_graph, gnp_graph, path_graph
 
-from conftest import floyd_warshall
+from conftest import floyd_warshall, forman_reference
 
 
 class TestLoadEdgeList:
@@ -99,15 +100,36 @@ class TestBfsApsp:
         assert np.array_equal(bfs_apsp(g), floyd_warshall(g))
 
 
+class TestFromMask:
+    def test_reads_upper_triangle_only(self, rng):
+        # asymmetric mask with a True diagonal: only cells above it count
+        mask = rng.random((9, 9)) < 0.4
+        np.fill_diagonal(mask, True)
+        assert not np.array_equal(mask, mask.T)
+        iu, ju = np.triu_indices(9, k=1)
+        keep = mask[iu, ju]
+        expected = from_edges(9, zip(iu[keep].tolist(), ju[keep].tolist()))
+        g = from_mask(mask)
+        assert g.n == 9
+        assert g.edge_set() == expected.edge_set()
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(g.adj, expected.adj))
+        assert np.array_equal(from_mask(g.adjacency_mask()).edges(), g.edges())
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            from_mask(np.zeros((3, 4), dtype=bool))
+
+
 class TestTriangles:
     def test_k3(self):
         edge, node = triangle_counts(complete_graph(3))
-        assert all(v == 1 for v in edge.values())
+        assert all(v == 1 for v in edge)
         assert list(node) == [1, 1, 1]
 
     def test_p3_zero(self):
         edge, node = triangle_counts(path_graph(3))
-        assert all(v == 0 for v in edge.values())
+        assert all(v == 0 for v in edge)
         assert not node.any()
 
     @settings(max_examples=25, deadline=None)
@@ -115,19 +137,22 @@ class TestTriangles:
     def test_factor_two_identity(self, n, p, seed):
         g = gnp_graph(n, p, seed=seed)
         edge, node = triangle_counts(g)
+        edges = g.edges()
         for i in range(g.n):
-            incident = sum(edge[(min(i, j), max(i, j))] for j in g.adj[i])
+            incident = edge[(edges == i).any(axis=1)].sum()
             assert incident == 2 * node[i]
 
 
 class TestForman:
     def test_p3_edge_value(self):
-        f = forman(path_graph(3), gamma=1.0)
-        assert f.edge_values[(0, 1)] == pytest.approx(4 - 1 - 2 + 0)
+        g = path_graph(3)
+        f = forman(g, gamma=1.0)
+        assert g.edges()[0].tolist() == [0, 1]
+        assert f.edge_values[0] == pytest.approx(4 - 1 - 2 + 0)
 
     def test_k3_gamma1(self):
         f = forman(complete_graph(3), gamma=1.0)
-        assert all(v == pytest.approx(3.0) for v in f.edge_values.values())
+        assert all(v == pytest.approx(3.0) for v in f.edge_values)
         assert np.allclose(f.node_values, 3.0)
 
     def test_k3_gamma4_nodes(self):
@@ -151,12 +176,24 @@ class TestForman:
         g = gnp_graph(n, p, seed=seed)
         f = forman(g, gamma=gamma)
         deg = g.degrees
+        edges = g.edges()
         for i in range(g.n):
             if deg[i] == 0:
                 assert f.node_values[i] == 0.0
                 continue
-            avg = sum(f.edge_values[(min(i, j), max(i, j))] for j in g.adj[i]) / deg[i]
+            avg = f.edge_values[(edges == i).any(axis=1)].sum() / deg[i]
             assert f.node_values[i] == pytest.approx(avg, rel=1e-12)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_matches_edge_loop_exactly(self, normalize):
+        # non-integer gammas make the node sums depend on their order
+        for seed in range(8):
+            g = gnp_graph(25, 0.1 + 0.08 * seed, seed=seed)
+            for gamma in (0.7, 2.3):
+                f = forman(g, gamma=gamma, normalize_by_max_degree=normalize)
+                edge_ref, node_ref = forman_reference(g, gamma, normalize)
+                assert f.edge_values.tolist() == edge_ref.tolist()
+                assert f.node_values.tobytes() == node_ref.tobytes()
 
     def test_regular_triangle_free_constant(self):
         # every d-regular triangle-free graph has node value 4 - 2d
@@ -165,9 +202,11 @@ class TestForman:
             assert np.allclose(f.node_values, 4 - 2 * d)
 
     def test_normalized_variant(self):
-        f = forman(path_graph(3), gamma=1.0, normalize_by_max_degree=True)
+        g = path_graph(3)
+        f = forman(g, gamma=1.0, normalize_by_max_degree=True)
         # edge (0,1): value 1 over max degree 2
-        assert f.edge_values[(0, 1)] == pytest.approx(0.5)
+        assert g.edges()[0].tolist() == [0, 1]
+        assert f.edge_values[0] == pytest.approx(0.5)
         assert f.normalized
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from hetembed.reconstruct import (
     tune_threshold,
 )
 from hetembed.synthetic import complete_graph, gnp_graph, path_graph, random_connected_graph
+
+from conftest import curvature_correction_reference, forman_reference
 
 
 def line_embedding(coords):
@@ -204,3 +208,40 @@ class TestCurvatureCorrection:
         g, emb = self._setup(seed=9)
         result = curvature_correction(emb, g, rho=1.0, step=0.2, gamma=1.0, g_true=g)
         assert result.mismatch == edge_mismatch(result.graph, g)
+
+    @staticmethod
+    def _random_case(seed, n, gamma, rho=0.8, drop=0.2):
+        """Random e2 x rot cloud; its threshold graph with a fifth of the edges dropped."""
+        rng = np.random.default_rng(seed)
+        emb = Embedding(spec=parse_manifold("e2,rot(a=1.0)"),
+                        blocks=[rng.uniform(0, 3, (n, 2)), rng.uniform(0.05, 2.0, (n, 1))])
+        g_true = nn_graph(emb, rho)
+        edges = sorted(g_true.edge_set())
+        keep = rng.random(len(edges)) >= drop
+        a_rho = from_edges(n, [e for e, k in zip(edges, keep) if k])
+        emb.shift_constants = ShiftConstants(min_forman=forman(g_true, gamma).min_node,
+                                             delta_hat=float(rng.uniform(0, 4)), lam=1.0, r_h=0.0)
+        return emb, a_rho, g_true
+
+    def test_matches_edge_set_reference(self):
+        # gamma 0.7 gives non-integer node values, whose bits depend on the
+        # order in which each node adds its edge values
+        cases = [(0, 20, 0.7), (3, 35, 0.7), (9, 40, 0.7), (1, 25, 1.0), (4, 40, 4.0),
+                 (10, 20, 4.0)]
+        outcomes, actions = Counter(), Counter()
+        for seed, n, gamma in cases:
+            emb, a_rho, g_true = self._random_case(seed, n, gamma)
+            log, edges, mismatch, kinds = curvature_correction_reference(
+                emb, a_rho, rho=0.8, step=0.3, percentile=70.0, gamma=gamma, g_true=g_true)
+            result = curvature_correction(emb, a_rho, rho=0.8, step=0.3, percentile=70.0,
+                                          gamma=gamma, g_true=g_true)
+            assert result.correction_log == log
+            assert [tuple(e) for e in result.graph.edges().tolist()] == edges
+            assert result.mismatch == mismatch
+            # the accept decisions compare sums of these node values
+            assert (forman(result.graph, gamma).node_values.tobytes()
+                    == forman_reference(result.graph, gamma)[1].tobytes())
+            outcomes.update(kinds)
+            actions.update(a for _, a, _ in log)
+        assert set(outcomes) == {"accepted", "rejected", "unchanged"}
+        assert set(actions) == {"densify", "sparsify"}
