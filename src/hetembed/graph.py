@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -86,21 +85,27 @@ class Graph:
         return bits
 
 
+def _from_keys(n: int, keys: np.ndarray) -> Graph:
+    """Build a Graph on n nodes from the distinct int64 keys i * n + j of its
+    edges (i < j), in any order: both directions sorted, then cut into rows."""
+    rows, cols = np.divmod(keys, n)
+    both = np.concatenate([keys, cols * n + rows])
+    both.sort()
+    rows, cols = np.divmod(both, n)
+    bounds = np.searchsorted(rows, np.arange(n + 1))
+    return Graph(n=n, adj=[cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge iterable; self-loops and duplicates are dropped."""
-    pairs = set()
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if i == j:
-            continue
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        pairs.add((min(i, j), max(i, j)))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in pairs:
-        adj[i].append(j)
-        adj[j].append(i)
-    return Graph(n=n, adj=[np.array(sorted(a), dtype=np.int64) for a in adj])
+    ends = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    bad = (lo < 0) | (hi >= n)
+    if bad.any():
+        i, j = ends[np.argmax(bad)].tolist()
+        raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+    return _from_keys(n, np.unique(lo * n + hi))
 
 
 def from_mask(mask: np.ndarray) -> Graph:
@@ -109,11 +114,7 @@ def from_mask(mask: np.ndarray) -> Graph:
     n = mask.shape[0]
     if mask.shape != (n, n):
         raise ValueError(f"mask must be square, got shape {mask.shape}")
-    upper = np.triu(mask, k=1)
-    rows, cols = np.nonzero(upper | upper.T)
-    bounds = np.searchsorted(rows, np.arange(n + 1))
-    cols = cols.astype(np.int64, copy=False)
-    return Graph(n=n, adj=[cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
+    return _from_keys(n, np.flatnonzero(np.triu(mask, k=1)).astype(np.int64, copy=False))
 
 
 def load_edge_list(source: str | bytes | IO) -> Graph:
@@ -132,7 +133,6 @@ def load_edge_list(source: str | bytes | IO) -> Graph:
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
 
     id_map: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     duplicates = 0
     self_loops = 0
@@ -159,9 +159,8 @@ def load_edge_list(source: str | bytes | IO) -> Graph:
             duplicates += 1
             continue
         seen.add(key)
-        edges.append(key)
 
-    g = from_edges(len(id_map), edges)
+    g = from_edges(len(id_map), seen)
     g.meta.update(
         duplicates_dropped=duplicates,
         self_loops_dropped=self_loops,
@@ -179,20 +178,11 @@ def save_edge_list(g: Graph, out: IO[str] | None = None) -> str:
     self-loops and keep the round trip exact.
     """
     edges = g.edges()
-    appearance: list[int] = []
-    seen: set[int] = set()
-    for i, j in edges:
-        for v in (int(i), int(j)):
-            if v not in seen:
-                seen.add(v)
-                appearance.append(v)
-    buf = io.StringIO()
-    if appearance != list(range(g.n)):
-        for v in range(g.n):
-            buf.write(f"{v} {v}\n")
-    for i, j in edges:
-        buf.write(f"{i} {j}\n")
-    text = buf.getvalue()
+    ids, first = np.unique(edges.ravel(), return_index=True)
+    # ids reload unchanged when every node appears, each before any larger id
+    witness = ids.size != g.n or bool((np.diff(first) < 0).any())
+    preamble = "".join(f"{v} {v}\n" for v in range(g.n)) if witness else ""
+    text = preamble + "".join(f"{i} {j}\n" for i, j in edges.tolist())
     if out is not None:
         out.write(text)
     return text

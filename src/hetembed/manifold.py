@@ -470,15 +470,13 @@ def _quadric_inner(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x * y).sum(axis=-1) if factor.kind == "sphere" else -_mink_inner(x, y)
 
 
-def _sq_from_inner(factor: Factor, w: np.ndarray) -> np.ndarray:
-    """Unit-scale squared quadric distance from w, clamped onto its domain.
-    Computed in w's memory (often (n, n)): callers pass a fresh array."""
+def _angle_from_inner(factor: Factor, w: np.ndarray) -> np.ndarray:
+    """Unit-scale quadric distance from w, clamped onto its domain. Computed in
+    w's memory (often (n, n)): callers pass a fresh array."""
     w = np.asarray(w)  # single points give a numpy scalar, which has no out=
     if factor.kind == "sphere":
-        np.arccos(np.clip(w, -1.0, 1.0, out=w), out=w)
-    else:
-        np.arccosh(np.maximum(w, 1.0, out=w), out=w)
-    return np.square(w, out=w)
+        return np.arccos(np.clip(w, -1.0, 1.0, out=w), out=w)
+    return np.arccosh(np.maximum(w, 1.0, out=w), out=w)
 
 
 def _gram(factor: Factor, x: np.ndarray) -> np.ndarray:
@@ -486,18 +484,27 @@ def _gram(factor: Factor, x: np.ndarray) -> np.ndarray:
     return (x if factor.kind == "sphere" else _neg_space(x.copy())) @ x.T
 
 
-def _quadric_sq_dw(factor: Factor, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d(sq)/dw of the unit-scale quadric kernel, and the mask where it is regular.
-    At the branch point (coincident, or antipodal on the sphere) it is 0/0: 0 there."""
+def _quadric_sq_dw(factor: Factor, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-scale squared quadric distance from a fresh w, d(sq)/dw in w's memory,
+    and the mask where d(sq)/dw is regular, all from one arccos or arccosh.
+    At the branch point (coincident, or antipodal on the sphere) it is 0/0: 0 there.
+    On the regular cells the clamp onto the domain leaves w as it is."""
     sphere = factor.kind == "sphere"
     ok = np.abs(w) <= 1.0 - _COINCIDENT_EPS if sphere else w >= 1.0 + _COINCIDENT_EPS
-    dsq = np.where(ok, w, 0.0 if sphere else 2.0)  # regular stand-ins, zeroed below
-    root = np.sqrt(1.0 - dsq * dsq if sphere else dsq * dsq - 1.0)
-    (np.arccos if sphere else np.arccosh)(dsq, out=dsq)
-    dsq /= root
-    dsq *= -2.0 if sphere else 2.0
-    dsq[~ok] = 0.0
-    return dsq, ok
+    root = np.square(w)
+    if sphere:
+        np.subtract(1.0, root, out=root)
+    else:
+        root -= 1.0
+    singular = ~ok
+    root[singular] = 1.0  # regular stand-in, zeroed below
+    np.sqrt(root, out=root)
+    theta = _angle_from_inner(factor, w)
+    sq = np.square(theta)
+    theta /= root
+    theta *= -2.0 if sphere else 2.0
+    theta[singular] = 0.0
+    return sq, theta, ok
 
 
 def factor_sq_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -506,7 +513,8 @@ def factor_sq_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarr
         return ((x - y) ** 2).sum(axis=-1)
     if factor.kind == "rotsym":
         return (x[..., 0] - y[..., 0]) ** 2
-    return _sq_from_inner(factor, _quadric_inner(factor, x, y))
+    theta = _angle_from_inner(factor, _quadric_inner(factor, x, y))
+    return np.square(theta, out=theta)
 
 
 def factor_sq_distance_grad(factor: Factor, x: np.ndarray, y: np.ndarray,
@@ -518,7 +526,7 @@ def factor_sq_distance_grad(factor: Factor, x: np.ndarray, y: np.ndarray,
         gx = (2.0 * weight)[:, None] * (x - y)
         return gx, -gx, 0
     # d(sq)/dw, then dw/dx = y on the sphere and _neg_space(y) on the hyperboloid
-    dsq, ok = _quadric_sq_dw(factor, _quadric_inner(factor, x, y))
+    _, dsq, ok = _quadric_sq_dw(factor, _quadric_inner(factor, x, y))
     dsq *= weight  # still 0 at the skipped pairs
     gx, gy = dsq[:, None] * y, dsq[:, None] * x
     if factor.kind == "hyperbolic":
@@ -526,14 +534,31 @@ def factor_sq_distance_grad(factor: Factor, x: np.ndarray, y: np.ndarray,
     return gx, gy, int((~ok).sum())
 
 
+def _pairwise_factor(factor: Factor, x: np.ndarray, return_dw: bool):
+    """Unit-scale squared distances over all row pairs of x and, with ``return_dw``
+    on a quadric, its (d(sq)/dw, regular mask); else None. A quadric takes one
+    Gram matmul and one arccos or arccosh for both."""
+    if factor.kind == "euclidean":
+        norms = (x * x).sum(axis=1)
+        return np.maximum(norms[:, None] + norms[None, :] - 2.0 * x @ x.T, 0.0), None
+    if factor.kind == "rotsym":
+        return factor_sq_distance(factor, x[:, None], x[None, :]), None
+    w = _gram(factor, x)
+    if not return_dw:
+        return np.square(_angle_from_inner(factor, w), out=w), None
+    sq, dsq, ok = _quadric_sq_dw(factor, w)
+    return sq, (dsq, ok)
+
+
 def pairwise_sq_distance_grad(factor: Factor, x: np.ndarray, weight: np.ndarray,
-                              pairs: np.ndarray) -> tuple[np.ndarray, int]:
+                              dw, pairs: np.ndarray) -> tuple[np.ndarray, int]:
     """:func:`factor_sq_distance_grad` over all row pairs of x, for a symmetric
-    (n, n) ``weight`` with zero diagonal; counts singular pairs inside the (n, n)
-    mask ``pairs``. A quadric takes one matmul, (weight * d(sq)/dw) @ x."""
+    (n, n) ``weight`` with zero diagonal and the factor's ``dw`` terms from
+    :func:`pairwise_sq_distances`; counts singular pairs inside the (n, n) mask
+    ``pairs``. A quadric takes one matmul, (weight * d(sq)/dw) @ x, in dw's memory."""
     if factor.kind in ("euclidean", "rotsym"):
         return 2.0 * (weight.sum(axis=1)[:, None] * x - weight @ x), 0
-    dsq, ok = _quadric_sq_dw(factor, _gram(factor, x))
+    dsq, ok = dw
     amb = np.multiply(dsq, weight, out=dsq) @ x
     singular = int(np.count_nonzero(pairs & ~ok)) // 2
     return (_neg_space(amb) if factor.kind == "hyperbolic" else amb), singular
@@ -586,23 +611,23 @@ def scalar_curvature(spec: ManifoldSpec, p: Sequence[np.ndarray]) -> float | np.
     return total
 
 
-def pairwise_sq_distances(spec: ManifoldSpec, blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """(n, n) matrix of squared product distances for stacked points."""
+def pairwise_sq_distances(spec: ManifoldSpec, blocks: Sequence[np.ndarray],
+                          return_dw: bool = False):
+    """(n, n) matrix of squared product distances for stacked points. With
+    ``return_dw``, also a list with each factor's ``dw`` terms for
+    :func:`pairwise_sq_distance_grad` (None for flat factors)."""
     blocks = _check_blocks(spec, blocks, "points")
     n = blocks[0].shape[0]
     total = np.zeros((n, n))
+    dws = []
     for f, x in zip(spec.factors, blocks):
-        if f.kind == "euclidean":
-            sq = np.maximum(
-                (x * x).sum(axis=1)[:, None] + (x * x).sum(axis=1)[None, :] - 2.0 * x @ x.T, 0.0
-            )
-        elif f.kind == "rotsym":
-            sq = factor_sq_distance(f, x[:, None], x[None, :])
-        else:
-            sq = _sq_from_inner(f, _gram(f, x))
-        total += f.lam**2 * sq
+        sq, dw = _pairwise_factor(f, x, return_dw)
+        sq *= f.lam**2
+        total += sq
+        del sq  # before the next factor's (n, n) temporaries
+        dws.append(dw)
     np.fill_diagonal(total, 0.0)
-    return total
+    return (total, dws) if return_dw else total
 
 
 def tangent_basis(factor: Factor, p: np.ndarray) -> list[np.ndarray]:

@@ -133,6 +133,7 @@ class Embedding:
 class GradientResult:
     blocks: list[np.ndarray]
     skipped_pairs: int = 0
+    loss_distance: float = 0.0  # over the gradient's pairs, where it was taken
 
 
 @dataclass
@@ -199,18 +200,22 @@ def _graph_sq_distances(dist: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return hops**2
 
 
-def _dense_ratio(emb: Embedding, dist: np.ndarray, pairs: np.ndarray):
+def _dense_ratio(emb: Embedding, dist: np.ndarray, pairs: np.ndarray, return_dw: bool = False):
     """None unless ``pairs`` lists every connected pair once, in :func:`connected_pairs`
     order. Then (n, n) d_M^2 / d_G^2 (1, so no loss and no gradient, off the
-    connected pairs), d_G^2 (1 off them) and the mask of connected pairs."""
+    connected pairs), d_G^2 (1 off them), the mask of connected pairs and, with
+    ``return_dw``, each factor's d(sq)/dw terms from the same pass (else None)."""
     real = dist > 0
     key = pairs[:, 0] * dist.shape[0] + pairs[:, 1]
     if not (pairs.shape[0] == np.count_nonzero(real) // 2 and (pairs[:, 0] < pairs[:, 1]).all()
             and (np.diff(key) > 0).all() and real.ravel()[key].all()):
         return None
+    sq = pairwise_sq_distances(emb.spec, emb.blocks, return_dw)
+    ratio, dws = sq if return_dw else (sq, None)
     d_g2 = np.where(real, np.square(dist, dtype=np.float64), 1.0)
-    ratio = np.where(real, pairwise_sq_distances(emb.spec, emb.blocks) / d_g2, 1.0)
-    return ratio, d_g2, real
+    ratio /= d_g2
+    ratio[~real] = 1.0
+    return ratio, d_g2, real, dws
 
 
 def loss_distance(emb: Embedding, dist: np.ndarray, pairs: np.ndarray) -> float:
@@ -257,7 +262,8 @@ def loss_total(emb: Embedding, dist: np.ndarray, f_signal, cfg: TrainConfig,
 
 def gradients(emb: Embedding, dist: np.ndarray, f_signal, cfg: TrainConfig,
               pairs: np.ndarray) -> GradientResult:
-    """Analytic Riemannian gradients of the total loss at the current state.
+    """Analytic Riemannian gradients of the total loss at the current state, and
+    the distance loss over ``pairs`` there.
 
     Ambient coordinate derivatives are assembled per factor, from one (n, n)
     weight matrix when ``pairs`` are all connected pairs and from gathered rows
@@ -265,18 +271,25 @@ def gradients(emb: Embedding, dist: np.ndarray, f_signal, cfg: TrainConfig,
     Pairs whose space-form distance derivative is numerically singular
     (coincident points, antipodal sphere points) are dropped and counted.
     """
-    dense = _dense_ratio(emb, dist, pairs)
+    dense = _dense_ratio(emb, dist, pairs, return_dw=True)
     if dense is not None:
-        ratio, d_g2, real = dense
+        ratio, d_g2, real, dws = dense
     else:
-        pi, pj = pairs[:, 0], pairs[:, 1]
+        dws, pi, pj = None, pairs[:, 0], pairs[:, 1]
         d_g2 = _graph_sq_distances(dist, pairs)
         ratio = _pair_sq_distances(emb, pairs) / d_g2
-    base = np.sign(ratio - 1.0) / d_g2  # dense: 0 off the connected pairs
+    dev = np.subtract(ratio, 1.0, out=ratio)
+    base = np.sign(dev)
+    base /= d_g2  # dense: 0 off the connected pairs
+    loss_d = float(np.abs(dev, out=dev).sum())
+    if dense is not None:
+        loss_d /= 2.0  # each pair sits twice in (n, n)
+    del dense, ratio, dev, d_g2
     skipped, ambient = 0, []
     for f, x in zip(emb.spec.factors, emb.blocks):
-        if dense is not None:
-            amb, singular = pairwise_sq_distance_grad(f, x, f.lam**2 * base, real)
+        if dws is not None:
+            # pop: each factor's (n, n) d(sq)/dw is freed once its matmul is done
+            amb, singular = pairwise_sq_distance_grad(f, x, f.lam**2 * base, dws.pop(0), real)
         else:
             gi, gj, singular = factor_sq_distance_grad(f, x[pi], x[pj], f.lam**2 * base)
             # one bincount over flattened (row, column) cells: each sums in pair order
@@ -292,7 +305,7 @@ def gradients(emb: Embedding, dist: np.ndarray, f_signal, cfg: TrainConfig,
         ambient[emb.spec.rotsym_index][:, 0] += cfg.tau * d_lc
 
     grads = riemannian_gradient(emb.spec, emb.blocks, ambient)
-    return GradientResult(blocks=grads, skipped_pairs=skipped)
+    return GradientResult(blocks=grads, skipped_pairs=skipped, loss_distance=loss_d)
 
 
 def rsgd_step(emb: Embedding, grads: GradientResult | Sequence[np.ndarray], lr: float) -> Embedding:
@@ -380,20 +393,29 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
     decay1 = int(math.floor(0.8 * cfg.epochs))
     decay2 = int(math.floor(0.9 * cfg.epochs))
 
+    # full batch: the loss after each step is read from the next epoch's
+    # gradient, taken right after the step; the last epoch has none
+    full = batch_size == all_pairs.shape[0]
     history = TrainHistory()
     t0 = time.perf_counter()
+    ahead = None
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * (0.01 if epoch >= decay2 else 0.1 if epoch >= decay1 else 1.0)
-        if batch_size == all_pairs.shape[0]:
+        if full:
             batch = all_pairs
         else:
             idx = batch_rng.choice(all_pairs.shape[0], size=batch_size, replace=False)
             batch = all_pairs[np.sort(idx)]
-        grad = l_d = l_c = None
+        grad, ahead, l_d, l_c = ahead, None, None, None
         try:  # rsgd_step raises TangencyError for a step too long for the tangent space
-            grad = gradients(emb, dist, f_signal, cfg_run, batch)
+            if grad is None:
+                grad = gradients(emb, dist, f_signal, cfg_run, batch)
             emb = rsgd_step(emb, grad, lr)
-            l_d = loss_distance(emb, dist, all_pairs)
+            if full and epoch + 1 < cfg.epochs:
+                ahead = gradients(emb, dist, f_signal, cfg_run, all_pairs)
+                l_d = ahead.loss_distance
+            else:
+                l_d = loss_distance(emb, dist, all_pairs)
             l_c = loss_curvature(emb, f_signal, cfg_run) if tau > 0 else 0.0
             if not (np.isfinite(l_d) and np.isfinite(l_c)):
                 raise FloatingPointError("non-finite loss")

@@ -151,3 +151,94 @@ def curvature_correction_reference(emb, a_rho: Graph, rho: float, step: float,
             current, edges, err_total = candidate, new_edges, cand_total
     mismatch = len(current.edge_set() ^ g_true.edge_set()) if g_true is not None else None
     return log, sorted(edges), mismatch, outcomes
+
+
+def save_edge_list_reference(g: Graph) -> str:
+    """The edge-list text by a per-edge appearance scan and one line per edge."""
+    edges = g.edges()
+    appearance: list[int] = []
+    seen: set[int] = set()
+    for i, j in edges:
+        for v in (int(i), int(j)):
+            if v not in seen:
+                seen.add(v)
+                appearance.append(v)
+    lines = []
+    if appearance != list(range(g.n)):
+        lines += [f"{v} {v}\n" for v in range(g.n)]
+    lines += [f"{i} {j}\n" for i, j in edges]
+    return "".join(lines)
+
+
+def quadric_sq_dw_reference(factor, w: np.ndarray):
+    """d(sq)/dw of a unit-scale quadric and its regular mask, from its own
+    arccos or arccosh of regular stand-ins (0 on the sphere, 2 on the
+    hyperboloid) at the branch point."""
+    sphere = factor.kind == "sphere"
+    ok = np.abs(w) <= 1.0 - 1e-14 if sphere else w >= 1.0 + 1e-14
+    dsq = np.where(ok, w, 0.0 if sphere else 2.0)
+    root = np.sqrt(1.0 - dsq * dsq if sphere else dsq * dsq - 1.0)
+    (np.arccos if sphere else np.arccosh)(dsq, out=dsq)
+    dsq /= root
+    dsq *= -2.0 if sphere else 2.0
+    dsq[~ok] = 0.0
+    return dsq, ok
+
+
+def train_reference(g: Graph, spec, cfg):
+    """The training loop with the loss taken after every step by its own
+    ``loss_distance`` call: gradients, step, loss, every epoch.
+
+    Returns (embedding blocks, loss_d list, loss_c list).
+    """
+    import math
+    from dataclasses import replace
+
+    from hetembed.graph import bfs_apsp, connected_pairs, forman
+    from hetembed.manifold import (alpha_from_range, resolve_spec, rotsym_curvature,
+                                   rotsym_curvature_inverse)
+    from hetembed.optim import (ShiftConstants, _resolve_batch, gradients, initialize,
+                                loss_curvature, loss_distance, rsgd_step)
+
+    dist = bfs_apsp(g)
+    all_pairs = connected_pairs(dist)
+    rot, tau, f_signal, shift = spec.rotsym_factor, cfg.tau, None, None
+    if rot is None:
+        tau, spec_resolved = 0.0, spec
+    else:
+        if tau > 0 or rot.alpha is None:
+            f_signal = forman(g, cfg.gamma)
+            alpha, delta_hat = alpha_from_range(f_signal.max_node, f_signal.min_node,
+                                                cfg.delta, cfg.ell_plus)
+        spec_resolved = resolve_spec(spec, alpha=alpha if rot.alpha is None else rot.alpha,
+                                     rot_scale=cfg.lambda_rot)
+        if tau > 0:
+            shift = ShiftConstants(f_signal.min_node, delta_hat, spec_resolved.rotsym_factor.lam,
+                                   spec_resolved.homogeneous_curvature)
+    radial_init = cfg.radial_init
+    if radial_init == "auto":
+        radial_init = (0.1, 1.0)
+        if shift is not None:
+            a = spec_resolved.rotsym_factor.alpha
+            top = rotsym_curvature(a, 0.0)
+            lo = rotsym_curvature_inverse(a, min(f_signal.max_node - shift.min_forman
+                                                 + shift.delta_hat, top))
+            hi = rotsym_curvature_inverse(a, shift.delta_hat)
+            radial_init = (lo, hi if hi - lo >= 1e-9 else lo + max(a * 0.1, 1e-3))
+    emb = initialize(spec_resolved, g, replace(cfg, radial_init=radial_init))
+    emb.shift_constants = shift
+    cfg_run = replace(cfg, tau=tau)
+    batch_size = _resolve_batch(cfg.batch_pairs, all_pairs.shape[0], g.n)
+    batch_rng = np.random.default_rng((cfg.seed, 0xBA7C4))
+    decay1, decay2 = int(math.floor(0.8 * cfg.epochs)), int(math.floor(0.9 * cfg.epochs))
+    loss_d, loss_c = [], []
+    for epoch in range(cfg.epochs):
+        lr = cfg.learning_rate * (0.01 if epoch >= decay2 else 0.1 if epoch >= decay1 else 1.0)
+        batch = all_pairs
+        if batch_size != all_pairs.shape[0]:
+            idx = batch_rng.choice(all_pairs.shape[0], size=batch_size, replace=False)
+            batch = all_pairs[np.sort(idx)]
+        emb = rsgd_step(emb, gradients(emb, dist, f_signal, cfg_run, batch), lr)
+        loss_d.append(loss_distance(emb, dist, all_pairs))
+        loss_c.append(loss_curvature(emb, f_signal, cfg_run) if tau > 0 else 0.0)
+    return emb.blocks, loss_d, loss_c

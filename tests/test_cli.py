@@ -138,6 +138,8 @@ class TestCliCommands:
         assert rc == 2, err
         assert "numeric abort: vector not tangent" in err
         assert '"epoch"' in err and '"learning_rate": 0.01' in err
+        # where the abort lands and what it reports of that epoch's gradient
+        assert '"epoch": 8' in err and '"skipped_pairs": 0' in err
 
     def test_eval_report(self, tmp_path, graph_file):
         emb_path = tmp_path / "emb.json"

@@ -18,7 +18,7 @@ from hetembed.graph import (
 )
 from hetembed.synthetic import complete_graph, cycle_graph, gnp_graph, path_graph
 
-from conftest import floyd_warshall, forman_reference
+from conftest import floyd_warshall, forman_reference, save_edge_list_reference
 
 
 class TestLoadEdgeList:
@@ -56,6 +56,42 @@ class TestLoadEdgeList:
     def test_bytes_input(self):
         g = load_edge_list(b"0 1\n")
         assert g.n == 2
+
+    def test_save_matches_line_loop(self):
+        rng = np.random.default_rng(11)
+        graphs = [path_graph(6), complete_graph(5), cycle_graph(7), from_edges(3, [])]
+        for k in range(40):
+            n = int(rng.integers(1, 40))
+            base = gnp_graph(n, float(rng.uniform(0.02, 0.3)), seed=k)
+            # relabelling permutes first appearances; gnp leaves some nodes isolated
+            perm = rng.permutation(n) if k % 2 else np.arange(n)
+            graphs.append(from_edges(n, [(perm[i], perm[j]) for i, j in base.edges()]))
+        preambles = set()
+        for g in graphs:
+            text = save_edge_list(g)
+            assert text == save_edge_list_reference(g)
+            preambles.add(text.startswith("0 0\n"))
+            g2 = load_edge_list(text)
+            assert g2.n == g.n and g2.edge_set() == g.edge_set()
+        assert preambles == {False, True}
+        assert save_edge_list(from_edges(0, [])) == save_edge_list_reference(from_edges(0, [])) == ""
+
+    def test_adjacency_matches_sorted_neighbour_sets(self):
+        rng = np.random.default_rng(12)
+        for k in range(20):
+            raw = rng.integers(0, 25, size=(int(rng.integers(0, 60)), 2)) * 7 + 3
+            g = load_edge_list("\n".join(f"{a} {b}" for a, b in raw))
+            ids = {}
+            for v in raw.ravel().tolist():
+                ids.setdefault(v, len(ids))
+            keys = {(min(ids[a], ids[b]), max(ids[a], ids[b])) for a, b in raw.tolist() if a != b}
+            assert g.n == len(ids)
+            assert g.meta["self_loops_dropped"] == int((raw[:, 0] == raw[:, 1]).sum())
+            assert g.meta["duplicates_dropped"] == int((raw[:, 0] != raw[:, 1]).sum()) - len(keys)
+            assert g.meta["id_map"] == {str(v): i for v, i in ids.items()}
+            for i, row in enumerate(g.adj):
+                want = sorted({b for a, b in keys if a == i} | {a for a, b in keys if b == i})
+                assert row.dtype == np.int64 and row.tolist() == want
 
 
 class TestBfsApsp:

@@ -8,7 +8,10 @@ from hetembed.manifold import (
     ManifoldSpec,
     ShapeError,
     TangencyError,
+    _gram,
     _mink_inner,
+    _quadric_inner,
+    _quadric_sq_dw,
     alpha_from_range,
     annular_volume,
     check_point,
@@ -16,7 +19,9 @@ from hetembed.manifold import (
     exp_map,
     factor_exp,
     factor_sq_distance,
+    factor_sq_distance_grad,
     parse_manifold,
+    pairwise_sq_distance_grad,
     pairwise_sq_distances,
     resolve_spec,
     riemannian_gradient,
@@ -29,7 +34,7 @@ from hetembed.manifold import (
     tangent_basis,
 )
 
-from conftest import simpson_grid
+from conftest import quadric_sq_dw_reference, simpson_grid
 
 
 def rotsym_curvature_oracle(alpha: float, r: float, h: float = 1e-4) -> float:
@@ -141,6 +146,44 @@ def _random_tangent(spec, point, rng, scale=1.0):
             raw = raw + _mink_inner(raw, p) * p
         out.append(raw)
     return out
+
+
+class TestPairwiseKernel:
+    """One Gram matmul and one arccos or arccosh per quadric factor give both
+    the squared distances and d(sq)/dw."""
+
+    def test_matches_separate_passes_bitwise(self, rng):
+        spec = resolve_spec(parse_manifold("h2,s2,e2,h3,rot(a=1.0,l=0.5)"))
+        pts = _random_points(spec, rng, 10)
+        for f, b in zip(spec.factors, pts):
+            b[3] = b[2]  # coincident
+            if f.kind == "sphere":
+                b[5] = -b[4]  # antipodal
+        total, dws = pairwise_sq_distances(spec, pts, return_dw=True)
+        assert total.tobytes() == pairwise_sq_distances(spec, pts).tobytes()
+        off_diagonal = ~np.eye(10, dtype=bool)
+        iu, ju = np.triu_indices(10, k=1)
+        for f, x, dw in zip(spec.factors, pts, dws, strict=True):
+            if f.kind in ("euclidean", "rotsym"):
+                assert dw is None
+                continue
+            dsq, ok = dw
+            want, want_ok = quadric_sq_dw_reference(f, _gram(f, x))
+            assert dsq.tobytes() == want.tobytes()
+            assert (ok == want_ok).all()
+            singular = 2 if f.kind == "sphere" else 1
+            assert np.count_nonzero(off_diagonal & ~want_ok) // 2 == singular
+            weight = rng.random((10, 10))
+            weight += weight.T
+            np.fill_diagonal(weight, 0.0)
+            assert pairwise_sq_distance_grad(f, x, weight, (dsq.copy(), ok), off_diagonal)[1] == singular
+            # the paired-row route shares the formula
+            rows = _quadric_inner(f, x[iu], x[ju])
+            want, want_ok = quadric_sq_dw_reference(f, rows)
+            sq, dsq, ok = _quadric_sq_dw(f, rows.copy())
+            assert dsq.tobytes() == want.tobytes() and (ok == want_ok).all()
+            assert sq.tobytes() == factor_sq_distance(f, x[iu], x[ju]).tobytes()
+            assert factor_sq_distance_grad(f, x[iu], x[ju], np.ones(iu.size))[2] == singular
 
 
 class TestExpMap:

@@ -30,6 +30,8 @@ from hetembed.optim import (
 )
 from hetembed.synthetic import complete_graph, path_graph, random_connected_graph
 
+from conftest import train_reference
+
 
 def make_embedding(spec_text, g, cfg, rng_shift=True):
     spec = resolve_spec(parse_manifold(spec_text), alpha=1.0, rot_scale=cfg.lambda_rot)
@@ -330,6 +332,19 @@ class TestGradients:
         assert np.allclose(dense.blocks[0], gathered.blocks[0], rtol=1e-12, atol=1e-15)
         assert np.abs(dense.blocks[0][:3]).max() > 0.1
 
+    def test_carries_the_distance_loss_of_its_pairs(self):
+        g = random_connected_graph(14, 0.25, seed=27)
+        dist = bfs_apsp(g)
+        pairs = connected_pairs(dist)
+        cfg = TrainConfig(tau=0.4, seed=6, epochs=1)
+        emb = make_embedding("e3,s2,h2,rot(a=1.0,l=0.5)", g, cfg)
+        f = forman(g, cfg.gamma)
+        subset = pairs[::4].copy()
+        assert optim._dense_ratio(emb, dist, pairs) is not None
+        assert optim._dense_ratio(emb, dist, subset) is None
+        for batch in (pairs, subset):
+            assert gradients(emb, dist, f, cfg, batch).loss_distance == loss_distance(emb, dist, batch)
+
 
 class TestRsgdStep:
     def test_zero_gradient_fixed_point(self):
@@ -459,3 +474,26 @@ class TestTrain:
         with pytest.raises(NumericAbortError) as exc:
             train(g, parse_manifold("h2"), cfg)
         assert "epoch" in exc.value.state
+
+
+class TestTrainLoopOrder:
+    """Full batch reads each epoch's loss from the next epoch's gradient; the
+    reference takes the loss by its own call after every step."""
+
+    TWIN = dict(tau=1.0, seed=11, learning_rate=0.01, lambda_rot=0.5, delta=1.0,
+                ell_plus=1.0, gamma=1.0, curvature_residuals="raw")
+
+    @pytest.mark.parametrize("epochs", [1, 2, 12])
+    @pytest.mark.parametrize("spec_text, overrides", [
+        ("h5,h5,rot(a=auto)", {}),
+        ("e3,s2,h2,rot(a=1.0,l=0.5)", dict(tau=0.5, learning_rate=0.02)),
+        ("h5,h5,rot(a=auto)", dict(batch_pairs=100, radial_init="auto")),
+    ], ids=["twin", "mixed", "batch100"])
+    def test_matches_reference_loop_bitwise(self, spec_text, overrides, epochs):
+        g = random_connected_graph(30, 0.12, seed=41)
+        cfg = TrainConfig(**{**self.TWIN, **overrides, "epochs": epochs})
+        emb, hist = train(g, parse_manifold(spec_text), cfg)
+        blocks, loss_d, loss_c = train_reference(g, parse_manifold(spec_text), cfg)
+        assert hist.loss_d == loss_d and hist.loss_c == loss_c
+        for got, want in zip(emb.blocks, blocks, strict=True):
+            assert got.tobytes() == want.tobytes()
