@@ -143,8 +143,8 @@ def _cmd_generate(args) -> int:
     bary = randgraph.degree_barycenter([randgraph.degree_histogram(g) for g in graphs])
     fileio.write_barycenter_csv(bary, out_dir / "barycenter.csv")
     if not all(s.clique_exact for s in stats):
-        print("note: clique budget exceeded on some runs; greedy lower bound reported",
-              file=sys.stderr)
+        print("note: clique budget exceeded on some runs; "
+              "best clique found within the budget reported", file=sys.stderr)
     print(f"wrote {cfg.runs} run(s) to {out_dir}")
     return 0
 

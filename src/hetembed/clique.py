@@ -1,35 +1,20 @@
-"""Exact maximum clique via branch-and-bound with greedy coloring bounds.
+"""Exact maximum clique by branch and bound with greedy-coloring bounds.
 
 Vertex sets are Python integers used as bitmasks, which keeps the inner loop
-allocation-free; graphs in this project stay below a few thousand nodes.
+allocation-free. Bit k stands for the k-th vertex by descending degree, so
+greedy coloring takes high-degree vertices first and the search branches on
+the highest color classes (Tomita & Kameda, J. Global Optim. 2007; San Segundo
+et al., Comput. Oper. Res. 2011). The search runs on an explicit stack, so its
+depth is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from .graph import Graph
-
-
-def _greedy_clique(masks: list[int], order: list[int]) -> int:
-    best = 0
-    for start in order[: max(8, len(order) // 16)]:
-        size = 1
-        candidates = masks[start]
-        while candidates:
-            # pick the candidate with most neighbors inside the candidate set
-            best_v, best_deg = -1, -1
-            m = candidates
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                d = (masks[v] & candidates).bit_count()
-                if d > best_deg:
-                    best_v, best_deg = v, d
-            size += 1
-            candidates &= masks[best_v]
-        best = max(best, size)
-    return best
 
 
 def _color_order(p: int, masks: list[int]) -> tuple[list[int], list[int]]:
@@ -52,48 +37,58 @@ def _color_order(p: int, masks: list[int]) -> tuple[list[int], list[int]]:
     return order, bounds
 
 
+def _degree_order_masks(g: Graph) -> list[int]:
+    """Neighbor bitmask of each vertex, vertices and bits both numbered by
+    descending degree (ties in index order)."""
+    n = g.n
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(-g.degrees, kind="stable")] = np.arange(n)
+    rows, cols = g.entries()
+    rows, cols = rank[rows], rank[cols]
+    # one little-endian byte row per vertex; never an (n, n) bool matrix
+    width = (n + 7) // 8
+    packed = np.zeros(n * width, dtype=np.uint8)
+    np.bitwise_or.at(packed, rows * width + cols // 8, (1 << (cols % 8)).astype(np.uint8))
+    data = packed.tobytes()
+    return [int.from_bytes(data[k * width:(k + 1) * width], "little") for k in range(n)]
+
+
 def max_clique(g: Graph, time_budget: float = 10.0) -> tuple[int, bool]:
     """Maximum clique size and whether the search finished exactly.
 
-    On budget expiry the best clique found so far is returned with the exact
-    flag cleared (it is still a valid lower bound).
+    The first descent always extends the clique to a maximal one before the
+    clock is read, and the clock is read again each time a branch is closed.
+    On budget expiry the largest clique found so far is returned (at least
+    that maximal clique's size) with the exact flag cleared.
     """
     n = g.n
     if n == 0:
         return 0, True
-    masks = [0] * n
-    for i, nbrs in enumerate(g.adj):
-        m = 0
-        for j in nbrs:
-            m |= 1 << int(j)
-        masks[i] = m
-    if all(m == 0 for m in masks):
-        return 1, True
-
-    order = sorted(range(n), key=lambda v: masks[v].bit_count(), reverse=True)
-    best = max(1, _greedy_clique(masks, order))
+    masks = _degree_order_masks(g)
+    best = 1
     deadline = time.monotonic() + time_budget
-    timed_out = False
 
-    def expand(r_size: int, p: int) -> None:
-        nonlocal best, timed_out
-        if timed_out:
-            return
-        if time.monotonic() > deadline:
-            timed_out = True
-            return
-        verts, bounds = _color_order(p, masks)
-        for idx in range(len(verts) - 1, -1, -1):
-            if r_size + bounds[idx] <= best:
-                return
+    # the current frame: clique size, candidates not yet branched on, and the
+    # colored candidates with their bounds, tried from index ``idx`` down
+    size, p = 0, (1 << n) - 1
+    verts, bounds = _color_order(p, masks)
+    idx = len(verts) - 1
+    stack: list[tuple[int, int, list[int], list[int], int]] = []
+    while True:
+        if idx >= 0 and size + bounds[idx] > best:
             v = verts[idx]
-            best = max(best, r_size + 1)
+            idx -= 1
+            best = max(best, size + 1)
             nxt = p & masks[v]
-            if nxt:
-                expand(r_size + 1, nxt)
-                if timed_out:
-                    return
             p &= ~(1 << v)
-
-    expand(0, (1 << n) - 1)
-    return best, not timed_out
+            if nxt:
+                stack.append((size, p, verts, bounds, idx))
+                size, p = size + 1, nxt
+                verts, bounds = _color_order(p, masks)
+                idx = len(verts) - 1
+            continue
+        if not stack:
+            return best, True
+        size, p, verts, bounds, idx = stack.pop()
+        if time.monotonic() > deadline:
+            return best, False

@@ -96,23 +96,17 @@ def tune_threshold(emb: Embedding, g_true: Graph, val_fraction: float = 0.10,
     total_edges = int(is_edge.sum())
 
     # any rho strictly between consecutive observed distances is equivalent;
-    # sweep those bands and keep the first (smallest-rho) minimizer
-    best_mis, best_rho = None, None
-    for t in range(uniq.size + 1):
-        included = int(bounds[t])
-        edges_in = int(edge_cum[included])
-        mis = (total_edges - edges_in) + (included - edges_in)
-        if t == 0:
-            if uniq[0] <= 0:
-                continue  # rho must be positive; the empty band is unreachable
-            rho = float(uniq[0]) / 2.0
-        elif t < uniq.size:
-            rho = float(0.5 * (uniq[t - 1] + uniq[t]))
-        else:
-            rho = float(uniq[-1] * 1.0000001 + 1e-12)
-        if best_mis is None or mis < best_mis:
-            best_mis, best_rho = mis, rho
-    return best_rho
+    # band t includes the first bounds[t] distances, and argmin keeps the first
+    # (smallest-rho) minimizer
+    edges_in = edge_cum[bounds]
+    mis = (total_edges - edges_in) + (bounds - edges_in)
+    first = 1 if uniq[0] <= 0 else 0  # rho must be positive; the empty band is unreachable
+    t = first + int(np.argmin(mis[first:]))
+    if t == 0:
+        return float(uniq[0]) / 2.0
+    if t < uniq.size:
+        return float(0.5 * (uniq[t - 1] + uniq[t]))
+    return float(uniq[-1] * 1.0000001 + 1e-12)
 
 
 def estimate_triangles_from_curvature(a_rho: Graph, node_curvature: np.ndarray,

@@ -170,6 +170,124 @@ def save_edge_list_reference(g: Graph) -> str:
     return "".join(lines)
 
 
+def tune_threshold_reference(emb, g_true: Graph, val_fraction: float = 0.10,
+                             seed: int = 0) -> float:
+    """The threshold band sweep as a loop over every band between consecutive
+    distinct distances of the validation rows, first minimizer kept."""
+    from hetembed.manifold import pairwise_sq_distances
+
+    n = g_true.n
+    rng = np.random.default_rng(seed)
+    k = max(1, int(round(val_fraction * n)))
+    val = np.sort(rng.choice(n, size=k, replace=False))
+    dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks))
+    adj = g_true.adjacency_mask()
+    vi = np.repeat(val, n)
+    vj = np.tile(np.arange(n), k)
+    keep = vi != vj
+    vi, vj = vi[keep], vj[keep]
+    dists = dm[vi, vj]
+    is_edge = adj[vi, vj]
+    order = np.argsort(dists, kind="stable")
+    dists, is_edge = dists[order], is_edge[order]
+    uniq, starts = np.unique(dists, return_index=True)
+    edge_cum = np.concatenate([[0], np.cumsum(is_edge)])
+    bounds = np.concatenate([starts, [dists.size]])
+    total_edges = int(is_edge.sum())
+
+    best_mis, best_rho = None, None
+    for t in range(uniq.size + 1):
+        included = int(bounds[t])
+        edges_in = int(edge_cum[included])
+        mis = (total_edges - edges_in) + (included - edges_in)
+        if t == 0:
+            if uniq[0] <= 0:
+                continue
+            rho = float(uniq[0]) / 2.0
+        elif t < uniq.size:
+            rho = float(0.5 * (uniq[t - 1] + uniq[t]))
+        else:
+            rho = float(uniq[-1] * 1.0000001 + 1e-12)
+        if best_mis is None or mis < best_mis:
+            best_mis, best_rho = mis, rho
+    return best_rho
+
+
+def max_clique_reference(g: Graph, time_budget: float = 10.0) -> tuple[int, bool]:
+    """Max clique by a multi-start greedy lower bound, then a recursive
+    branch and bound with greedy-coloring bounds over vertices in index order.
+
+    Returns (size, exact); the clock is read on entry to every branch.
+    """
+    import time
+
+    n = g.n
+    if n == 0:
+        return 0, True
+    masks = [0] * n
+    for i, nbrs in enumerate(g.adj):
+        for j in nbrs:
+            masks[i] |= 1 << int(j)
+    if all(m == 0 for m in masks):
+        return 1, True
+
+    def color_order(p):
+        order, bounds, color, remaining = [], [], 0, p
+        while remaining:
+            color += 1
+            available = remaining
+            while available:
+                v = (available & -available).bit_length() - 1
+                available &= available - 1
+                order.append(v)
+                bounds.append(color)
+                remaining &= ~(1 << v)
+                available &= ~masks[v]
+        return order, bounds
+
+    order = sorted(range(n), key=lambda v: masks[v].bit_count(), reverse=True)
+    best = 1
+    for start in order[: max(8, n // 16)]:
+        size, candidates = 1, masks[start]
+        while candidates:
+            # the candidate with most neighbors inside the candidate set
+            best_v, best_deg, m = -1, -1, candidates
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                d = (masks[v] & candidates).bit_count()
+                if d > best_deg:
+                    best_v, best_deg = v, d
+            size += 1
+            candidates &= masks[best_v]
+        best = max(best, size)
+    deadline = time.monotonic() + time_budget
+    timed_out = False
+
+    def expand(r_size, p):
+        nonlocal best, timed_out
+        if timed_out:
+            return
+        if time.monotonic() > deadline:
+            timed_out = True
+            return
+        verts, bounds = color_order(p)
+        for idx in range(len(verts) - 1, -1, -1):
+            if r_size + bounds[idx] <= best:
+                return
+            v = verts[idx]
+            best = max(best, r_size + 1)
+            nxt = p & masks[v]
+            if nxt:
+                expand(r_size + 1, nxt)
+                if timed_out:
+                    return
+            p &= ~(1 << v)
+
+    expand(0, (1 << n) - 1)
+    return best, not timed_out
+
+
 def quadric_sq_dw_reference(factor, w: np.ndarray):
     """d(sq)/dw of a unit-scale quadric and its regular mask, from its own
     arccos or arccosh of regular stand-ins (0 on the sphere, 2 on the

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from hetembed.randgraph import (
     run_generator,
     sample_points,
 )
-from hetembed.synthetic import complete_graph, cycle_graph, gnp_graph
+from hetembed.synthetic import complete_graph, cycle_graph, gnp_graph, path_graph
+
+from conftest import max_clique_reference
 
 
 def clique_bruteforce(g) -> int:
@@ -144,6 +148,19 @@ class TestGraphStats:
             size, exact = max_clique(g)
             assert exact
             assert size == clique_bruteforce(g)
+        for n, p in ((14, 0.7), (16, 0.6), (18, 0.5)):
+            for seed in range(3):
+                g = gnp_graph(n, p, seed=seed)
+                assert max_clique(g) == (clique_bruteforce(g), True)
+
+    def test_max_clique_matches_reference(self):
+        # the reference's greedy pre-pass alone takes 1-10 s from homogeneous rho 2.6 up
+        graphs = [generate_homogeneous(SampleConfig(rho=rho), seed=7) for rho in (1.0, 1.5, 2.0)]
+        graphs += [generate_heterogeneous(SampleConfig(rho=7.0, ell=11.45), seed=s)
+                   for s in range(3)]
+        graphs += [gnp_graph(n, p, seed=3) for n in (60, 90) for p in (0.1, 0.3, 0.5, 0.7)]
+        for g in graphs:
+            assert max_clique(g) == max_clique_reference(g)
 
     def test_max_clique_edge_cases(self):
         assert max_clique(from_edges(0, [])) == (0, True)
@@ -155,7 +172,27 @@ class TestGraphStats:
         size_budget, flag = max_clique(g, time_budget=1e-9)
         assert exact
         assert not flag
-        assert size_budget <= size_exact  # greedy lower bound
+        assert size_budget <= size_exact  # the best clique found within the budget
+
+    def test_expired_budget_reports_a_maximal_clique(self):
+        # the first descent reaches a maximal clique before the clock is read;
+        # in these graphs every maximal clique has the same size
+        triangles = from_edges(9, [(a + i, a + j) for a in (0, 3, 6) for i, j in
+                                   ((0, 1), (0, 2), (1, 2))])
+        for g, size in ((path_graph(3), 2), (triangles, 3), (complete_graph(30), 30)):
+            assert max_clique(g, time_budget=1e-9) == (size, False)
+        size, exact = max_clique(gnp_graph(60, 0.5, seed=2), time_budget=1e-9)
+        assert not exact
+        assert size >= 2
+
+    def test_clique_deeper_than_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        depth = len(inspect.stack(0))
+        sys.setrecursionlimit(depth + 100)
+        try:
+            assert max_clique(complete_graph(depth + 200)) == (depth + 200, True)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestDegreeBarycenter:

@@ -17,7 +17,7 @@ from hetembed.reconstruct import (
 )
 from hetembed.synthetic import complete_graph, gnp_graph, path_graph, random_connected_graph
 
-from conftest import curvature_correction_reference, forman_reference
+from conftest import curvature_correction_reference, forman_reference, tune_threshold_reference
 
 
 def line_embedding(coords):
@@ -85,6 +85,24 @@ class TestTuneThreshold:
         grid = np.linspace(1e-6, dm.max() * 1.1, 4000)
         oracle_best = min(mismatch(r) for r in grid)
         assert mismatch(rho) == oracle_best
+
+    def test_matches_loop_reference(self, rng):
+        twins = np.repeat(rng.normal(0, 1, size=15), 2)  # each node has a twin at distance 0
+        cases = [(random_connected_graph(40, 0.2, seed=s), rng.normal(0, 2, size=40))
+                 for s in range(4)]
+        cases += [
+            (from_edges(30, []), rng.normal(0, 1, size=30)),  # the first band wins
+            (from_edges(30, []), twins),  # the first band is empty at distance 0
+            (complete_graph(30), rng.normal(0, 1, size=30)),  # the last band wins
+        ]
+        val_degrees = []
+        for seed, (g, coords) in enumerate(cases):
+            emb = line_embedding(coords)
+            rho = tune_threshold(emb, g, seed=seed)
+            assert rho.hex() == tune_threshold_reference(emb, g, seed=seed).hex()
+            val = np.random.default_rng(seed).choice(g.n, size=round(0.1 * g.n), replace=False)
+            val_degrees.append(set(nn_graph(emb, rho).degrees[val].tolist()))
+        assert val_degrees[-3:] == [{0}, {1}, {29}]
 
     def test_deterministic(self, rng):
         g = random_connected_graph(10, 0.3, seed=18)
