@@ -31,6 +31,7 @@ from .manifold import (
     scalar_curvature,
 )
 from .optim import (
+    DistanceTarget,
     Embedding,
     ShiftConstants,
     TrainConfig,

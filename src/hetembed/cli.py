@@ -92,20 +92,15 @@ def _cmd_reconstruct(args) -> int:
         emb, g, val_fraction=args.val_fraction, seed=args.seed, sq=sq
     )
     base = recon.nn_graph(emb, rho, sq)
-    result = recon.ReconstructionResult(
-        rho=rho, graph=base, mismatch=recon.edge_mismatch(base, g)
-    )
-    payload = result.to_json_dict()
-    payload["mismatch_baseline"] = payload["mismatch"]
-
+    baseline = recon.edge_mismatch(base, g)
+    result = recon.ReconstructionResult(rho=rho, graph=base, mismatch=baseline)
     if args.correct:
-        corrected = recon.curvature_correction(
+        result = recon.curvature_correction(
             emb, base, rho=rho, step=args.step if args.step is not None else 0.1 * rho,
             percentile=args.percentile, gamma=args.forman_gamma, g_true=g, sq=sq,
         )
-        result = corrected
-        payload = corrected.to_json_dict()
-        payload["mismatch_baseline"] = recon.edge_mismatch(base, g)
+    payload = result.to_json_dict()
+    payload["mismatch_baseline"] = baseline
 
     if args.triangles:
         est = recon.estimate_triangles(emb, result.graph, gamma=args.gamma)

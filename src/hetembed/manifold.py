@@ -485,8 +485,9 @@ def _gram(factor: Factor, x: np.ndarray) -> np.ndarray:
 
 
 def _quadric_sq_dw(factor: Factor, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit-scale squared quadric distance from a fresh w, d(sq)/dw in w's memory,
-    and the mask where d(sq)/dw is regular, all from one arccos or arccosh.
+    """Unit-scale squared quadric distance from a fresh w, in w's memory, d(sq)/dw
+    in one more buffer, and the mask where d(sq)/dw is regular, all from one
+    arccos or arccosh.
     At the branch point (coincident, or antipodal on the sphere) it is 0/0: 0 there.
     On the regular cells the clamp onto the domain leaves w as it is."""
     sphere = factor.kind == "sphere"
@@ -500,11 +501,10 @@ def _quadric_sq_dw(factor: Factor, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     root[singular] = 1.0  # regular stand-in, zeroed below
     np.sqrt(root, out=root)
     theta = _angle_from_inner(factor, w)
-    sq = np.square(theta)
-    theta /= root
-    theta *= -2.0 if sphere else 2.0
-    theta[singular] = 0.0
-    return sq, theta, ok
+    dsq = np.divide(theta, root, out=root)
+    dsq *= -2.0 if sphere else 2.0
+    dsq[singular] = 0.0
+    return np.square(theta, out=theta), dsq, ok
 
 
 def factor_sq_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -515,23 +515,6 @@ def factor_sq_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarr
         return (x[..., 0] - y[..., 0]) ** 2
     theta = _angle_from_inner(factor, _quadric_inner(factor, x, y))
     return np.square(theta, out=theta)
-
-
-def factor_sq_distance_grad(factor: Factor, x: np.ndarray, y: np.ndarray,
-                            weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """``weight`` times the derivatives of :func:`factor_sq_distance` by x and by y,
-    and the count of quadric pairs at the branch point (coincident, or antipodal
-    on the sphere), whose 0/0 derivative contributes 0."""
-    if factor.kind in ("euclidean", "rotsym"):
-        gx = (2.0 * weight)[:, None] * (x - y)
-        return gx, -gx, 0
-    # d(sq)/dw, then dw/dx = y on the sphere and _neg_space(y) on the hyperboloid
-    _, dsq, ok = _quadric_sq_dw(factor, _quadric_inner(factor, x, y))
-    dsq *= weight  # still 0 at the skipped pairs
-    gx, gy = dsq[:, None] * y, dsq[:, None] * x
-    if factor.kind == "hyperbolic":
-        gx, gy = _neg_space(gx), _neg_space(gy)
-    return gx, gy, int((~ok).sum())
 
 
 def _pairwise_factor(factor: Factor, x: np.ndarray, return_dw: bool):
@@ -552,10 +535,13 @@ def _pairwise_factor(factor: Factor, x: np.ndarray, return_dw: bool):
 
 def pairwise_sq_distance_grad(factor: Factor, x: np.ndarray, weight: np.ndarray,
                               dw, pairs: np.ndarray) -> tuple[np.ndarray, int]:
-    """:func:`factor_sq_distance_grad` over all row pairs of x, for a symmetric
-    (n, n) ``weight`` with zero diagonal and the factor's ``dw`` terms from
-    :func:`pairwise_sq_distances`; counts singular pairs inside the (n, n) mask
-    ``pairs``. A quadric takes one matmul, (weight * d(sq)/dw) @ x, in dw's memory."""
+    """Ambient derivatives: row i is d/dx_i of sum_j weight_ij * sq(x_i, x_j), the
+    factor's unit-scale squared distance, for a symmetric (n, n) ``weight`` with
+    zero diagonal and the factor's ``dw`` terms from :func:`pairwise_sq_distances`.
+    Quadric pairs at the branch point (coincident, or antipodal on the sphere)
+    have a 0/0 derivative and contribute 0; it counts those inside the (n, n)
+    mask ``pairs``. A quadric takes one matmul, (weight * d(sq)/dw) @ x, in dw's
+    memory."""
     if factor.kind in ("euclidean", "rotsym"):
         return 2.0 * (weight.sum(axis=1)[:, None] * x - weight @ x), 0
     dsq, ok = dw

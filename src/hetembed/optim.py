@@ -10,15 +10,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import UNREACHABLE, Graph, bfs_apsp, connected_pairs, forman
+from .graph import Graph, bfs_apsp, connected_pairs, forman
 from .manifold import (
     ManifoldSpec,
     TangencyError,
     alpha_from_range,
     exp_map,
     factor_exp,
-    factor_sq_distance,
-    factor_sq_distance_grad,
     pairwise_sq_distance_grad,
     pairwise_sq_distances,
     resolve_spec,
@@ -133,7 +131,7 @@ class Embedding:
 class GradientResult:
     blocks: list[np.ndarray]
     skipped_pairs: int = 0
-    loss_distance: float = 0.0  # over the gradient's pairs, where it was taken
+    loss_distance: float = 0.0  # over all connected pairs, where it was taken
 
 
 @dataclass
@@ -182,51 +180,52 @@ def initialize(spec: ManifoldSpec, g: Graph, cfg: TrainConfig) -> Embedding:
     )
 
 
-def _pair_sq_distances(emb: Embedding, pairs: np.ndarray) -> np.ndarray:
-    """Squared product distances for an explicit (P, 2) pair array."""
-    pi, pj = pairs[:, 0], pairs[:, 1]
-    total = np.zeros(pairs.shape[0])
-    for f, x in zip(emb.spec.factors, emb.blocks):
-        # named rows outlive the next gather: freeing them at once doubles page faults
-        xi, xj = x[pi], x[pj]
-        total += f.lam**2 * factor_sq_distance(f, xi, xj)
-    return total
+@dataclass(frozen=True, eq=False)
+class DistanceTarget:
+    """The graph distances one :func:`train` call fits, built once from the hop
+    matrix: (n, n) d_G^2 (1 off the connected pairs), the mask of connected
+    pairs and those pairs in :func:`connected_pairs` order."""
+
+    d_g2: np.ndarray
+    connected: np.ndarray
+    pairs: np.ndarray
+
+    @classmethod
+    def from_hops(cls, dist: np.ndarray) -> "DistanceTarget":
+        connected = dist > 0
+        d_g2 = np.where(connected, np.square(dist, dtype=np.float64), 1.0)
+        return cls(d_g2=d_g2, connected=connected, pairs=connected_pairs(dist))
+
+    def mask(self, pairs: np.ndarray) -> np.ndarray:
+        """(n, n) mask of a (P, 2) pair array: the connected mask itself for
+        ``self.pairs``, else a new symmetric mask of distinct connected pairs."""
+        if pairs is self.pairs:
+            return self.connected
+        pi, pj = pairs[:, 0], pairs[:, 1]
+        if not self.connected[pi, pj].all():
+            raise ValueError("pairs must be distinct and graph-connected")
+        mask = np.zeros_like(self.connected)
+        mask[pi, pj] = mask[pj, pi] = True
+        if np.count_nonzero(mask) != 2 * pairs.shape[0]:
+            raise ValueError("pairs must not repeat or mirror a pair")
+        return mask
 
 
-def _graph_sq_distances(dist: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    hops = dist[pairs[:, 0], pairs[:, 1]].astype(np.float64)
-    if np.any(hops == UNREACHABLE) or np.any(pairs[:, 0] == pairs[:, 1]):
-        raise ValueError("pairs must be distinct and graph-connected")
-    return hops**2
+def _deviation(sq: np.ndarray, target: DistanceTarget) -> np.ndarray:
+    """d_M^2 / d_G^2 - 1 from the (n, n) d_M^2, in its memory: 0 off the connected pairs."""
+    sq /= target.d_g2
+    sq[~target.connected] = 1.0
+    return np.subtract(sq, 1.0, out=sq)
 
 
-def _dense_ratio(emb: Embedding, dist: np.ndarray, pairs: np.ndarray, return_dw: bool = False):
-    """None unless ``pairs`` lists every connected pair once, in :func:`connected_pairs`
-    order. Then (n, n) d_M^2 / d_G^2 (1, so no loss and no gradient, off the
-    connected pairs), d_G^2 (1 off them), the mask of connected pairs and, with
-    ``return_dw``, each factor's d(sq)/dw terms from the same pass (else None)."""
-    real = dist > 0
-    key = pairs[:, 0] * dist.shape[0] + pairs[:, 1]
-    if not (pairs.shape[0] == np.count_nonzero(real) // 2 and (pairs[:, 0] < pairs[:, 1]).all()
-            and (np.diff(key) > 0).all() and real.ravel()[key].all()):
-        return None
-    sq = pairwise_sq_distances(emb.spec, emb.blocks, return_dw)
-    ratio, dws = sq if return_dw else (sq, None)
-    d_g2 = np.where(real, np.square(dist, dtype=np.float64), 1.0)
-    ratio /= d_g2
-    ratio[~real] = 1.0
-    return ratio, d_g2, real, dws
-
-
-def loss_distance(emb: Embedding, dist: np.ndarray, pairs: np.ndarray) -> float:
+def loss_distance(emb: Embedding, target: DistanceTarget, pairs: np.ndarray) -> float:
     """Relative squared-distance distortion summed over the given pairs."""
-    if pairs.shape[0] == 0:
-        return 0.0
-    dense = _dense_ratio(emb, dist, pairs)
-    if dense is not None:
-        return float(np.abs(dense[0] - 1.0).sum()) / 2.0  # each pair sits twice in (n, n)
-    ratio = _pair_sq_distances(emb, pairs) / _graph_sq_distances(dist, pairs)
-    return float(np.abs(ratio - 1.0).sum())
+    mask = target.mask(pairs)
+    dev = _deviation(pairwise_sq_distances(emb.spec, emb.blocks), target)
+    np.abs(dev, out=dev)
+    if mask is not target.connected:
+        dev *= mask
+    return float(dev.sum()) / 2.0  # each pair sits twice in (n, n)
 
 
 def _curvature_residuals(emb: Embedding, f_signal, cfg: TrainConfig):
@@ -252,49 +251,39 @@ def loss_curvature(emb: Embedding, f_signal, cfg: TrainConfig) -> float:
     return float((res**2 / weights).sum())
 
 
-def loss_total(emb: Embedding, dist: np.ndarray, f_signal, cfg: TrainConfig,
+def loss_total(emb: Embedding, target: DistanceTarget, f_signal, cfg: TrainConfig,
                pairs: np.ndarray) -> float:
-    total = loss_distance(emb, dist, pairs)
+    total = loss_distance(emb, target, pairs)
     if cfg.tau > 0:
         total += cfg.tau * loss_curvature(emb, f_signal, cfg)
     return total
 
 
-def gradients(emb: Embedding, dist: np.ndarray, f_signal, cfg: TrainConfig,
+def gradients(emb: Embedding, target: DistanceTarget, f_signal, cfg: TrainConfig,
               pairs: np.ndarray) -> GradientResult:
-    """Analytic Riemannian gradients of the total loss at the current state, and
-    the distance loss over ``pairs`` there.
+    """Analytic Riemannian gradients of the total loss over ``pairs`` at the
+    current state, and the distance loss over all connected pairs there.
 
-    Ambient coordinate derivatives are assembled per factor, from one (n, n)
-    weight matrix when ``pairs`` are all connected pairs and from gathered rows
-    otherwise, and mapped through the inverse metric + tangent projection.
-    Pairs whose space-form distance derivative is numerically singular
-    (coincident points, antipodal sphere points) are dropped and counted.
+    One all-pairs pass: the (n, n) weight matrix of every connected pair, times
+    the 0/1 mask of ``pairs`` unless they are ``target.pairs``, gives each
+    factor's ambient coordinate derivatives by one matmul; those are mapped
+    through the inverse metric + tangent projection. Pairs whose space-form
+    distance derivative is numerically singular (coincident points, antipodal
+    sphere points) are dropped, and those inside ``pairs`` are counted.
     """
-    dense = _dense_ratio(emb, dist, pairs, return_dw=True)
-    if dense is not None:
-        ratio, d_g2, real, dws = dense
-    else:
-        dws, pi, pj = None, pairs[:, 0], pairs[:, 1]
-        d_g2 = _graph_sq_distances(dist, pairs)
-        ratio = _pair_sq_distances(emb, pairs) / d_g2
-    dev = np.subtract(ratio, 1.0, out=ratio)
+    mask = target.mask(pairs)
+    sq, dws = pairwise_sq_distances(emb.spec, emb.blocks, return_dw=True)
+    dev = _deviation(sq, target)
     base = np.sign(dev)
-    base /= d_g2  # dense: 0 off the connected pairs
-    loss_d = float(np.abs(dev, out=dev).sum())
-    if dense is not None:
-        loss_d /= 2.0  # each pair sits twice in (n, n)
-    del dense, ratio, dev, d_g2
+    base /= target.d_g2  # 0 off the connected pairs
+    if mask is not target.connected:
+        base *= mask
+    loss_d = float(np.abs(dev, out=dev).sum()) / 2.0  # each pair sits twice in (n, n)
+    del sq, dev
     skipped, ambient = 0, []
     for f, x in zip(emb.spec.factors, emb.blocks):
-        if dws is not None:
-            # pop: each factor's (n, n) d(sq)/dw is freed once its matmul is done
-            amb, singular = pairwise_sq_distance_grad(f, x, f.lam**2 * base, dws.pop(0), real)
-        else:
-            gi, gj, singular = factor_sq_distance_grad(f, x[pi], x[pj], f.lam**2 * base)
-            # one bincount over flattened (row, column) cells: each sums in pair order
-            cells = (np.concatenate([pi, pj])[:, None] * x.shape[1] + np.arange(x.shape[1])).ravel()
-            amb = np.bincount(cells, np.concatenate([gi, gj]).ravel(), x.size).reshape(x.shape)
+        # pop: each factor's (n, n) d(sq)/dw is freed once its matmul is done
+        amb, singular = pairwise_sq_distance_grad(f, x, f.lam**2 * base, dws.pop(0), mask)
         skipped += singular
         ambient.append(amb)
 
@@ -336,8 +325,8 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
     like the tau = 0 special case and never touches curvature data.
     """
     cfg.validate()
-    dist = bfs_apsp(g)
-    all_pairs = connected_pairs(dist)
+    target = DistanceTarget.from_hops(bfs_apsp(g))
+    all_pairs = target.pairs
     if all_pairs.shape[0] == 0:
         raise ValueError("graph has no connected node pairs")
 
@@ -393,29 +382,27 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
     decay1 = int(math.floor(0.8 * cfg.epochs))
     decay2 = int(math.floor(0.9 * cfg.epochs))
 
-    # full batch: the loss after each step is read from the next epoch's
-    # gradient, taken right after the step; the last epoch has none
-    full = batch_size == all_pairs.shape[0]
+    def draw_batch() -> np.ndarray:
+        if batch_size == all_pairs.shape[0]:
+            return all_pairs
+        idx = batch_rng.choice(all_pairs.shape[0], size=batch_size, replace=False)
+        return all_pairs[np.sort(idx)]
+
+    # the loss after each step is read from the next epoch's gradient, taken
+    # right after the step on the next batch; the last epoch has none
     history = TrainHistory()
     t0 = time.perf_counter()
-    ahead = None
+    ahead = gradients(emb, target, f_signal, cfg_run, draw_batch())
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * (0.01 if epoch >= decay2 else 0.1 if epoch >= decay1 else 1.0)
-        if full:
-            batch = all_pairs
-        else:
-            idx = batch_rng.choice(all_pairs.shape[0], size=batch_size, replace=False)
-            batch = all_pairs[np.sort(idx)]
         grad, ahead, l_d, l_c = ahead, None, None, None
         try:  # rsgd_step raises TangencyError for a step too long for the tangent space
-            if grad is None:
-                grad = gradients(emb, dist, f_signal, cfg_run, batch)
             emb = rsgd_step(emb, grad, lr)
-            if full and epoch + 1 < cfg.epochs:
-                ahead = gradients(emb, dist, f_signal, cfg_run, all_pairs)
+            if epoch + 1 < cfg.epochs:
+                ahead = gradients(emb, target, f_signal, cfg_run, draw_batch())
                 l_d = ahead.loss_distance
             else:
-                l_d = loss_distance(emb, dist, all_pairs)
+                l_d = loss_distance(emb, target, all_pairs)
             l_c = loss_curvature(emb, f_signal, cfg_run) if tau > 0 else 0.0
             if not (np.isfinite(l_d) and np.isfinite(l_c)):
                 raise FloatingPointError("non-finite loss")
@@ -427,7 +414,7 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
                     "loss_distance": l_d,
                     "loss_curvature": l_c,
                     "learning_rate": lr,
-                    "skipped_pairs": None if grad is None else grad.skipped_pairs,
+                    "skipped_pairs": grad.skipped_pairs,
                     "max_radius": None if emb.radii() is None else float(emb.radii().max()),
                 },
             ) from exc

@@ -303,6 +303,69 @@ def quadric_sq_dw_reference(factor, w: np.ndarray):
     return dsq, ok
 
 
+def pair_sq_distances(emb, pairs: np.ndarray) -> np.ndarray:
+    """Squared product distances for an explicit (P, 2) pair array, by gathered rows."""
+    from hetembed.manifold import factor_sq_distance
+
+    total = np.zeros(pairs.shape[0])
+    for f, x in zip(emb.spec.factors, emb.blocks):
+        total += f.lam**2 * factor_sq_distance(f, x[pairs[:, 0]], x[pairs[:, 1]])
+    return total
+
+
+def graph_sq_distances(dist: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Squared hop distances of distinct connected pairs, gathered from the hop matrix."""
+    hops = dist[pairs[:, 0], pairs[:, 1]].astype(np.float64)
+    if np.any(hops == UNREACHABLE) or np.any(pairs[:, 0] == pairs[:, 1]):
+        raise ValueError("pairs must be distinct and graph-connected")
+    return hops**2
+
+
+def _factor_sq_distance_grad_reference(factor, x: np.ndarray, y: np.ndarray, weight: np.ndarray):
+    """``weight`` times the derivatives of the unit-scale squared distance between
+    matching rows by x and by y, and the count of quadric rows at the branch
+    point, whose 0/0 derivative contributes 0."""
+    from hetembed.manifold import _neg_space, _quadric_inner
+
+    if factor.kind in ("euclidean", "rotsym"):
+        gx = (2.0 * weight)[:, None] * (x - y)
+        return gx, -gx, 0
+    # d(sq)/dw, then dw/dx = y on the sphere and _neg_space(y) on the hyperboloid
+    dsq, ok = quadric_sq_dw_reference(factor, _quadric_inner(factor, x, y))
+    dsq *= weight
+    gx, gy = dsq[:, None] * y, dsq[:, None] * x
+    if factor.kind == "hyperbolic":
+        gx, gy = _neg_space(gx), _neg_space(gy)
+    return gx, gy, int((~ok).sum())
+
+
+def gradients_reference(emb, dist: np.ndarray, f_signal, cfg, pairs: np.ndarray):
+    """Gradients of the total loss over the given pairs from gathered rows: each
+    pair's derivatives are scattered onto its two nodes with ``np.add.at``.
+    Returns a GradientResult whose loss is over the given pairs."""
+    from hetembed.manifold import riemannian_gradient, rotsym_curvature_derivative
+    from hetembed.optim import GradientResult, _curvature_residuals
+
+    d_g2 = graph_sq_distances(dist, pairs)
+    dev = pair_sq_distances(emb, pairs) / d_g2 - 1.0
+    base = np.sign(dev) / d_g2
+    skipped, ambient = 0, []
+    for f, x in zip(emb.spec.factors, emb.blocks):
+        gi, gj, singular = _factor_sq_distance_grad_reference(
+            f, x[pairs[:, 0]], x[pairs[:, 1]], f.lam**2 * base)
+        amb = np.zeros_like(x)
+        np.add.at(amb, pairs[:, 0], gi)
+        np.add.at(amb, pairs[:, 1], gj)
+        skipped += singular
+        ambient.append(amb)
+    if cfg.tau > 0:
+        res, weights, rot = _curvature_residuals(emb, f_signal, cfg)
+        d_lc = -2.0 * res * rotsym_curvature_derivative(rot.alpha, emb.radii()) / weights
+        ambient[emb.spec.rotsym_index][:, 0] += cfg.tau * d_lc
+    return GradientResult(blocks=riemannian_gradient(emb.spec, emb.blocks, ambient),
+                          skipped_pairs=skipped, loss_distance=float(np.abs(dev).sum()))
+
+
 def train_reference(g: Graph, spec, cfg):
     """The training loop with the loss taken after every step by its own
     ``loss_distance`` call: gradients, step, loss, every epoch.
@@ -312,14 +375,14 @@ def train_reference(g: Graph, spec, cfg):
     import math
     from dataclasses import replace
 
-    from hetembed.graph import bfs_apsp, connected_pairs, forman
+    from hetembed.graph import bfs_apsp, forman
     from hetembed.manifold import (alpha_from_range, resolve_spec, rotsym_curvature,
                                    rotsym_curvature_inverse)
-    from hetembed.optim import (ShiftConstants, _resolve_batch, gradients, initialize,
-                                loss_curvature, loss_distance, rsgd_step)
+    from hetembed.optim import (DistanceTarget, ShiftConstants, _resolve_batch, gradients,
+                                initialize, loss_curvature, loss_distance, rsgd_step)
 
-    dist = bfs_apsp(g)
-    all_pairs = connected_pairs(dist)
+    target = DistanceTarget.from_hops(bfs_apsp(g))
+    all_pairs = target.pairs
     rot, tau, f_signal, shift = spec.rotsym_factor, cfg.tau, None, None
     if rot is None:
         tau, spec_resolved = 0.0, spec
@@ -356,7 +419,7 @@ def train_reference(g: Graph, spec, cfg):
         if batch_size != all_pairs.shape[0]:
             idx = batch_rng.choice(all_pairs.shape[0], size=batch_size, replace=False)
             batch = all_pairs[np.sort(idx)]
-        emb = rsgd_step(emb, gradients(emb, dist, f_signal, cfg_run, batch), lr)
-        loss_d.append(loss_distance(emb, dist, all_pairs))
+        emb = rsgd_step(emb, gradients(emb, target, f_signal, cfg_run, batch), lr)
+        loss_d.append(loss_distance(emb, target, all_pairs))
         loss_c.append(loss_curvature(emb, f_signal, cfg_run) if tau > 0 else 0.0)
     return emb.blocks, loss_d, loss_c

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hetembed.graph import bfs_apsp, connected_pairs, forman, load_edge_list, triangle_counts
+from hetembed.graph import bfs_apsp, forman, load_edge_list, triangle_counts
 from hetembed.manifold import (
     _mink_inner,
     exp_map,
@@ -34,6 +34,7 @@ from hetembed.metrics import (
     volume_match,
 )
 from hetembed.optim import (
+    DistanceTarget,
     TrainConfig,
     gradients,
     initialize,
@@ -51,7 +52,8 @@ from hetembed.reconstruct import (
 )
 from hetembed.synthetic import cycle_tree, gnp_graph, random_connected_graph
 
-from conftest import floyd_warshall, map_bruteforce, simpson_grid, spearman
+from conftest import (floyd_warshall, graph_sq_distances, map_bruteforce, pair_sq_distances,
+                      simpson_grid, spearman)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -133,9 +135,7 @@ def _random_instance(idx: int):
 
 
 def _kink_margin(emb, dist, pairs) -> float:
-    from hetembed.optim import _graph_sq_distances, _pair_sq_distances
-
-    ratio = _pair_sq_distances(emb, pairs) / _graph_sq_distances(dist, pairs)
+    ratio = pair_sq_distances(emb, pairs) / graph_sq_distances(dist, pairs)
     return float(np.abs(ratio - 1.0).min())
 
 
@@ -152,7 +152,8 @@ def test_criterion_1_gradient_correctness():
                           curvature_residuals="normalized")
         emb = initialize(spec, g, cfg)
         dist = bfs_apsp(g)
-        pairs = connected_pairs(dist)
+        target = DistanceTarget.from_hops(dist)
+        pairs = target.pairs
         f_signal = forman(g, cfg.gamma) if tau > 0 else None
         if tau > 0:
             from hetembed.optim import ShiftConstants
@@ -167,7 +168,7 @@ def test_criterion_1_gradient_correctness():
         if _kink_margin(emb, dist, pairs) < 1e-3:
             salt += 1
             continue
-        grad = gradients(emb, dist, f_signal, cfg, pairs)
+        grad = gradients(emb, target, f_signal, cfg, pairs)
         assert grad.skipped_pairs == 0
         for node in range(emb.n):
             for fi, fac in enumerate(spec.factors):
@@ -175,7 +176,7 @@ def test_criterion_1_gradient_correctness():
                     def loss_at(t):
                         probe = emb.copy()
                         probe.blocks[fi][node] = factor_exp(fac, emb.blocks[fi][node], t * v)
-                        return loss_total(probe, dist, f_signal, cfg, pairs)
+                        return loss_total(probe, target, f_signal, cfg, pairs)
 
                     fd = (loss_at(h) - loss_at(-h)) / (2 * h)
                     gv = grad.blocks[fi][node]

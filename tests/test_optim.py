@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from hetembed.manifold import (
     tangent_basis,
 )
 from hetembed.optim import (
+    DistanceTarget,
     Embedding,
     NumericAbortError,
     ShiftConstants,
@@ -30,7 +32,7 @@ from hetembed.optim import (
 )
 from hetembed.synthetic import complete_graph, path_graph, random_connected_graph
 
-from conftest import train_reference
+from conftest import gradients_reference, graph_sq_distances, pair_sq_distances, train_reference
 
 
 def make_embedding(spec_text, g, cfg, rng_shift=True):
@@ -106,33 +108,33 @@ class TestLossDistance:
         g = path_graph(3)
         spec = parse_manifold("e1")
         emb = Embedding(spec=spec, blocks=[np.array([[0.0], [1.0], [2.0]])])
-        dist = bfs_apsp(g)
-        assert loss_distance(emb, dist, connected_pairs(dist)) == pytest.approx(0.0)
+        target = DistanceTarget.from_hops(bfs_apsp(g))
+        assert loss_distance(emb, target, target.pairs) == pytest.approx(0.0)
 
     def test_single_pair_formula(self):
         g = from_edges(2, [(0, 1)])
         spec = parse_manifold("e1")
         emb = Embedding(spec=spec, blocks=[np.array([[0.0], [math.sqrt(2.0)]])])
-        dist = bfs_apsp(g)
+        target = DistanceTarget.from_hops(bfs_apsp(g))
         # squared distance 2 against graph distance 1
-        assert loss_distance(emb, dist, connected_pairs(dist)) == pytest.approx(1.0)
+        assert loss_distance(emb, target, target.pairs) == pytest.approx(1.0)
 
     def test_matches_reference_oracle(self, rng):
         g = random_connected_graph(10, 0.3, seed=11)
         cfg = TrainConfig(seed=3, epochs=1)
         emb = make_embedding("h2,e2,rot(a=1.0)", g, cfg)
         dist = bfs_apsp(g)
-        pairs = connected_pairs(dist)
-        assert loss_distance(emb, dist, pairs) == pytest.approx(
-            loss_distance_reference(emb, dist, pairs), rel=1e-12
+        target = DistanceTarget.from_hops(dist)
+        assert loss_distance(emb, target, target.pairs) == pytest.approx(
+            loss_distance_reference(emb, dist, target.pairs), rel=1e-12
         )
 
     def test_unreachable_pair_rejected(self):
         g = from_edges(4, [(0, 1), (2, 3)])
-        dist = bfs_apsp(g)
+        target = DistanceTarget.from_hops(bfs_apsp(g))
         emb = Embedding(spec=parse_manifold("e1"), blocks=[np.zeros((4, 1))])
         with pytest.raises(ValueError):
-            loss_distance(emb, dist, np.array([[0, 2]]))
+            loss_distance(emb, target, np.array([[0, 2]]))
 
 
 class TestLossCurvature:
@@ -183,25 +185,25 @@ class TestLossTotal:
         g = random_connected_graph(8, 0.3, seed=5)
         cfg = TrainConfig(tau=0.0, seed=2, epochs=1)
         emb = make_embedding("h2,rot(a=1.0)", g, cfg)
-        dist = bfs_apsp(g)
-        pairs = connected_pairs(dist)
-        assert loss_total(emb, dist, forman(g), cfg, pairs) == loss_distance(emb, dist, pairs)
+        target = DistanceTarget.from_hops(bfs_apsp(g))
+        pairs = target.pairs
+        assert loss_total(emb, target, forman(g), cfg, pairs) == loss_distance(emb, target, pairs)
 
     def test_weighted_sum(self):
         g = random_connected_graph(8, 0.3, seed=6)
         cfg = TrainConfig(tau=1.0, seed=2, epochs=1)
         emb = make_embedding("h2,rot(a=1.0)", g, cfg)
-        dist = bfs_apsp(g)
-        pairs = connected_pairs(dist)
+        target = DistanceTarget.from_hops(bfs_apsp(g))
+        pairs = target.pairs
         f = forman(g)
-        expect = loss_distance(emb, dist, pairs) + loss_curvature(emb, f, cfg)
-        assert loss_total(emb, dist, f, cfg, pairs) == pytest.approx(expect, rel=1e-14)
+        expect = loss_distance(emb, target, pairs) + loss_curvature(emb, f, cfg)
+        assert loss_total(emb, target, f, cfg, pairs) == pytest.approx(expect, rel=1e-14)
 
 
-def directional_fd_check(emb, dist, f_signal, cfg, pairs, h=1e-5, rel_tol=1e-4):
+def directional_fd_check(emb, target, f_signal, cfg, pairs, h=1e-5, rel_tol=1e-4):
     """Assert analytic gradients match central differences along every tangent
     basis direction of every node. Returns number of directions checked."""
-    grad = gradients(emb, dist, f_signal, cfg, pairs)
+    grad = gradients(emb, target, f_signal, cfg, pairs)
     checked = 0
     for node in range(emb.n):
         for fi, fac in enumerate(emb.spec.factors):
@@ -209,7 +211,7 @@ def directional_fd_check(emb, dist, f_signal, cfg, pairs, h=1e-5, rel_tol=1e-4):
                 def loss_at(t):
                     e2 = emb.copy()
                     e2.blocks[fi][node] = factor_exp(fac, emb.blocks[fi][node], t * v)
-                    return loss_total(e2, dist, f_signal, cfg, pairs)
+                    return loss_total(e2, target, f_signal, cfg, pairs)
 
                 fd = (loss_at(h) - loss_at(-h)) / (2 * h)
                 gv = grad.blocks[fi][node]
@@ -224,74 +226,128 @@ def directional_fd_check(emb, dist, f_signal, cfg, pairs, h=1e-5, rel_tol=1e-4):
 
 def kink_margin(emb, dist, pairs, margin=1e-3):
     """True when no pair ratio sits near the |.| kink (where FD is invalid)."""
-    from hetembed.optim import _graph_sq_distances, _pair_sq_distances
-
-    ratio = _pair_sq_distances(emb, pairs) / _graph_sq_distances(dist, pairs)
+    ratio = pair_sq_distances(emb, pairs) / graph_sq_distances(dist, pairs)
     return bool(np.abs(ratio - 1.0).min() > margin)
+
+
+def gradient_cases():
+    """Three specs, one of them on a disconnected graph."""
+    a = random_connected_graph(9, 0.3, seed=23)
+    b = random_connected_graph(5, 0.5, seed=24)
+    split = from_edges(14, [(i, j) for i, j in a.edges()]
+                       + [(i + 9, j + 9) for i, j in b.edges()])
+    assert (bfs_apsp(split) == UNREACHABLE).any()
+    return [("e3,s2,h2,rot(a=1.0,l=0.5)", random_connected_graph(12, 0.3, seed=25)),
+            ("s3,e2", random_connected_graph(10, 0.3, seed=26)),
+            ("h3,h2,rot(a=1.3)", split)]
+
+
+def assert_blocks_close(got, want):
+    for a, b in zip(got.blocks, want.blocks, strict=True):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+def test_gradients_keeps_the_parameter_names_the_bench_tracer_binds():
+    # bench/tracer.py reads the call's ``emb`` and ``pairs`` arguments by name
+    params = inspect.signature(optim.gradients).parameters
+    assert "emb" in params and "pairs" in params
 
 
 class TestGradients:
     def test_fd_agreement_mixed_spec(self):
         g = random_connected_graph(9, 0.3, seed=21)
         dist = bfs_apsp(g)
-        pairs = connected_pairs(dist)
+        target = DistanceTarget.from_hops(dist)
+        pairs = target.pairs
         cfg = TrainConfig(tau=0.7, seed=4, epochs=1)
         emb = make_embedding("h2,s2,rot(a=1.0,l=0.5)", g, cfg)
         assert kink_margin(emb, dist, pairs)
-        n = directional_fd_check(emb, dist, forman(g), cfg, pairs)
+        n = directional_fd_check(emb, target, forman(g), cfg, pairs)
         assert n == g.n * (2 + 2 + 1)
-        # all pairs take the dense route; a strict subset gathers its rows
+        # all pairs take the connected mask itself; a strict subset, a new 0/1 mask
         subset = pairs[::3]
-        assert optim._dense_ratio(emb, dist, pairs) is not None
-        assert optim._dense_ratio(emb, dist, subset) is None
-        assert directional_fd_check(emb, dist, forman(g), cfg, subset) == n
+        assert target.mask(pairs) is target.connected
+        assert target.mask(subset) is not target.connected
+        assert directional_fd_check(emb, target, forman(g), cfg, subset) == n
 
     def test_dense_route_matches_gathered_pairs(self):
-        # oracle: the gathered-row route, one pair per call, summed
-        a = random_connected_graph(9, 0.3, seed=23)
-        b = random_connected_graph(5, 0.5, seed=24)
-        split = from_edges(14, [(i, j) for i, j in a.edges()]
-                           + [(i + 9, j + 9) for i, j in b.edges()])
-        assert (bfs_apsp(split) == UNREACHABLE).any()
-        cases = [("e3,s2,h2,rot(a=1.0,l=0.5)", random_connected_graph(12, 0.3, seed=25)),
-                 ("s3,e2", random_connected_graph(10, 0.3, seed=26)),
-                 ("h3,h2,rot(a=1.3)", split)]
-        for spec_text, g in cases:
+        # oracle: gathered rows scattered onto their nodes (conftest)
+        for spec_text, g in gradient_cases():
             dist = bfs_apsp(g)
-            pairs = connected_pairs(dist)
+            target = DistanceTarget.from_hops(dist)
             cfg = TrainConfig(tau=0.0, seed=5, epochs=1)
             emb = make_embedding(spec_text, g, cfg)
-            assert optim._dense_ratio(emb, dist, pairs) is not None
-            dense = gradients(emb, dist, None, cfg, pairs)
-            oracle = [np.zeros_like(blk) for blk in emb.blocks]
-            for k in range(pairs.shape[0]):
-                for acc, blk in zip(oracle, gradients(emb, dist, None, cfg, pairs[k:k + 1]).blocks):
-                    acc += blk
-            assert dense.skipped_pairs == 0
-            for got, want in zip(dense.blocks, oracle):
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            dense = gradients(emb, target, None, cfg, target.pairs)
+            oracle = gradients_reference(emb, dist, None, cfg, target.pairs)
+            assert dense.skipped_pairs == oracle.skipped_pairs == 0
+            assert dense.loss_distance == pytest.approx(oracle.loss_distance, rel=1e-12)
+            assert_blocks_close(dense, oracle)
             if "rot" in spec_text:  # the curvature term rides along on both routes
                 cfg = TrainConfig(tau=0.5, seed=5, epochs=1)
                 f = forman(g, cfg.gamma)
-                dense = gradients(emb, dist, f, cfg, pairs)
-                gathered = gradients(emb, dist, f, cfg, pairs[::-1].copy())
-                for got, want in zip(dense.blocks, gathered.blocks):
-                    np.testing.assert_allclose(got, want, rtol=1e-12,
-                                               atol=1e-12 * np.abs(want).max())
+                dense = gradients(emb, target, f, cfg, target.pairs)
+                gathered = gradients_reference(emb, dist, f, cfg, target.pairs[::-1].copy())
+                assert_blocks_close(dense, gathered)
+
+    def test_masked_batch_matches_gathered_pairs(self, rng):
+        # a batch is a 0/1 mask on the all-pairs weights; oracle: gathered rows
+        for spec_text, g in gradient_cases():
+            dist = bfs_apsp(g)
+            target = DistanceTarget.from_hops(dist)
+            cfg = TrainConfig(tau=0.5 if "rot" in spec_text else 0.0, seed=7, epochs=1)
+            emb = make_embedding(spec_text, g, cfg)
+            f = forman(g, cfg.gamma) if cfg.tau > 0 else None
+            n_pairs = target.pairs.shape[0]
+            for size in (1, 7, n_pairs // 2, n_pairs - 1):
+                batch = target.pairs[np.sort(rng.choice(n_pairs, size=size, replace=False))]
+                got = gradients(emb, target, f, cfg, batch)
+                want = gradients_reference(emb, dist, f, cfg, batch)
+                assert got.skipped_pairs == want.skipped_pairs == 0
+                assert_blocks_close(got, want)
+                assert loss_distance(emb, target, batch) == pytest.approx(
+                    want.loss_distance, rel=1e-12)
+
+    def test_singular_pairs_counted_inside_the_batch_only(self):
+        # path 0-1-2-3 with node 0 on node 1 and node 2 on node 3
+        g = path_graph(4)
+        dist = bfs_apsp(g)
+        target = DistanceTarget.from_hops(dist)
+        pole, far = [0.0, 0.0, 1.0], [math.sinh(0.5), 0.0, math.cosh(0.5)]
+        emb = Embedding(spec=parse_manifold("h2"), blocks=[np.array([pole, pole, far, far])])
+        cfg = TrainConfig(tau=0.0)
+        for batch, singular in ((target.pairs, 2), (target.pairs.copy(), 2), ([[0, 1]], 1),
+                                ([[0, 2], [1, 3]], 0), ([[1, 2], [2, 3]], 1)):
+            batch = np.asarray(batch)
+            got = gradients(emb, target, None, cfg, batch)
+            want = gradients_reference(emb, dist, None, cfg, batch)
+            assert got.skipped_pairs == want.skipped_pairs == singular
+            assert np.allclose(got.blocks[0], want.blocks[0], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [[[1, 1]], [[0, 3]], [[0, 1], [0, 1]], [[0, 1], [1, 0]]],
+                             ids=["self", "unreachable", "repeated", "mirrored"])
+    def test_pair_validation(self, bad):
+        g = from_edges(4, [(0, 1), (1, 2)])  # node 3 is isolated
+        target = DistanceTarget.from_hops(bfs_apsp(g))
+        emb = Embedding(spec=parse_manifold("e2"), blocks=[np.arange(8.0).reshape(4, 2)])
+        cfg = TrainConfig(tau=0.0)
+        with pytest.raises(ValueError):
+            gradients(emb, target, None, cfg, np.array(bad))
+        with pytest.raises(ValueError):
+            loss_distance(emb, target, np.array(bad))
+        gradients(emb, target, None, cfg, np.array([[0, 2], [1, 2]]))  # distinct and connected
 
     def test_tau_zero_radial_gradient_distance_only(self):
         g = random_connected_graph(7, 0.4, seed=22)
         dist = bfs_apsp(g)
-        pairs = connected_pairs(dist)
+        target = DistanceTarget.from_hops(dist)
+        pairs = target.pairs
         cfg0 = TrainConfig(tau=0.0, seed=4, epochs=1)
         emb = make_embedding("e2,rot(a=1.0)", g, cfg0)
-        g0 = gradients(emb, dist, None, cfg0, pairs)
+        g0 = gradients(emb, target, None, cfg0, pairs)
         # tau = 0 radial gradient comes from the (r_i - r_j) terms alone
         r = emb.radii()
         d_g2 = dist[pairs[:, 0], pairs[:, 1]].astype(float) ** 2
-        from hetembed.optim import _pair_sq_distances
-
-        sigma = np.sign(_pair_sq_distances(emb, pairs) / d_g2 - 1.0)
+        sigma = np.sign(pair_sq_distances(emb, pairs) / d_g2 - 1.0)
         expected = np.zeros(emb.n)
         for (i, j), s, dg2 in zip(pairs, sigma, d_g2):
             expected[i] += 2.0 * s * (r[i] - r[j]) / dg2
@@ -300,50 +356,49 @@ class TestGradients:
 
     def test_isometric_embedding_zero_gradient(self):
         g = path_graph(3)
-        dist = bfs_apsp(g)
-        pairs = connected_pairs(dist)
+        target = DistanceTarget.from_hops(bfs_apsp(g))
         emb = Embedding(spec=parse_manifold("e1"), blocks=[np.array([[0.0], [1.0], [2.0]])])
         cfg = TrainConfig(tau=0.0)
-        out = gradients(emb, dist, None, cfg, pairs)
+        out = gradients(emb, target, None, cfg, target.pairs)
         assert np.allclose(out.blocks[0], 0.0)
 
     def test_coincident_pair_skipped_and_counted(self):
         g = from_edges(2, [(0, 1)])
-        dist = bfs_apsp(g)
-        pairs = connected_pairs(dist)
+        target = DistanceTarget.from_hops(bfs_apsp(g))
         pole = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         emb = Embedding(spec=parse_manifold("h2"), blocks=[pole])
-        out = gradients(emb, dist, None, TrainConfig(tau=0.0), pairs)
+        out = gradients(emb, target, None, TrainConfig(tau=0.0), target.pairs)
         assert out.skipped_pairs == 1
         assert np.allclose(out.blocks[0], 0.0)
-        # full batch on a path 0-1-2 plus an isolated node 3: the dense route
+        # all pairs of a path 0-1-2 plus an isolated node 3: the connected mask
         # counts the coincident edge (0, 1), but neither the diagonal nor the
         # unreachable coincident pairs (0, 3) and (1, 3); so do gathered rows
         g = from_edges(4, [(0, 1), (1, 2)])
         dist = bfs_apsp(g)
-        pairs = connected_pairs(dist)
+        target = DistanceTarget.from_hops(dist)
         far = [math.sinh(0.5), 0.0, math.cosh(0.5)]
         emb = Embedding(spec=parse_manifold("h2"),
                         blocks=[np.array([pole[0], pole[0], far, pole[0]])])
-        assert optim._dense_ratio(emb, dist, pairs) is not None
-        dense = gradients(emb, dist, None, TrainConfig(tau=0.0), pairs)
-        gathered = gradients(emb, dist, None, TrainConfig(tau=0.0), pairs[::-1].copy())
+        dense = gradients(emb, target, None, TrainConfig(tau=0.0), target.pairs)
+        gathered = gradients_reference(emb, dist, None, TrainConfig(tau=0.0),
+                                       target.pairs[::-1].copy())
         assert dense.skipped_pairs == gathered.skipped_pairs == 1
         assert np.allclose(dense.blocks[0], gathered.blocks[0], rtol=1e-12, atol=1e-15)
         assert np.abs(dense.blocks[0][:3]).max() > 0.1
 
     def test_carries_the_distance_loss_of_its_pairs(self):
+        # every gradient carries the loss over all connected pairs at its point,
+        # the loss train logs; a batch changes the gradient, not that loss
         g = random_connected_graph(14, 0.25, seed=27)
-        dist = bfs_apsp(g)
-        pairs = connected_pairs(dist)
+        target = DistanceTarget.from_hops(bfs_apsp(g))
         cfg = TrainConfig(tau=0.4, seed=6, epochs=1)
         emb = make_embedding("e3,s2,h2,rot(a=1.0,l=0.5)", g, cfg)
         f = forman(g, cfg.gamma)
-        subset = pairs[::4].copy()
-        assert optim._dense_ratio(emb, dist, pairs) is not None
-        assert optim._dense_ratio(emb, dist, subset) is None
-        for batch in (pairs, subset):
-            assert gradients(emb, dist, f, cfg, batch).loss_distance == loss_distance(emb, dist, batch)
+        subset = target.pairs[::4].copy()
+        whole = loss_distance(emb, target, target.pairs)
+        assert loss_distance(emb, target, subset) < whole
+        for batch in (target.pairs, subset):
+            assert gradients(emb, target, f, cfg, batch).loss_distance == whole
 
 
 class TestRsgdStep:
@@ -368,8 +423,9 @@ class TestRsgdStep:
         pairs = connected_pairs(dist)
         cfg = TrainConfig(tau=0.0, seed=2, epochs=1)
         emb = make_embedding("h3", g, cfg)
+        target = DistanceTarget.from_hops(dist)
         for _ in range(50):
-            emb = rsgd_step(emb, gradients(emb, dist, None, cfg, pairs), lr=0.01)
+            emb = rsgd_step(emb, gradients(emb, target, None, cfg, target.pairs), lr=0.01)
         assert np.abs(_mink_inner(emb.blocks[0], emb.blocks[0]) + 1.0).max() < 1e-9
 
 
@@ -444,11 +500,10 @@ class TestTrain:
         for b1, b2 in zip(emb1.blocks, emb2.blocks):
             b2[perm] = b1
         emb2.shift_constants = emb1.shift_constants
-        d1, d2 = bfs_apsp(g), bfs_apsp(g2)
-        p1, p2 = connected_pairs(d1), connected_pairs(d2)
+        t1, t2 = DistanceTarget.from_hops(bfs_apsp(g)), DistanceTarget.from_hops(bfs_apsp(g2))
         f1, f2 = forman(g), forman(g2)
-        assert loss_total(emb1, d1, f1, cfg, p1) == pytest.approx(
-            loss_total(emb2, d2, f2, cfg, p2), rel=1e-12
+        assert loss_total(emb1, t1, f1, cfg, t1.pairs) == pytest.approx(
+            loss_total(emb2, t2, f2, cfg, t2.pairs), rel=1e-12
         )
 
     def test_curvature_minimum_inverts_target(self):
@@ -477,7 +532,7 @@ class TestTrain:
 
 
 class TestTrainLoopOrder:
-    """Full batch reads each epoch's loss from the next epoch's gradient; the
+    """Training reads each epoch's loss from the next epoch's gradient; the
     reference takes the loss by its own call after every step."""
 
     TWIN = dict(tau=1.0, seed=11, learning_rate=0.01, lambda_rot=0.5, delta=1.0,
