@@ -298,26 +298,32 @@ def forman(g: Graph, gamma: float = 1.0, normalize_by_max_degree: bool = False) 
         raise ValueError("gamma must be positive")
     deg = g.degrees
     rows, cols = g.entries()
-    upper = rows < cols
-    i, j = rows[upper], cols[upper]  # the rows of g.edges()
-    edge_tri, _ = triangle_counts(g)
-    edge_values = 4.0 - deg[i] - deg[j] + 3.0 * gamma * edge_tri
-    if normalize_by_max_degree:
-        edge_values /= np.maximum(deg[i], deg[j])
-    # edge index of every adjacency entry: entries above the diagonal list the
-    # edges in order, those below list them sorted by (j, i)
-    edge_of = np.empty(rows.size, dtype=np.int64)
-    edge_of[upper] = np.arange(i.size)
-    edge_of[~upper] = np.lexsort((i, j))
-    node_values = np.bincount(rows, weights=edge_values[edge_of], minlength=g.n)
-    node_values = node_values / np.maximum(deg, 1)  # isolated nodes stay 0
+    entry_values, node_values = _forman_entries(
+        deg, g.adjacency_bits(), rows, cols, gamma, normalize_by_max_degree)
     return FormanSignal(
         gamma=gamma,
-        edge_values=edge_values,
+        edge_values=entry_values[rows < cols],  # the rows of g.edges()
         node_values=node_values,
         normalized=normalize_by_max_degree,
         _degrees=deg,
     )
+
+
+def _forman_entries(deg: np.ndarray, bits: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    gamma: float, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Forman value of every adjacency entry (rows[k], cols[k]) and the node values.
+
+    ``deg`` and ``bits`` (packed adjacency rows, as :meth:`Graph.adjacency_bits`)
+    describe the whole graph; the entries list whole rows, each in column
+    order. A node value is its entries' sum, in entry order, over its degree;
+    nodes whose row is not listed read 0.
+    """
+    tri = np.bitwise_count(bits[rows] & bits[cols]).sum(axis=1, dtype=np.int64)
+    values = 4.0 - deg[rows] - deg[cols] + 3.0 * gamma * tri
+    if normalize:
+        values /= np.maximum(deg[rows], deg[cols])
+    node_values = np.bincount(rows, weights=values, minlength=deg.size)
+    return values, node_values / np.maximum(deg, 1)  # isolated nodes stay 0
 
 
 def forman_dirichlet_energy(g: Graph, f: FormanSignal) -> float:

@@ -525,7 +525,8 @@ def _pairwise_factor(factor: Factor, x: np.ndarray, return_dw: bool):
         norms = (x * x).sum(axis=1)
         return np.maximum(norms[:, None] + norms[None, :] - 2.0 * x @ x.T, 0.0), None
     if factor.kind == "rotsym":
-        return factor_sq_distance(factor, x[:, None], x[None, :]), None
+        diff = np.subtract.outer(x[:, 0], x[:, 0])
+        return np.square(diff, out=diff), None
     w = _gram(factor, x)
     if not return_dw:
         return np.square(_angle_from_inner(factor, w), out=w), None
@@ -603,13 +604,17 @@ def pairwise_sq_distances(spec: ManifoldSpec, blocks: Sequence[np.ndarray],
     ``return_dw``, also a list with each factor's ``dw`` terms for
     :func:`pairwise_sq_distance_grad` (None for flat factors)."""
     blocks = _check_blocks(spec, blocks, "points")
-    n = blocks[0].shape[0]
-    total = np.zeros((n, n))
+    total = None
     dws = []
     for f, x in zip(spec.factors, blocks):
         sq, dw = _pairwise_factor(f, x, return_dw)
         sq *= f.lam**2
-        total += sq
+        if total is None:
+            # the sum accumulates in the first factor's buffer; no factor's sq
+            # holds -0.0, so the bits are those of a sum that starts from 0.0
+            total = sq
+        else:
+            total += sq
         del sq  # before the next factor's (n, n) temporaries
         dws.append(dw)
     np.fill_diagonal(total, 0.0)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, forman, from_mask, triangle_counts
+from .graph import Graph, _forman_entries, forman, from_mask, triangle_counts
 from .manifold import pairwise_sq_distances
 from .metrics import reconstructed_forman
 from .optim import Embedding
@@ -33,7 +33,7 @@ class ReconstructionResult:
     def to_json_dict(self) -> dict:
         return {
             "rho": self.rho,
-            "edges": [[int(i), int(j)] for i, j in self.graph.edges()],
+            "edges": self.graph.edges().tolist(),
             "mismatch": self.mismatch,
             "correction_log": [
                 {"node": int(n), "action": a, "accepted": bool(ok)}
@@ -85,6 +85,8 @@ def tune_threshold(emb: Embedding, g_true: Graph, val_fraction: float = 0.10,
     vj = np.tile(np.arange(n), k)
     keep = vi != vj
     vi, vj = vi[keep], vj[keep]
+    if vi.size == 0:
+        raise ValueError("the validation sample has no node pairs")
     dists = dm[vi, vj]
     is_edge = adj[vi, vj]
 
@@ -155,21 +157,28 @@ def curvature_correction(emb: Embedding, a_rho: Graph, rho: float, step: float,
     rho + step (densify); too-high at rho - step (sparsify). Each change is
     accepted only if the summed error strictly decreases. ``sq`` as in
     :func:`nn_graph`.
+
+    A candidate at node i moves only the Forman values of i, of its old and
+    new neighbours and of the neighbours of its toggled partners; only those
+    are recomputed, on an adjacency mask, degrees and packed rows that are
+    edited in place and built at the first row that changes.
     """
     if not (0.0 < percentile < 100.0):
         raise ValueError("percentile must be in (0, 100)")
     if step <= 0:
         raise ValueError("step must be positive")
     proxy = reconstructed_forman(emb)
-    dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks) if sq is None else sq)
+    if sq is None:
+        sq = pairwise_sq_distances(emb.spec, emb.blocks)
 
-    current, adj = a_rho, a_rho.adjacency_mask()
-    f_now = forman(current, gamma).node_values
+    f_now = forman(a_rho, gamma).node_values
     err = np.abs(proxy - f_now)
     err_total = float(err.sum())
     cutoff = float(np.percentile(err, percentile))
     worklist = [i for i in np.argsort(-err, kind="stable") if err[i] > cutoff]
 
+    adj = deg = bits = None  # the current graph's state, once a row changes
+    changed = False
     log: list[tuple[int, str, bool]] = []
     for i in worklist:
         diff = proxy[i] - f_now[i]
@@ -181,20 +190,47 @@ def curvature_correction(emb: Embedding, a_rho: Graph, rho: float, step: float,
         else:
             action = "sparsify"
             radius = max(rho - step, 0.0)
-        row = dm[i] <= radius
+        row = np.sqrt(sq[i]) <= radius
         row[i] = False
-        if np.array_equal(row, adj[i]):
+        nbrs = a_rho.adj[i] if adj is None else np.flatnonzero(adj[i])
+        partners = np.setxor1d(np.flatnonzero(row), nbrs, assume_unique=True)
+        if partners.size == 0:
             log.append((int(i), action, False))
             continue
-        cand_adj = adj.copy()
-        cand_adj[i] = cand_adj[:, i] = row
-        candidate = from_mask(cand_adj)
-        f_cand = forman(candidate, gamma).node_values
-        cand_total = float(np.abs(proxy - f_cand).sum())
+        if adj is None:
+            adj, deg, bits = a_rho.adjacency_mask(), a_rho.degrees, a_rho.adjacency_bits()
+        _toggle_edges(adj, deg, bits, i, partners)
+        # nodes whose degree, neighbours' degrees or edge triangles moved
+        moved = adj[i] | adj[partners].any(axis=0)
+        moved[partners] = moved[i] = True
+        moved = np.flatnonzero(moved)
+        rows, cols = np.divmod(np.flatnonzero(adj[moved]), a_rho.n)
+        _, f_moved = _forman_entries(deg, bits, moved[rows], cols, gamma)
+        f_old = f_now[moved]
+        f_now[moved] = f_moved[moved]
+        cand_total = float(np.abs(proxy - f_now).sum())
         accept = cand_total < err_total
         log.append((int(i), action, accept))
         if accept:
-            current, adj, f_now, err_total = candidate, cand_adj, f_cand, cand_total
+            err_total, changed = cand_total, True
+        else:
+            _toggle_edges(adj, deg, bits, i, partners)
+            f_now[moved] = f_old
 
+    current = from_mask(adj) if changed else a_rho
     mismatch = edge_mismatch(current, g_true) if g_true is not None else None
     return ReconstructionResult(rho=rho, graph=current, mismatch=mismatch, correction_log=log)
+
+
+def _toggle_edges(adj: np.ndarray, deg: np.ndarray, bits: np.ndarray, i: int,
+                  partners: np.ndarray) -> None:
+    """Flips the edges (i, j), j in ``partners``, in place in the adjacency
+    mask, the degrees and the packed rows; a second call undoes the first."""
+    adj[i, partners] ^= True
+    adj[partners, i] = adj[i, partners]
+    delta = np.where(adj[i, partners], 1, -1)
+    deg[partners] += delta
+    deg[i] += delta.sum()
+    np.bitwise_xor.at(bits[i], partners // 64,
+                      np.uint64(1) << (partners % 64).astype(np.uint64))
+    bits[partners, i // 64] ^= np.uint64(1) << np.uint64(i % 64)

@@ -103,6 +103,23 @@ def forman_reference(g: Graph, gamma: float, normalize: bool = False):
     return np.array(edge_values), node_values
 
 
+def pairwise_sq_distances_reference(spec, blocks) -> np.ndarray:
+    """The all-pairs squared product distance summed from 0.0, one weighted
+    factor at a time; radial factors by the broadcast row kernel."""
+    from hetembed.manifold import _pairwise_factor, factor_sq_distance
+
+    n = blocks[0].shape[0]
+    total = np.zeros((n, n))
+    for f, x in zip(spec.factors, blocks):
+        if f.kind == "rotsym":
+            sq = factor_sq_distance(f, x[:, None], x[None, :])
+        else:
+            sq, _ = _pairwise_factor(f, x, False)
+        total += f.lam**2 * sq
+    np.fill_diagonal(total, 0.0)
+    return total
+
+
 def curvature_correction_reference(emb, a_rho: Graph, rho: float, step: float,
                                    percentile: float = 90.0, gamma: float = 1.0,
                                    g_true: Graph | None = None):

@@ -1,0 +1,58 @@
+"""The benchmark's counter hooks (bench/tracer.py) read the arguments and
+results of named package functions; these tests fail when a rename in the
+package would leave a hook reading nothing."""
+
+import importlib
+import importlib.util
+import inspect
+import re
+import types
+from pathlib import Path
+
+import numpy as np
+
+from hetembed.graph import forman
+from hetembed.manifold import parse_manifold
+from hetembed.optim import Embedding, ShiftConstants
+from hetembed.reconstruct import curvature_correction, nn_graph
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counter_hooks_name_public_functions_and_their_arguments():
+    tracer = _load_tracer()
+    bound_names = set()
+    for name, hook in tracer.COUNTERS.items():
+        layer, attr = name.split(".")
+        assert layer in tracer.LAYERS, name
+        module = importlib.import_module(f"hetembed.{layer}")
+        fn = getattr(module, attr, None)
+        # what Tracer.install wraps: public functions defined in the module itself
+        assert isinstance(fn, types.FunctionType) and not attr.startswith("_"), name
+        assert fn.__module__ == module.__name__, name
+        bound = set(re.findall(r'call\.arguments\["(\w+)"\]', inspect.getsource(hook)))
+        assert bound <= set(inspect.signature(fn).parameters), (name, bound)
+        bound_names |= bound
+    assert bound_names == {"emb", "pairs", "path"}
+
+
+def test_correction_hook_reads_the_log():
+    rng = np.random.default_rng(3)
+    emb = Embedding(spec=parse_manifold("e2,rot(a=1.0)"),
+                    blocks=[rng.uniform(0, 3, (16, 2)), rng.uniform(0.05, 2.0, (16, 1))])
+    a_rho = nn_graph(emb, 0.8)
+    emb.shift_constants = ShiftConstants(min_forman=forman(a_rho).min_node, delta_hat=1.0,
+                                         lam=1.0, r_h=0.0)
+    result = curvature_correction(emb, a_rho, rho=0.8, step=0.3, percentile=50.0)
+    log = result.correction_log
+    assert log
+    hook = _load_tracer().COUNTERS["reconstruct.curvature_correction"]
+    assert hook(None, result) == {"worklist_nodes": len(log),
+                                  "accepted": sum(1 for _, _, ok in log if ok)}

@@ -9,10 +9,11 @@ from hetembed.fileio import (
     embedding_from_json,
     embedding_to_json,
     parse_config_text,
+    write_embedding,
 )
 from hetembed.graph import load_edge_list, save_edge_list
 from hetembed.manifold import parse_manifold
-from hetembed.optim import TrainConfig, train
+from hetembed.optim import Embedding, TrainConfig, train
 from hetembed.randgraph import SampleConfig, generate_heterogeneous
 from hetembed.synthetic import cycle_tree, path_graph, random_connected_graph
 
@@ -183,6 +184,17 @@ class TestCliCommands:
         payload = json.loads(out.read_text())
         assert {"rho", "edges", "mismatch", "correction_log", "triangles"} <= set(payload)
         assert payload["triangles"]["ad_nn"] >= 0.0
+
+    def test_reconstruct_one_node_exit_1(self, tmp_path, capsys):
+        # a one-node graph leaves the threshold search no validation pair
+        graph = tmp_path / "one.edges"
+        graph.write_text("7 7\n")
+        emb_path = tmp_path / "one.json"
+        write_embedding(Embedding(spec=parse_manifold("e2"), blocks=[np.zeros((1, 2))]), emb_path)
+        assert run_cli("reconstruct", str(graph), str(emb_path)) == 1
+        err = capsys.readouterr().err
+        assert "error: the validation sample has no node pairs" in err
+        assert "Traceback" not in err
 
     def test_generate_outputs(self, tmp_path):
         out_dir = tmp_path / "gen"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hetembed.graph import (
     EdgeListParseError,
     UNREACHABLE,
+    _forman_entries,
     bfs_apsp,
     forman,
     forman_dirichlet_energy,
@@ -230,6 +231,30 @@ class TestForman:
                 edge_ref, node_ref = forman_reference(g, gamma, normalize)
                 assert f.edge_values.tolist() == edge_ref.tolist()
                 assert f.node_values.tobytes() == node_ref.tobytes()
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_entry_kernel_matches_edge_loop_on_row_subsets(self, normalize, rng):
+        # the kernel behind forman and the correction loop's partial recomputes;
+        # two nodes past the last id are isolated, n = 132 packs three words a row
+        for seed, n in enumerate((20, 40, 70, 130)):
+            g = from_edges(n + 2, gnp_graph(n, 0.04 + 0.04 * seed, seed=seed).edges())
+            deg, bits = g.degrees, g.adjacency_bits()
+            rows, cols = g.entries()
+            for gamma in (0.3, 0.7, 1.0, 4.0):
+                edge_ref, node_ref = forman_reference(g, gamma, normalize)
+                values, nodes = _forman_entries(deg, bits, rows, cols, gamma, normalize)
+                assert values[rows < cols].tobytes() == edge_ref.tobytes()
+                assert nodes.tobytes() == node_ref.tobytes()
+                f = forman(g, gamma=gamma, normalize_by_max_degree=normalize)
+                assert f.edge_values.tobytes() == edge_ref.tobytes()
+                assert f.node_values.tobytes() == node_ref.tobytes()
+                for _ in range(3):
+                    subset = np.sort(rng.choice(g.n, size=int(rng.integers(1, g.n)),
+                                                replace=False))
+                    listed = np.isin(rows, subset)
+                    _, nodes = _forman_entries(deg, bits, rows[listed], cols[listed], gamma,
+                                               normalize)
+                    assert nodes[subset].tobytes() == node_ref[subset].tobytes()
 
     def test_regular_triangle_free_constant(self):
         # every d-regular triangle-free graph has node value 4 - 2d

@@ -33,7 +33,7 @@ from hetembed.manifold import (
     tangent_basis,
 )
 
-from conftest import quadric_sq_dw_reference, simpson_grid
+from conftest import pairwise_sq_distances_reference, quadric_sq_dw_reference, simpson_grid
 
 
 def rotsym_curvature_oracle(alpha: float, r: float, h: float = 1e-4) -> float:
@@ -150,6 +150,23 @@ def _random_tangent(spec, point, rng, scale=1.0):
 class TestPairwiseKernel:
     """One Gram matmul and one arccos or arccosh per quadric factor give both
     the squared distances and d(sq)/dw."""
+
+    def test_matches_summed_reference_bytewise(self, rng):
+        # the sum accumulates in the first factor's buffer; its bits, the sign
+        # of zero included, stay those of a sum that starts from 0.0
+        for text in ("h3,rot(a=1.0,l=0.5)", "e2,h2", "rot(a=1.0),s2,e1", "e2",
+                     "rot(a=1.0)", "s2,h2,e2,rot(a=1.0,l=0.5)"):
+            spec = resolve_spec(parse_manifold(text))
+            pts = _random_points(spec, rng, 9)
+            for b in pts:
+                b[4] = b[1]  # coincident in every factor
+            pts[0][6] = pts[0][7]  # coincident in the first factor only
+            want = pairwise_sq_distances_reference(spec, pts)
+            got = pairwise_sq_distances(spec, pts)
+            assert got.tobytes() == want.tobytes()
+            assert not np.signbit(got).any()  # no -0.0 for a sum from 0.0 to turn into +0.0
+            total, _ = pairwise_sq_distances(spec, pts, return_dw=True)
+            assert total.tobytes() == want.tobytes()
 
     def test_matches_separate_passes_bitwise(self, rng):
         spec = resolve_spec(parse_manifold("h2,s2,e2,h3,rot(a=1.0,l=0.5)"))

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from hetembed.graph import forman, from_edges, triangle_counts
-from hetembed.manifold import parse_manifold, resolve_spec, rotsym_curvature_inverse
+from hetembed.manifold import (
+    pairwise_sq_distances,
+    parse_manifold,
+    resolve_spec,
+    rotsym_curvature_inverse,
+)
 from hetembed.metrics import reconstructed_forman
 from hetembed.optim import Embedding, ShiftConstants, TrainConfig, initialize
 from hetembed.reconstruct import (
@@ -229,7 +234,7 @@ class TestCurvatureCorrection:
 
     @staticmethod
     def _random_case(seed, n, gamma, rho=0.8, drop=0.2):
-        """Random e2 x rot cloud; its threshold graph with a fifth of the edges dropped."""
+        """Random e2 x rot cloud; its threshold graph with a share ``drop`` of the edges dropped."""
         rng = np.random.default_rng(seed)
         emb = Embedding(spec=parse_manifold("e2,rot(a=1.0)"),
                         blocks=[rng.uniform(0, 3, (n, 2)), rng.uniform(0.05, 2.0, (n, 1))])
@@ -241,6 +246,22 @@ class TestCurvatureCorrection:
                                              delta_hat=float(rng.uniform(0, 4)), lam=1.0, r_h=0.0)
         return emb, a_rho, g_true
 
+    @staticmethod
+    def _against_reference(emb, a_rho, g_true, gamma, rho=0.8, step=0.3, percentile=70.0):
+        """Runs the loop and its edge-set oracle, checks they agree bit for bit
+        and returns (result, outcome per logged node)."""
+        log, edges, mismatch, kinds = curvature_correction_reference(
+            emb, a_rho, rho=rho, step=step, percentile=percentile, gamma=gamma, g_true=g_true)
+        result = curvature_correction(emb, a_rho, rho=rho, step=step, percentile=percentile,
+                                      gamma=gamma, g_true=g_true)
+        assert result.correction_log == log
+        assert [tuple(e) for e in result.graph.edges().tolist()] == edges
+        assert result.mismatch == mismatch
+        # the accept decisions compare sums of these node values
+        assert (forman(result.graph, gamma).node_values.tobytes()
+                == forman_reference(result.graph, gamma)[1].tobytes())
+        return result, kinds
+
     def test_matches_edge_set_reference(self):
         # gamma 0.7 gives non-integer node values, whose bits depend on the
         # order in which each node adds its edge values
@@ -249,17 +270,31 @@ class TestCurvatureCorrection:
         outcomes, actions = Counter(), Counter()
         for seed, n, gamma in cases:
             emb, a_rho, g_true = self._random_case(seed, n, gamma)
-            log, edges, mismatch, kinds = curvature_correction_reference(
-                emb, a_rho, rho=0.8, step=0.3, percentile=70.0, gamma=gamma, g_true=g_true)
-            result = curvature_correction(emb, a_rho, rho=0.8, step=0.3, percentile=70.0,
-                                          gamma=gamma, g_true=g_true)
-            assert result.correction_log == log
-            assert [tuple(e) for e in result.graph.edges().tolist()] == edges
-            assert result.mismatch == mismatch
-            # the accept decisions compare sums of these node values
-            assert (forman(result.graph, gamma).node_values.tobytes()
-                    == forman_reference(result.graph, gamma)[1].tobytes())
+            result, kinds = self._against_reference(emb, a_rho, g_true, gamma)
             outcomes.update(kinds)
-            actions.update(a for _, a, _ in log)
+            actions.update(a for _, a, _ in result.correction_log)
         assert set(outcomes) == {"accepted", "rejected", "unchanged"}
         assert set(actions) == {"densify", "sparsify"}
+
+    def test_many_accepts_and_an_isolating_sparsify_match_reference(self):
+        # each accepted change is the state the next candidates edit in place
+        rho, step = 0.8, 0.3
+        emb, a_rho, g_true = self._random_case(0, 30, 0.7, drop=0.2)
+        result, kinds = self._against_reference(emb, a_rho, g_true, 0.7, rho=rho, step=step,
+                                                percentile=50.0)
+        assert kinds.count("accepted") >= 3
+        dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks))
+        np.fill_diagonal(dm, np.inf)
+        # an accepted sparsify that leaves its node with no edge at all
+        assert any(action == "sparsify" and ok and dm[i].min() > rho - step
+                   for i, action, ok in result.correction_log)
+        edges = result.to_json_dict()["edges"]
+        assert edges == [[int(i), int(j)] for i, j in result.graph.edges()]
+        assert all(type(v) is int for edge in edges for v in edge)
+
+    def test_all_unchanged_returns_the_input_graph(self):
+        # a tiny step re-thresholds every row of the threshold graph to itself
+        emb, a_rho, g_true = self._random_case(2, 30, 0.7, drop=0.0)
+        result, kinds = self._against_reference(emb, a_rho, g_true, 0.7, step=1e-9)
+        assert kinds and set(kinds) == {"unchanged"}
+        assert result.graph is a_rho
