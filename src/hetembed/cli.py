@@ -23,7 +23,7 @@ from .graph import (
     triangle_counts,
 )
 from .manifold import pairwise_sq_distances, parse_manifold
-from .optim import NumericAbortError, TrainConfig, train
+from .optim import Embedding, NumericAbortError, TrainConfig, train
 
 
 def _load_graph(path: str) -> Graph:
@@ -36,6 +36,15 @@ def _load_graph(path: str) -> Graph:
         print(f"note: dropped {g.meta['duplicates_dropped']} duplicate edge(s) and "
               f"{g.meta['self_loops_dropped']} self-loop(s)", file=sys.stderr)
     return g
+
+
+def _load_graph_and_embedding(args: argparse.Namespace) -> tuple[Graph, Embedding]:
+    """The graph and embedding files named by ``args``; their node counts must match."""
+    g = _load_graph(args.graph)
+    emb = fileio.read_embedding(args.embedding)
+    if emb.n != g.n:
+        raise ValueError(f"embedding has {emb.n} nodes but graph has {g.n}")
+    return g, emb
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -69,10 +78,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    g = _load_graph(args.graph)
-    emb = fileio.read_embedding(args.embedding)
-    if emb.n != g.n:
-        raise ValueError(f"embedding has {emb.n} nodes but graph has {g.n}")
+    g, emb = _load_graph_and_embedding(args)
     f_signal = forman(g, args.gamma, normalize_by_max_degree=args.normalized_forman)
     report = metrics.evaluate(emb, g, f_signal)
     text = report.to_json()
@@ -83,10 +89,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    g = _load_graph(args.graph)
-    emb = fileio.read_embedding(args.embedding)
-    if emb.n != g.n:
-        raise ValueError(f"embedding has {emb.n} nodes but graph has {g.n}")
+    g, emb = _load_graph_and_embedding(args)
     sq = pairwise_sq_distances(emb.spec, emb.blocks)  # shared by every stage below
     rho = args.rho if args.rho is not None else recon.tune_threshold(
         emb, g, val_fraction=args.val_fraction, seed=args.seed, sq=sq
@@ -145,10 +148,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_volume(args) -> int:
-    g = _load_graph(args.graph)
-    emb = fileio.read_embedding(args.embedding)
-    if emb.n != g.n:
-        raise ValueError(f"embedding has {emb.n} nodes but graph has {g.n}")
+    g, emb = _load_graph_and_embedding(args)
     graph_norm, vol_norm = metrics.volume_match(emb, g, rho=args.rho)
     fileio.write_volume_csv(graph_norm, vol_norm, args.out)
     print(f"wrote {args.out}")

@@ -23,24 +23,30 @@ class EdgeListParseError(ValueError):
 
 @dataclass
 class Graph:
-    """Simple undirected graph on nodes 0..n-1 with sorted adjacency arrays.
+    """Simple undirected graph on nodes 0..n-1 in CSR layout.
 
-    Invariants: adjacency is symmetric, has no self-loops and no duplicates.
-    Use :func:`from_edges` / :func:`from_mask` / :func:`load_edge_list` rather
-    than building the adjacency by hand.
+    The neighbours of node i are ``indices[indptr[i]:indptr[i + 1]]``, sorted;
+    both arrays are int64. Invariants: adjacency is symmetric, has no
+    self-loops and no duplicates. Use :func:`from_edges` / :func:`from_mask` /
+    :func:`load_edge_list` rather than building the arrays by hand.
     """
 
     n: int
-    adj: list[np.ndarray]
+    indptr: np.ndarray
+    indices: np.ndarray
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.array([a.size for a in self.adj], dtype=np.int64)
+        return np.diff(self.indptr)
 
     @property
     def num_edges(self) -> int:
-        return int(sum(a.size for a in self.adj)) // 2
+        return self.indices.size // 2
+
+    def neighbors(self, i: int) -> np.ndarray:
+        """Sorted neighbours of node i (a view into ``indices``)."""
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) int array with i < j, lexicographically sorted."""
@@ -48,28 +54,12 @@ class Graph:
         upper = rows < cols
         return np.column_stack([rows[upper], cols[upper]])
 
-    def has_edge(self, i: int, j: int) -> bool:
-        nbrs = self.adj[i]
-        pos = np.searchsorted(nbrs, j)
-        return pos < nbrs.size and nbrs[pos] == j
-
     def edge_set(self) -> set[tuple[int, int]]:
         return {(int(i), int(j)) for i, j in self.edges()}
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) arrays of the adjacency in CSR layout."""
-        degs = self.degrees
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        indices = (
-            np.concatenate(self.adj) if self.n and indptr[-1] else np.empty(0, dtype=np.int64)
-        )
-        return indptr, indices.astype(np.int64, copy=False)
-
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, column) arrays of every adjacency entry, in CSR order."""
-        indptr, indices = self.csr()
-        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr)), indices
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees), self.indices
 
     def adjacency_mask(self) -> np.ndarray:
         """(n, n) boolean adjacency matrix; :func:`from_mask` inverts it."""
@@ -87,18 +77,20 @@ class Graph:
 
 def _from_keys(n: int, keys: np.ndarray) -> Graph:
     """Build a Graph on n nodes from the distinct int64 keys i * n + j of its
-    edges (i < j), in any order: both directions sorted, then cut into rows."""
+    edges (i < j), in any order: both directions sorted, rows bounded by search."""
     rows, cols = np.divmod(keys, n)
     both = np.concatenate([keys, cols * n + rows])
     both.sort()
     rows, cols = np.divmod(both, n)
-    bounds = np.searchsorted(rows, np.arange(n + 1))
-    return Graph(n=n, adj=[cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
+    return Graph(n=n, indptr=np.searchsorted(rows, np.arange(n + 1)), indices=cols)
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an edge iterable; self-loops and duplicates are dropped."""
-    ends = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Graph:
+    """Build a Graph from an (m, 2) array or an edge iterable; self-loops and
+    duplicates are dropped."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     ends = ends[ends[:, 0] != ends[:, 1]]
     lo, hi = ends.min(axis=1), ends.max(axis=1)
     bad = (lo < 0) | (hi >= n)
@@ -132,39 +124,33 @@ def load_edge_list(source: str | bytes | IO) -> Graph:
         raw = source.read()
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
 
-    id_map: dict[int, int] = {}
-    seen: set[tuple[int, int]] = set()
-    duplicates = 0
-    self_loops = 0
+    labels: list[int] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped[0] in "#%":
+        tokens = line.split()
+        if not tokens or tokens[0][0] in "#%":
             continue
-        tokens = stripped.split()
         if len(tokens) != 2:
             raise EdgeListParseError(line_no, line, f"expected 2 integer tokens, got {len(tokens)}")
         try:
-            u_raw, v_raw = int(tokens[0]), int(tokens[1])
+            labels += int(tokens[0]), int(tokens[1])
         except ValueError:
             raise EdgeListParseError(line_no, line, "non-integer token") from None
-        for raw in (u_raw, v_raw):
-            if raw not in id_map:
-                id_map[raw] = len(id_map)
-        u, v = id_map[u_raw], id_map[v_raw]
-        if u == v:
-            self_loops += 1
-            continue
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
 
-    g = from_edges(len(id_map), seen)
+    try:
+        values = np.array(labels, dtype=np.int64)
+    except OverflowError:  # labels past int64 stay Python ints
+        values = np.array(labels, dtype=object)
+    uniq, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct labels in first-appearance order
+    ids = np.empty(uniq.size, dtype=np.int64)
+    ids[order] = np.arange(uniq.size)
+    ends = ids[inverse].reshape(-1, 2)
+    g = from_edges(uniq.size, ends)
+    self_loops = int(np.count_nonzero(ends[:, 0] == ends[:, 1]))
     g.meta.update(
-        duplicates_dropped=duplicates,
+        duplicates_dropped=ends.shape[0] - self_loops - g.num_edges,
         self_loops_dropped=self_loops,
-        id_map={str(k): v for k, v in id_map.items()},
+        id_map=dict(zip(map(str, uniq[order].tolist()), range(uniq.size))),
     )
     return g
 
@@ -200,7 +186,7 @@ def bfs_apsp(g: Graph) -> np.ndarray:
     n = g.n
     if n > MAX_DENSE_NODES:
         raise ValueError(f"dense distance matrix limited to n <= {MAX_DENSE_NODES}, got {n}")
-    indptr, indices = g.csr()
+    indptr, indices = g.indptr, g.indices
     if indices.size == 0:
         dist = np.full((n, n), UNREACHABLE, dtype=np.int16)
         np.fill_diagonal(dist, 0)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import UNREACHABLE, FormanSignal, Graph, bfs_apsp, connected_pairs
+from .graph import UNREACHABLE, FormanSignal, Graph, bfs_apsp
 from .manifold import annular_volume, pairwise_sq_distances, rotsym_curvature
 from .optim import Embedding
 
@@ -44,13 +44,13 @@ def avg_distance_distortion(emb: Embedding, g: Graph, dist: np.ndarray | None = 
     """
     if dist is None:
         dist = bfs_apsp(g)
-    pairs = connected_pairs(dist)
-    if pairs.shape[0] == 0:
+    connected = np.triu(dist != UNREACHABLE, 1)  # read in connected_pairs' row-major order
+    if not connected.any():
         raise ValueError("graph has no connected pairs")
     if sq is None:
         sq = pairwise_sq_distances(emb.spec, emb.blocks)
-    d_m = np.sqrt(sq[pairs[:, 0], pairs[:, 1]])
-    d_g = dist[pairs[:, 0], pairs[:, 1]].astype(np.float64)
+    d_m = np.sqrt(sq[connected])
+    d_g = dist[connected].astype(np.float64)
     return float(np.abs(1.0 - d_m / d_g).mean())
 
 
@@ -68,7 +68,7 @@ def mean_average_precision(emb: Embedding, g: Graph, sq: np.ndarray | None = Non
     ap_sum = 0.0
     rated = 0
     for i in range(n):
-        nbrs = g.adj[i]
+        nbrs = g.neighbors(i)
         if nbrs.size == 0:
             continue
         row = np.delete(sq[i], i)
@@ -144,11 +144,11 @@ def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal,
     """Assemble the full metric report for one embedding."""
     if dist is None:
         dist = bfs_apsp(g)
-    pairs = connected_pairs(dist)
+    n_pairs = int(np.count_nonzero(np.triu(dist != UNREACHABLE, 1)))
     notes = []
     total_pairs = g.n * (g.n - 1) // 2
-    if pairs.shape[0] < total_pairs:
-        notes.append(f"excluded {total_pairs - pairs.shape[0]} disconnected pairs")
+    if n_pairs < total_pairs:
+        notes.append(f"excluded {total_pairs - n_pairs} disconnected pairs")
     isolated = int((g.degrees == 0).sum())
     if isolated:
         notes.append(f"skipped {isolated} isolated nodes in mAP")
@@ -165,6 +165,6 @@ def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal,
         ad_c=ad_c,
         forman_variance=forman_variance(f_signal),
         ad_triangle=None,
-        n_pairs_used=int(pairs.shape[0]),
+        n_pairs_used=n_pairs,
         notes=notes,
     )

@@ -192,7 +192,7 @@ def curvature_correction(emb: Embedding, a_rho: Graph, rho: float, step: float,
             radius = max(rho - step, 0.0)
         row = np.sqrt(sq[i]) <= radius
         row[i] = False
-        nbrs = a_rho.adj[i] if adj is None else np.flatnonzero(adj[i])
+        nbrs = a_rho.neighbors(i) if adj is None else np.flatnonzero(adj[i])
         partners = np.setxor1d(np.flatnonzero(row), nbrs, assume_unique=True)
         if partners.size == 0:
             log.append((int(i), action, False))

@@ -18,8 +18,8 @@ def floyd_warshall(g: Graph) -> np.ndarray:
     inf = float("inf")
     d = np.full((n, n), inf)
     np.fill_diagonal(d, 0.0)
-    for i, nbrs in enumerate(g.adj):
-        for j in nbrs:
+    for i in range(n):
+        for j in g.neighbors(i):
             d[i, j] = 1.0
     for k in range(n):
         d = np.minimum(d, d[:, [k]] + d[[k], :])
@@ -32,7 +32,7 @@ def map_bruteforce(g: Graph, dist_matrix: np.ndarray) -> float:
     n = g.n
     ap_scores = []
     for i in range(n):
-        nbrs = set(int(x) for x in g.adj[i])
+        nbrs = set(int(x) for x in g.neighbors(i))
         if not nbrs:
             continue
         ap = 0.0
@@ -88,7 +88,7 @@ def forman_reference(g: Graph, gamma: float, normalize: bool = False):
     Returns (edge values, node values).
     """
     deg = g.degrees
-    nbrs = [set(a.tolist()) for a in g.adj]
+    nbrs = [set(g.neighbors(i).tolist()) for i in range(g.n)]
     edge_values = []
     node_values = np.zeros(g.n)
     for i, j in g.edges().tolist():
@@ -187,6 +187,56 @@ def save_edge_list_reference(g: Graph) -> str:
     return "".join(lines)
 
 
+def load_edge_list_reference(source) -> Graph:
+    """The edge-list parse by a per-line loop: an id dict in first-appearance
+    order and a set of edge tuples, duplicates and self-loops counted as met."""
+    from hetembed.graph import EdgeListParseError, from_edges
+
+    if isinstance(source, bytes):
+        text = source.decode("utf-8")
+    elif isinstance(source, str):
+        text = source
+    else:
+        raw = source.read()
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+
+    id_map: dict[int, int] = {}
+    seen: set[tuple[int, int]] = set()
+    duplicates = 0
+    self_loops = 0
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#%":
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(line_no, line, f"expected 2 integer tokens, got {len(tokens)}")
+        try:
+            u_raw, v_raw = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise EdgeListParseError(line_no, line, "non-integer token") from None
+        for raw in (u_raw, v_raw):
+            if raw not in id_map:
+                id_map[raw] = len(id_map)
+        u, v = id_map[u_raw], id_map[v_raw]
+        if u == v:
+            self_loops += 1
+            continue
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+
+    g = from_edges(len(id_map), seen)
+    g.meta.update(
+        duplicates_dropped=duplicates,
+        self_loops_dropped=self_loops,
+        id_map={str(k): v for k, v in id_map.items()},
+    )
+    return g
+
+
 def tune_threshold_reference(emb, g_true: Graph, val_fraction: float = 0.10,
                              seed: int = 0) -> float:
     """The threshold band sweep as a loop over every band between consecutive
@@ -242,8 +292,8 @@ def max_clique_reference(g: Graph, time_budget: float = 10.0) -> tuple[int, bool
     if n == 0:
         return 0, True
     masks = [0] * n
-    for i, nbrs in enumerate(g.adj):
-        for j in nbrs:
+    for i in range(n):
+        for j in g.neighbors(i):
             masks[i] |= 1 << int(j)
     if all(m == 0 for m in masks):
         return 1, True

@@ -19,7 +19,56 @@ from hetembed.graph import (
 )
 from hetembed.synthetic import complete_graph, cycle_graph, gnp_graph, path_graph
 
-from conftest import floyd_warshall, forman_reference, save_edge_list_reference
+from conftest import (
+    floyd_warshall,
+    forman_reference,
+    load_edge_list_reference,
+    save_edge_list_reference,
+)
+
+
+def assert_csr(g):
+    """int64 CSR arrays: indptr runs from 0 to 2m without decreasing, and
+    every row is sorted with no repeat."""
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    assert g.indptr.shape == (g.n + 1,)
+    assert g.indptr[0] == 0 and g.indptr[-1] == 2 * g.num_edges == g.indices.size
+    assert (np.diff(g.indptr) >= 0).all()
+    for i in range(g.n):
+        assert (np.diff(g.neighbors(i)) > 0).all()
+
+
+_BIG_LABELS = [2**63 - 1, 2**63, 2**63 + 1, 2**64 + 5, -(2**63), -(2**63) - 1, -(10**30)]
+_SMALL_LABEL = st.integers(-30, 30)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text from a small label pool (so duplicates, mirrored edges
+    and self-loops are common) with comments, blanks and at most one
+    malformed line."""
+    pool = draw(st.lists(st.one_of(_SMALL_LABEL, st.sampled_from(_BIG_LABELS))
+                         if draw(st.booleans()) else _SMALL_LABEL,
+                         min_size=1, max_size=10, unique=True))
+    # a zero-padded, signed token reads as the same label
+    label = st.builds(lambda v, pad: (f"+0{v}" if v >= 0 else f"-0{-v}") if pad else str(v),
+                      st.sampled_from(pool), st.booleans())
+    edge = st.builds(lambda a, sep, b, pad: f"{pad}{a}{sep}{b}{pad}",
+                     label, st.sampled_from([" ", "\t", "   "]), label,
+                     st.sampled_from(["", " ", "\t"]))
+    other = st.sampled_from(["", "   ", "# header", "% 1 2 3", "  # 4 5", "#", "%"])
+    lines = draw(st.lists(edge | other, max_size=40))
+    bad = draw(st.none() | st.sampled_from(["1 2 3", "x 1", "1", "1 2.5", "0x1 2", "1 #2"]))
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _parse(load, text):
+    try:
+        return load(text), None
+    except EdgeListParseError as exc:
+        return None, exc
 
 
 class TestLoadEdgeList:
@@ -53,6 +102,28 @@ class TestLoadEdgeList:
         g2 = load_edge_list(text)
         assert g2.n == g.n
         assert g2.edge_set() == g.edge_set()
+
+    def test_labels_past_int64(self):
+        # a mix of negative and past-int64 labels must not collapse into floats
+        g = load_edge_list(f"-1 {2**63}\n{2**63 + 1} -1\n{2**63} {2**63 + 1}\n")
+        assert g.n == 3 and g.num_edges == 3
+        assert g.meta["id_map"] == {"-1": 0, str(2**63): 1, str(2**63 + 1): 2}
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_list_texts())
+    def test_matches_line_loop(self, text):
+        g, err = _parse(load_edge_list, text)
+        g_ref, err_ref = _parse(load_edge_list_reference, text)
+        if err_ref is not None:
+            assert type(err) is type(err_ref)
+            assert (err.line_no, str(err)) == (err_ref.line_no, str(err_ref))
+            return
+        assert err is None
+        assert g.n == g_ref.n
+        assert np.array_equal(g.indptr, g_ref.indptr) and np.array_equal(g.indices, g_ref.indices)
+        assert g.meta == g_ref.meta
+        assert list(g.meta["id_map"].items()) == list(g_ref.meta["id_map"].items())
+        assert_csr(g)
 
     def test_bytes_input(self):
         g = load_edge_list(b"0 1\n")
@@ -90,9 +161,10 @@ class TestLoadEdgeList:
             assert g.meta["self_loops_dropped"] == int((raw[:, 0] == raw[:, 1]).sum())
             assert g.meta["duplicates_dropped"] == int((raw[:, 0] != raw[:, 1]).sum()) - len(keys)
             assert g.meta["id_map"] == {str(v): i for v, i in ids.items()}
-            for i, row in enumerate(g.adj):
+            assert_csr(g)
+            for i in range(g.n):
                 want = sorted({b for a, b in keys if a == i} | {a for a, b in keys if b == i})
-                assert row.dtype == np.int64 and row.tolist() == want
+                assert g.neighbors(i).tolist() == want
 
 
 class TestBfsApsp:
@@ -133,7 +205,8 @@ class TestBfsApsp:
         base = gnp_graph(130, 0.03, seed=3)
         remap = np.concatenate([np.arange(70), np.arange(80, 140)])
         g = from_edges(150, [(remap[i], remap[j]) for i, j in base.edges()])
-        assert g.adj[75].size == 0 and g.adj[149].size == 0
+        assert g.neighbors(75).size == 0 and g.neighbors(149).size == 0
+        assert_csr(g)
         assert np.array_equal(bfs_apsp(g), floyd_warshall(g))
 
 
@@ -149,8 +222,9 @@ class TestFromMask:
         g = from_mask(mask)
         assert g.n == 9
         assert g.edge_set() == expected.edge_set()
-        assert all(np.array_equal(a, b) and a.dtype == b.dtype
-                   for a, b in zip(g.adj, expected.adj))
+        assert np.array_equal(g.indptr, expected.indptr)
+        assert np.array_equal(g.indices, expected.indices)
+        assert_csr(g)
         assert np.array_equal(from_mask(g.adjacency_mask()).edges(), g.edges())
 
     def test_rejects_non_square(self):
@@ -287,7 +361,7 @@ class TestDirichletEnergy:
         deg = g.degrees
         total = 0.0
         for i in range(g.n):
-            for j in g.adj[i]:
+            for j in g.neighbors(i):
                 total += (f.node_values[i] / math.sqrt(deg[i])
                           - f.node_values[j] / math.sqrt(deg[j])) ** 2
         expected = total / 2.0

@@ -76,7 +76,7 @@ class TestTuneThreshold:
         dm = np.abs(emb.blocks[0][:, 0][:, None] - emb.blocks[0][:, 0][None, :])
         adj = np.zeros((n, n), dtype=bool)
         for i in range(n):
-            adj[i, g.adj[i]] = True
+            adj[i, g.neighbors(i)] = True
 
         def mismatch(r):
             total = 0
