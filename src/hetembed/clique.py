@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _pack_rows
 
 
 def _color_order(p: int, masks: list[int]) -> tuple[list[int], list[int]]:
@@ -44,13 +44,8 @@ def _degree_order_masks(g: Graph) -> list[int]:
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(-g.degrees, kind="stable")] = np.arange(n)
     rows, cols = g.entries()
-    rows, cols = rank[rows], rank[cols]
-    # one little-endian byte row per vertex; never an (n, n) bool matrix
-    width = (n + 7) // 8
-    packed = np.zeros(n * width, dtype=np.uint8)
-    np.bitwise_or.at(packed, rows * width + cols // 8, (1 << (cols % 8)).astype(np.uint8))
-    data = packed.tobytes()
-    return [int.from_bytes(data[k * width:(k + 1) * width], "little") for k in range(n)]
+    bits = _pack_rows(n, rank[rows], rank[cols])
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
 
 
 def max_clique(g: Graph, time_budget: float = 10.0) -> tuple[int, bool]:

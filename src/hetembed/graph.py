@@ -21,7 +21,7 @@ class EdgeListParseError(ValueError):
         super().__init__(f"line {line_no}: {reason}: {line!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Graph:
     """Simple undirected graph on nodes 0..n-1 in CSR layout.
 
@@ -34,7 +34,14 @@ class Graph:
     n: int
     indptr: np.ndarray
     indices: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
+    meta: dict = field(default_factory=dict, repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        """Same node count and edges; ``meta`` is not compared."""
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -69,10 +76,15 @@ class Graph:
 
     def adjacency_bits(self) -> np.ndarray:
         """Adjacency rows packed into uint64 words, for fast set intersection."""
-        rows, cols = self.entries()
-        bits = np.zeros((self.n, (self.n + 63) // 64), dtype=np.uint64)
-        np.bitwise_or.at(bits, (rows, cols // 64), np.uint64(1) << (cols % 64).astype(np.uint64))
-        return bits
+        return _pack_rows(self.n, *self.entries())
+
+
+def _pack_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(n, ceil(n / 64)) little-endian uint64 words with bit ``col % 64`` of
+    word ``col // 64`` set in row ``row`` for every entry."""
+    bits = np.zeros((n, (n + 63) // 64), dtype="<u8")
+    np.bitwise_or.at(bits, (rows, cols // 64), np.uint64(1) << (cols % 64).astype(np.uint64))
+    return bits
 
 
 def _from_keys(n: int, keys: np.ndarray) -> Graph:

@@ -206,10 +206,6 @@ def resolve_spec(spec: ManifoldSpec, alpha: float | None = None,
 # ---------------------------------------------------------------------------
 # rotationally symmetric factor: phi_a(r) = a * arctan(r / a)
 
-def rotsym_phi(alpha: float, r):
-    return alpha * np.arctan(np.asarray(r, dtype=float) / alpha)
-
-
 def _u_over_arctan(u: np.ndarray) -> np.ndarray:
     """u / arctan(u) with the removable singularity at 0 filled in."""
     small = np.abs(u) < _SERIES_U
@@ -429,6 +425,24 @@ def factor_exp(factor: Factor, p: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def sample_tangent_ball(factor: Factor, n: int, radius: float,
+                        rng: np.random.Generator) -> np.ndarray:
+    """n points of a space-form factor: tangent vectors uniform in the ball of
+    ``radius`` at the base point, pushed through exp. The base point is the
+    origin, or the pole (0,..,0,1) of a quadric, where tangents have last
+    coordinate 0."""
+    d = factor.dim
+    direction = rng.standard_normal((n, d))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radii = radius * rng.random(n) ** (1.0 / d)
+    tangent = direction * radii[:, None]
+    if factor.kind == "euclidean":
+        return tangent
+    pole = np.zeros((n, d + 1))
+    pole[:, -1] = 1.0
+    return factor_exp(factor, pole, np.concatenate([tangent, np.zeros((n, 1))], axis=1))
+
+
 def factor_tangency_error(factor: Factor, p: np.ndarray, v: np.ndarray) -> float:
     if factor.kind in ("euclidean", "rotsym"):
         return 0.0
@@ -619,34 +633,3 @@ def pairwise_sq_distances(spec: ManifoldSpec, blocks: Sequence[np.ndarray],
         dws.append(dw)
     np.fill_diagonal(total, 0.0)
     return (total, dws) if return_dw else total
-
-
-def tangent_basis(factor: Factor, p: np.ndarray) -> list[np.ndarray]:
-    """A basis of the tangent space at a single point of one factor.
-
-    Used by gradient checks: directions paired with the factor's metric give
-    coordinate-wise directional derivatives.
-    """
-    if factor.kind == "euclidean":
-        return [e for e in np.eye(factor.dim)]
-    if factor.kind == "rotsym":
-        return [np.ones(1)]
-    inner = (lambda a, b: float(a @ b)) if factor.kind == "sphere" else (
-        lambda a, b: float(_mink_inner(a, b))
-    )
-    basis: list[np.ndarray] = []
-    for e in np.eye(factor.block_dim):
-        if factor.kind == "sphere":
-            v = e - (e @ p) * p
-        else:
-            h = e.copy()
-            h[-1] = -h[-1]
-            v = h + _mink_inner(h, p) * p
-        for b in basis:
-            v = v - inner(v, b) * b
-        norm2 = inner(v, v)
-        if norm2 > 1e-12:
-            basis.append(v / math.sqrt(norm2))
-        if len(basis) == factor.dim:
-            break
-    return basis

@@ -71,12 +71,10 @@ def mean_average_precision(emb: Embedding, g: Graph, sq: np.ndarray | None = Non
         nbrs = g.neighbors(i)
         if nbrs.size == 0:
             continue
-        row = np.delete(sq[i], i)
-        row_sorted = np.sort(row)
-        nbr_sorted = np.sort(sq[i, nbrs])
         thresholds = sq[i, nbrs]
-        sizes = np.searchsorted(row_sorted, thresholds, side="right")
-        hits = np.searchsorted(nbr_sorted, thresholds, side="right")
+        # the row's own diagonal 0 is at or below every threshold: count it off
+        sizes = np.searchsorted(np.sort(sq[i]), thresholds, side="right") - 1
+        hits = np.searchsorted(np.sort(thresholds), thresholds, side="right")
         ap_sum += float((hits / sizes).mean())
         rated += 1
     if rated == 0:

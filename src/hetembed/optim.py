@@ -16,7 +16,6 @@ from .manifold import (
     TangencyError,
     alpha_from_range,
     exp_map,
-    factor_exp,
     pairwise_sq_distance_grad,
     pairwise_sq_distances,
     resolve_spec,
@@ -24,6 +23,7 @@ from .manifold import (
     rotsym_curvature,
     rotsym_curvature_derivative,
     rotsym_curvature_inverse,
+    sample_tangent_ball,
 )
 
 # default pair-batch size for graphs too large for full-batch steps
@@ -113,7 +113,6 @@ class Embedding:
     seed: int = 0
     epochs: int = 0
     config_digest: str = ""
-    notes: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -155,26 +154,13 @@ def initialize(spec: ManifoldSpec, g: Graph, cfg: TrainConfig) -> Embedding:
     if cfg.radial_init == "auto":
         raise ValueError("radial_init 'auto' must be resolved before initialize")
     rng = np.random.default_rng(cfg.seed)
-    n = g.n
     blocks: list[np.ndarray] = []
     for f in spec.factors:
         if f.kind == "rotsym":
             lo, hi = cfg.radial_init
-            blocks.append(rng.uniform(lo, hi, size=(n, 1)))
-            continue
-        d = f.dim
-        direction = rng.standard_normal((n, d))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radii = 0.1 * rng.random(n) ** (1.0 / d)
-        tangent = direction * radii[:, None]
-        if f.kind == "euclidean":
-            blocks.append(tangent)
+            blocks.append(rng.uniform(lo, hi, size=(g.n, 1)))
         else:
-            # tangent at the pole (0,..,0,1) keeps the last coordinate zero
-            base = np.zeros((n, d + 1))
-            base[:, -1] = 1.0
-            amb = np.concatenate([tangent, np.zeros((n, 1))], axis=1)
-            blocks.append(factor_exp(f, base, amb))
+            blocks.append(sample_tangent_ball(f, g.n, 0.1, rng))
     return Embedding(
         spec=spec, blocks=blocks, seed=cfg.seed, epochs=0, config_digest=cfg.digest()
     )
@@ -420,12 +406,5 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
             ) from exc
         history.append(epoch, l_d, l_c, (time.perf_counter() - t0) * 1000.0)
     emb.epochs = cfg.epochs
-    emb.notes.update(
-        batch_size=batch_size,
-        curvature_loss="active" if tau > 0 else "inactive",
-        disconnected_pairs_excluded=int(
-            g.n * (g.n - 1) // 2 - all_pairs.shape[0]
-        ),
-    )
     return emb, history
 

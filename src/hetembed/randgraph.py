@@ -9,7 +9,8 @@ import numpy as np
 
 from .clique import max_clique
 from .graph import Graph, from_mask, triangle_counts
-from .manifold import Factor, ManifoldSpec, factor_exp, pairwise_sq_distances, rotsym_curvature
+from .manifold import (Factor, ManifoldSpec, pairwise_sq_distances, rotsym_curvature,
+                       sample_tangent_ball)
 
 
 @dataclass
@@ -54,13 +55,7 @@ def sample_points(cfg: SampleConfig, with_radial: bool, seed: int | None = None)
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    direction = rng.standard_normal((cfg.n, 3))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    radii = cfg.tangent_radius * rng.random(cfg.n) ** (1.0 / 3.0)
-    tangent = np.concatenate([direction * radii[:, None], np.zeros((cfg.n, 1))], axis=1)
-    base = np.zeros((cfg.n, 4))
-    base[:, -1] = 1.0
-    blocks = [factor_exp(_H3, base, tangent)]
+    blocks = [sample_tangent_ball(_H3, cfg.n, cfg.tangent_radius, rng)]
     if with_radial:
         lo, hi = cfg.radial_interval
         blocks.append(rng.uniform(lo, hi, size=(cfg.n, 1)))
@@ -144,18 +139,9 @@ def degree_barycenter(histograms: list[np.ndarray]) -> np.ndarray:
     cums = [np.cumsum(p) for p in probs]
     breaks = np.unique(np.concatenate([c for c in cums] + [np.array([0.0])]))
     breaks = breaks[(breaks > 0) & (breaks <= 1.0 + 1e-12)]
-    out: dict[int, float] = {}
-    prev = 0.0
-    for c in breaks:
-        mid = 0.5 * (prev + c)
-        level = 0.0
-        for cum in cums:
-            level += float(np.searchsorted(cum, mid, side="left"))
-        avg = level / len(cums)
-        degree = int(np.floor(avg + 0.5))
-        out[degree] = out.get(degree, 0.0) + (c - prev)
-        prev = c
-    result = np.zeros(max(out) + 1)
-    for d, m in out.items():
-        result[d] = m
-    return result
+    mids = 0.5 * (np.concatenate([[0.0], breaks[:-1]]) + breaks)
+    level = np.zeros(breaks.size)
+    for cum in cums:
+        level += np.searchsorted(cum, mids, side="left")
+    degree = np.floor(level / len(cums) + 0.5).astype(np.int64)
+    return np.bincount(degree, weights=np.diff(breaks, prepend=0.0))

@@ -490,3 +490,129 @@ def train_reference(g: Graph, spec, cfg):
         loss_d.append(loss_distance(emb, target, all_pairs))
         loss_c.append(loss_curvature(emb, f_signal, cfg_run) if tau > 0 else 0.0)
     return emb.blocks, loss_d, loss_c
+
+
+def rotsym_phi(alpha: float, r):
+    """Profile of the radial factor, phi_a(r) = a * arctan(r / a)."""
+    return alpha * np.arctan(np.asarray(r, dtype=float) / alpha)
+
+
+def tangent_basis(factor, p: np.ndarray) -> list[np.ndarray]:
+    """A basis of the tangent space at a single point of one factor.
+
+    Used by gradient checks: directions paired with the factor's metric give
+    coordinate-wise directional derivatives.
+    """
+    import math
+
+    from hetembed.manifold import _mink_inner
+
+    if factor.kind == "euclidean":
+        return [e for e in np.eye(factor.dim)]
+    if factor.kind == "rotsym":
+        return [np.ones(1)]
+    inner = (lambda a, b: float(a @ b)) if factor.kind == "sphere" else (
+        lambda a, b: float(_mink_inner(a, b))
+    )
+    basis: list[np.ndarray] = []
+    for e in np.eye(factor.block_dim):
+        if factor.kind == "sphere":
+            v = e - (e @ p) * p
+        else:
+            h = e.copy()
+            h[-1] = -h[-1]
+            v = h + _mink_inner(h, p) * p
+        for b in basis:
+            v = v - inner(v, b) * b
+        norm2 = inner(v, v)
+        if norm2 > 1e-12:
+            basis.append(v / math.sqrt(norm2))
+        if len(basis) == factor.dim:
+            break
+    return basis
+
+
+def initialize_blocks_reference(spec, n: int, cfg) -> list[np.ndarray]:
+    """Start blocks drawn by a tangent-ball loop of its own: per space-form
+    factor a direction, a radius, the pole and the zero-padded tangent."""
+    from hetembed.manifold import factor_exp
+
+    rng = np.random.default_rng(cfg.seed)
+    blocks: list[np.ndarray] = []
+    for f in spec.factors:
+        if f.kind == "rotsym":
+            lo, hi = cfg.radial_init
+            blocks.append(rng.uniform(lo, hi, size=(n, 1)))
+            continue
+        d = f.dim
+        direction = rng.standard_normal((n, d))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        radii = 0.1 * rng.random(n) ** (1.0 / d)
+        tangent = direction * radii[:, None]
+        if f.kind == "euclidean":
+            blocks.append(tangent)
+        else:
+            # tangent at the pole (0,..,0,1) keeps the last coordinate zero
+            base = np.zeros((n, d + 1))
+            base[:, -1] = 1.0
+            amb = np.concatenate([tangent, np.zeros((n, 1))], axis=1)
+            blocks.append(factor_exp(f, base, amb))
+    return blocks
+
+
+def sample_points_reference(cfg, with_radial: bool, seed: int | None = None) -> list[np.ndarray]:
+    """The generator's H^3 (x R) cloud drawn by a tangent-ball sampler of its own."""
+    from hetembed.manifold import Factor, factor_exp
+
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    direction = rng.standard_normal((cfg.n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radii = cfg.tangent_radius * rng.random(cfg.n) ** (1.0 / 3.0)
+    tangent = np.concatenate([direction * radii[:, None], np.zeros((cfg.n, 1))], axis=1)
+    base = np.zeros((cfg.n, 4))
+    base[:, -1] = 1.0
+    blocks = [factor_exp(Factor("hyperbolic", dim=3), base, tangent)]
+    if with_radial:
+        lo, hi = cfg.radial_interval
+        blocks.append(rng.uniform(lo, hi, size=(cfg.n, 1)))
+    return blocks
+
+
+def degree_order_masks_reference(g: Graph) -> list[int]:
+    """Neighbour bitmasks in descending-degree numbering, packed into
+    little-endian byte rows of their own."""
+    n = g.n
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(-g.degrees, kind="stable")] = np.arange(n)
+    rows, cols = g.entries()
+    rows, cols = rank[rows], rank[cols]
+    width = (n + 7) // 8
+    packed = np.zeros(n * width, dtype=np.uint8)
+    np.bitwise_or.at(packed, rows * width + cols // 8, (1 << (cols % 8)).astype(np.uint8))
+    data = packed.tobytes()
+    return [int.from_bytes(data[k * width:(k + 1) * width], "little") for k in range(n)]
+
+
+def degree_barycenter_reference(histograms) -> np.ndarray:
+    """Quantile-averaged barycenter by a loop over the breakpoints, one
+    searchsorted per histogram and breakpoint, masses summed in a dict."""
+    probs = [np.asarray(h, dtype=float) / np.sum(h) for h in histograms]
+    cums = [np.cumsum(p) for p in probs]
+    breaks = np.unique(np.concatenate([c for c in cums] + [np.array([0.0])]))
+    breaks = breaks[(breaks > 0) & (breaks <= 1.0 + 1e-12)]
+    out: dict[int, float] = {}
+    prev = 0.0
+    for c in breaks:
+        mid = 0.5 * (prev + c)
+        level = 0.0
+        for cum in cums:
+            level += float(np.searchsorted(cum, mid, side="left"))
+        avg = level / len(cums)
+        degree = int(np.floor(avg + 0.5))
+        out[degree] = out.get(degree, 0.0) + (c - prev)
+        prev = c
+    result = np.zeros(max(out) + 1)
+    for d, m in out.items():
+        result[d] = m
+    return result

@@ -24,7 +24,6 @@ from hetembed.manifold import (
     parse_manifold,
     resolve_spec,
     rotsym_curvature,
-    tangent_basis,
 )
 from hetembed.metrics import (
     avg_curvature_distortion,
@@ -53,7 +52,7 @@ from hetembed.reconstruct import (
 from hetembed.synthetic import cycle_tree, gnp_graph, random_connected_graph
 
 from conftest import (floyd_warshall, graph_sq_distances, map_bruteforce, pair_sq_distances,
-                      simpson_grid, spearman)
+                      simpson_grid, spearman, tangent_basis)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 

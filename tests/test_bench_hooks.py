@@ -5,18 +5,22 @@ package would leave a hook reading nothing."""
 import importlib
 import importlib.util
 import inspect
+import json
 import re
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 
+from hetembed.fileio import read_embedding
 from hetembed.graph import forman
 from hetembed.manifold import parse_manifold
 from hetembed.optim import Embedding, ShiftConstants
 from hetembed.reconstruct import curvature_correction, nn_graph
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+WORKLOADS = TRACER.parent / "workloads.py"
 
 
 def _load_tracer():
@@ -56,3 +60,28 @@ def test_correction_hook_reads_the_log():
     hook = _load_tracer().COUNTERS["reconstruct.curvature_correction"]
     assert hook(None, result) == {"worklist_nodes": len(log),
                                   "accepted": sum(1 for _, _, ok in log if ok)}
+
+
+def test_reference_embedding_reads_back_as_the_benchmark_reads_it(tmp_path, monkeypatch):
+    # the benchmark writes cloud_recon's input embedding with the package's own
+    # Embedding, ShiftConstants and fileio; its check_embed reads "nodes"/"blocks"
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+
+    cloud = workloads.Cloud(n=12, tangent_radius=1.6, rho=4.5, ell=10.8, seed=7)
+    points, radii = workloads.sample_cloud(cloud)
+    path = tmp_path / "cloud.json"
+    workloads.write_reference_embedding(path, points, radii,
+                                        workloads.cloud_graph(cloud, points, radii))
+
+    emb = read_embedding(path)
+    assert emb.n == 12 and emb.shift_constants is not None
+    assert np.array_equal(emb.blocks[0], points) and np.array_equal(emb.blocks[1][:, 0], radii)
+    payload = json.loads(path.read_text())
+    kinds = [atom[0] for atom in payload["manifold"].split(",") if atom[0] in "ehsr"]
+    assert kinds == ["h", "r"] and len(payload["nodes"]) == 12
+    for k, block in enumerate(emb.blocks):
+        assert np.array_equal(np.array([node["blocks"][k] for node in payload["nodes"]]), block)

@@ -210,6 +210,21 @@ class TestBfsApsp:
         assert np.array_equal(bfs_apsp(g), floyd_warshall(g))
 
 
+class TestEquality:
+    def test_same_nodes_and_edges_compare_equal(self):
+        assert path_graph(3) == path_graph(3)
+        loaded = load_edge_list("0 1\n1 2\n1 2\n")
+        assert loaded.meta and loaded == from_edges(3, [(1, 2), (0, 1)])
+
+    def test_one_edge_or_one_node_apart_compare_unequal(self):
+        g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert g != from_edges(4, [(0, 1), (1, 2)])
+        assert g != from_edges(4, [(0, 1), (1, 2), (1, 3)])
+        assert g != from_edges(5, [(0, 1), (1, 2), (2, 3)])
+        assert from_edges(2, []) != from_edges(3, [])
+        assert g != g.edge_set()
+
+
 class TestFromMask:
     def test_reads_upper_triangle_only(self, rng):
         # asymmetric mask with a True diagonal: only cells above it count

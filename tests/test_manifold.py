@@ -27,13 +27,12 @@ from hetembed.manifold import (
     rotsym_curvature,
     rotsym_curvature_derivative,
     rotsym_curvature_inverse,
-    rotsym_phi,
     rotsym_sectional,
     scalar_curvature,
-    tangent_basis,
 )
 
-from conftest import pairwise_sq_distances_reference, quadric_sq_dw_reference, simpson_grid
+from conftest import (pairwise_sq_distances_reference, quadric_sq_dw_reference, rotsym_phi,
+                      simpson_grid, tangent_basis)
 
 
 def rotsym_curvature_oracle(alpha: float, r: float, h: float = 1e-4) -> float:

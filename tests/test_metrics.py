@@ -81,6 +81,18 @@ class TestMeanAveragePrecision:
                 map_bruteforce(g, d), abs=1e-12
             )
 
+    def test_coincident_points_and_ties_match_bruteforce(self, rng):
+        # integer coordinates on a line: neighbours coincide with their node,
+        # with each other and with non-neighbours; node 0 is isolated
+        for trial in range(10):
+            n = int(rng.integers(5, 30))
+            g = gnp_graph(n, 0.3, seed=trial + 200)
+            g = from_edges(n + 1, g.edges() + 1)
+            coords = rng.integers(0, 4, size=n + 1).astype(float)
+            d = np.abs(coords[:, None] - coords[None, :])
+            assert mean_average_precision(line_embedding(coords), g) == pytest.approx(
+                map_bruteforce(g, d), abs=1e-12)
+
     def test_invariant_under_increasing_transform(self, rng):
         g = gnp_graph(15, 0.3, seed=9)
         coords = rng.normal(0, 1, size=15)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hetembed.clique import max_clique
+from hetembed.clique import _degree_order_masks, max_clique
 from hetembed.graph import from_edges
 from hetembed.manifold import _mink_inner, rotsym_curvature
 from hetembed.randgraph import (
@@ -20,7 +20,8 @@ from hetembed.randgraph import (
 )
 from hetembed.synthetic import complete_graph, cycle_graph, gnp_graph, path_graph
 
-from conftest import max_clique_reference
+from conftest import (degree_barycenter_reference, degree_order_masks_reference,
+                      max_clique_reference, sample_points_reference)
 
 
 def clique_bruteforce(g) -> int:
@@ -65,6 +66,16 @@ class TestSamplePoints:
         a = sample_points(cfg, with_radial=True)
         b = sample_points(cfg, with_radial=True)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_matches_own_tangent_ball_sampler(self):
+        for cfg in (SampleConfig(n=1, seed=0), SampleConfig(n=131, tangent_radius=1.6, seed=7),
+                    SampleConfig(n=300, radial_interval=(0.5, 3.0), seed=2)):
+            for seed in (None, 0, 1, 4):
+                for with_radial in (False, True):
+                    got = sample_points(cfg, with_radial, seed=seed)
+                    want = sample_points_reference(cfg, with_radial, seed=seed)
+                    assert [(b.shape, b.tobytes()) for b in got] == [
+                        (b.shape, b.tobytes()) for b in want]
 
 
 class TestGenerators:
@@ -163,6 +174,14 @@ class TestGraphStats:
         for g in graphs:
             assert max_clique(g) == max_clique_reference(g)
 
+    def test_degree_order_masks_match_byte_rows(self):
+        # isolated nodes, and n on both sides of a 64-bit word boundary
+        graphs = [from_edges(0, []), from_edges(3, []), from_edges(9, [(0, 1), (1, 2), (4, 8)])]
+        graphs += [gnp_graph(n, 0.2, seed=n) for n in (63, 64, 65, 130)]
+        graphs += [generate_heterogeneous(SampleConfig(n=300, rho=7.0, ell=11.45), seed=1)]
+        for g in graphs:
+            assert _degree_order_masks(g) == degree_order_masks_reference(g)
+
     def test_max_clique_edge_cases(self):
         assert max_clique(from_edges(0, [])) == (0, True)
         assert max_clique(from_edges(3, [])) == (1, True)
@@ -228,6 +247,19 @@ class TestDegreeBarycenter:
 
         objective = {k: w2sq_to_point(k) for k in range(11)}
         assert min(objective, key=objective.get) == 5
+
+    def test_matches_breakpoint_loop(self, rng):
+        cases = [[np.array([0.0, 0.0, 5.0])], [np.array([3.0]), np.array([0.0, 1.0])],
+                 [np.array([1.0, 0.0, 4.0, 2.0, 0.0, 1.0])] * 3]
+        # zero bins inside; the last bin keeps the mass positive
+        cases += [[np.append(rng.integers(0, 6, size=int(rng.integers(0, 12))), 1).astype(float)
+                   for _ in range(int(rng.integers(1, 6)))] for _ in range(20)]
+        graphs, _ = run_generator("heterogeneous", SampleConfig(n=200, rho=7.0, ell=11.45,
+                                                                runs=4, seed=1), clique_budget=0.0)
+        cases.append([degree_histogram(g) for g in graphs])
+        for hists in cases:
+            got, want = degree_barycenter(hists), degree_barycenter_reference(hists)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
