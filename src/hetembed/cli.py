@@ -1,8 +1,8 @@
 """Command-line surface: embed, eval, reconstruct, generate, volume, stats.
 
-Exit codes: 0 success, 1 input/parse error, 2 numeric abort during training.
-All randomness flows from the --seed flag; identical invocations produce
-byte-identical primary outputs.
+Exit codes: 0 success, 1 input/parse error or out of memory, 2 numeric abort
+during training. All randomness flows from the --seed flag; identical
+invocations produce byte-identical primary outputs.
 """
 
 from __future__ import annotations
@@ -91,22 +91,24 @@ def _cmd_eval(args) -> int:
 def _cmd_reconstruct(args) -> int:
     g, emb = _load_graph_and_embedding(args)
     sq = pairwise_sq_distances(emb.spec, emb.blocks)  # shared by every stage below
+    # only the curvature stages read the proxy, which a homogeneous embedding lacks
+    proxy = metrics.reconstructed_forman(emb) if args.correct or args.triangles else None
     rho = args.rho if args.rho is not None else recon.tune_threshold(
-        emb, g, val_fraction=args.val_fraction, seed=args.seed, sq=sq
+        sq, g, val_fraction=args.val_fraction, seed=args.seed
     )
-    base = recon.nn_graph(emb, rho, sq)
+    base = recon.nn_graph(sq, rho)
     baseline = recon.edge_mismatch(base, g)
     result = recon.ReconstructionResult(rho=rho, graph=base, mismatch=baseline)
     if args.correct:
         result = recon.curvature_correction(
-            emb, base, rho=rho, step=args.step if args.step is not None else 0.1 * rho,
-            percentile=args.percentile, gamma=args.forman_gamma, g_true=g, sq=sq,
+            proxy, base, sq, rho=rho, step=args.step if args.step is not None else 0.1 * rho,
+            percentile=args.percentile, gamma=args.forman_gamma, g_true=g,
         )
     payload = result.to_json_dict()
     payload["mismatch_baseline"] = baseline
 
     if args.triangles:
-        est = recon.estimate_triangles(emb, result.graph, gamma=args.gamma)
+        est = recon.estimate_triangles(proxy, result.graph, gamma=args.gamma)
         _, true_counts = triangle_counts(g)
         payload["triangles"] = {
             "ad_nn": metrics.avg_triangle_distortion(true_counts, est.nn_baseline),
@@ -250,6 +252,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, EdgeListParseError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

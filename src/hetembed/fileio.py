@@ -55,6 +55,8 @@ def embedding_from_json(text: str) -> Embedding:
     nodes = payload["nodes"]
     if not nodes:
         raise ValueError("embedding has no nodes")
+    if [node["id"] for node in nodes] != list(range(len(nodes))):
+        raise ValueError("embedding node ids must be 0..n-1 in list order")
     blocks = [
         np.array([node["blocks"][k] for node in nodes], dtype=np.float64)
         for k in range(len(spec.factors))

@@ -61,9 +61,6 @@ class Graph:
         upper = rows < cols
         return np.column_stack([rows[upper], cols[upper]])
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(i), int(j)) for i, j in self.edges()}
-
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, column) arrays of every adjacency entry, in CSR order."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees), self.indices
@@ -265,7 +262,6 @@ class FormanSignal:
     which are excluded from min/max).
     """
 
-    gamma: float
     edge_values: np.ndarray
     node_values: np.ndarray
     normalized: bool = False
@@ -299,7 +295,6 @@ def forman(g: Graph, gamma: float = 1.0, normalize_by_max_degree: bool = False) 
     entry_values, node_values = _forman_entries(
         deg, g.adjacency_bits(), rows, cols, gamma, normalize_by_max_degree)
     return FormanSignal(
-        gamma=gamma,
         edge_values=entry_values[rows < cols],  # the rows of g.edges()
         node_values=node_values,
         normalized=normalize_by_max_degree,

@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-CONSTRAINT_TOL = 1e-9
 # below this r/alpha the 0/0 forms switch to series expansions
 _SERIES_U = 1e-3
 _SPACE_FORMS = ("euclidean", "sphere", "hyperbolic")

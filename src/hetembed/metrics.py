@@ -36,38 +36,30 @@ class EvalReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def avg_distance_distortion(emb: Embedding, g: Graph, dist: np.ndarray | None = None,
-                            sq: np.ndarray | None = None) -> float:
+def avg_distance_distortion(sq: np.ndarray, dist: np.ndarray) -> float:
     """Mean relative distance distortion |1 - d_M/d_G| over connected pairs.
 
-    ``sq``, if given, is the embedding's :func:`pairwise_sq_distances` matrix.
+    ``sq`` is the embedding's :func:`pairwise_sq_distances` matrix and ``dist``
+    the graph's :func:`bfs_apsp` hop matrix.
     """
-    if dist is None:
-        dist = bfs_apsp(g)
     connected = np.triu(dist != UNREACHABLE, 1)  # read in connected_pairs' row-major order
     if not connected.any():
         raise ValueError("graph has no connected pairs")
-    if sq is None:
-        sq = pairwise_sq_distances(emb.spec, emb.blocks)
     d_m = np.sqrt(sq[connected])
     d_g = dist[connected].astype(np.float64)
     return float(np.abs(1.0 - d_m / d_g).mean())
 
 
-def mean_average_precision(emb: Embedding, g: Graph, sq: np.ndarray | None = None) -> float:
+def mean_average_precision(sq: np.ndarray, g: Graph) -> float:
     """Neighbor-retrieval mAP with ties counted (<= comparisons).
 
     For every node i and graph neighbor j, precision is the fraction of graph
     neighbors among all nodes embedded at least as close as j. Isolated nodes
     are skipped. ``sq`` as in :func:`avg_distance_distortion`.
     """
-    n = g.n
-    if sq is None:
-        sq = pairwise_sq_distances(emb.spec, emb.blocks)
-    degrees = g.degrees
     ap_sum = 0.0
     rated = 0
-    for i in range(n):
+    for i in range(g.n):
         nbrs = g.neighbors(i)
         if nbrs.size == 0:
             continue
@@ -137,11 +129,9 @@ def volume_match(emb: Embedding, g: Graph, rho: float) -> tuple[np.ndarray, np.n
     return ball / ball.max(), vols / vols.max()
 
 
-def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal,
-             dist: np.ndarray | None = None) -> EvalReport:
+def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal) -> EvalReport:
     """Assemble the full metric report for one embedding."""
-    if dist is None:
-        dist = bfs_apsp(g)
+    dist = bfs_apsp(g)
     n_pairs = int(np.count_nonzero(np.triu(dist != UNREACHABLE, 1)))
     notes = []
     total_pairs = g.n * (g.n - 1) // 2
@@ -158,8 +148,8 @@ def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal,
         notes.append("forman signal normalized by max endpoint degree")
     sq = pairwise_sq_distances(emb.spec, emb.blocks)
     return EvalReport(
-        ad_d=avg_distance_distortion(emb, g, dist, sq),
-        map=mean_average_precision(emb, g, sq),
+        ad_d=avg_distance_distortion(sq, dist),
+        map=mean_average_precision(sq, g),
         ad_c=ad_c,
         forman_variance=forman_variance(f_signal),
         ad_triangle=None,

@@ -9,9 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, _forman_entries, forman, from_mask, triangle_counts
-from .manifold import pairwise_sq_distances
-from .metrics import reconstructed_forman
-from .optim import Embedding
 
 
 @dataclass
@@ -42,15 +39,13 @@ class ReconstructionResult:
         }
 
 
-def nn_graph(emb: Embedding, rho: float, sq: np.ndarray | None = None) -> Graph:
+def nn_graph(sq: np.ndarray, rho: float) -> Graph:
     """Edges between distinct nodes at embedded distance <= rho.
 
-    ``sq``, if given, is the embedding's :func:`pairwise_sq_distances` matrix.
+    ``sq`` is the embedding's (n, n) ``manifold.pairwise_sq_distances`` matrix.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if sq is None:
-        sq = pairwise_sq_distances(emb.spec, emb.blocks)
     return from_mask(sq <= rho * rho)
 
 
@@ -61,8 +56,8 @@ def edge_mismatch(a: Graph, b: Graph) -> int:
     return int(np.setxor1d(a.edges() @ [n, 1], b.edges() @ [n, 1]).size)
 
 
-def tune_threshold(emb: Embedding, g_true: Graph, val_fraction: float = 0.10,
-                   seed: int = 0, sq: np.ndarray | None = None) -> float:
+def tune_threshold(sq: np.ndarray, g_true: Graph, val_fraction: float = 0.10,
+                   seed: int = 0) -> float:
     """Distance threshold minimizing adjacency disagreements on a node sample.
 
     Disagreements are counted over the adjacency rows of a random 10% node
@@ -77,20 +72,22 @@ def tune_threshold(emb: Embedding, g_true: Graph, val_fraction: float = 0.10,
     k = max(1, int(round(val_fraction * n)))
     val = np.sort(rng.choice(n, size=k, replace=False))
 
-    dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks) if sq is None else sq)
     adj = g_true.adjacency_mask()
 
-    # every (validation node, other node) entry, deduplicated inside the sample
+    # every (validation node, other node) entry; a pair with both ends in the
+    # sample is counted once from each of its rows
     vi = np.repeat(val, n)
     vj = np.tile(np.arange(n), k)
     keep = vi != vj
     vi, vj = vi[keep], vj[keep]
     if vi.size == 0:
         raise ValueError("the validation sample has no node pairs")
-    dists = dm[vi, vj]
+    dists = np.sqrt(sq[vi, vj])
     is_edge = adj[vi, vj]
 
-    order = np.argsort(dists, kind="stable")
+    # only the edge count before each run of equal distances is read, so the
+    # order inside a run does not matter
+    order = np.argsort(dists)
     dists, is_edge = dists[order], is_edge[order]
     uniq, starts = np.unique(dists, return_index=True)
     edge_cum = np.concatenate([[0], np.cumsum(is_edge)])
@@ -127,16 +124,16 @@ def estimate_triangles_from_curvature(a_rho: Graph, node_curvature: np.ndarray,
     return est / (6.0 * gamma)
 
 
-def estimate_triangles(emb: Embedding, a_rho: Graph, gamma: float = 4.0) -> TriangleEstimates:
+def estimate_triangles(proxy: np.ndarray, a_rho: Graph, gamma: float = 4.0) -> TriangleEstimates:
     """Curvature-based triangle estimates on a reconstructed graph.
 
-    The manifold curvature at each embedded node, shift-adjusted back to the
-    Forman scale, substitutes for the (unknown) true node curvature; the
-    NN-only baseline counts triangles of ``a_rho`` directly.
+    ``proxy`` is the manifold curvature at each embedded node, shift-adjusted
+    back to the Forman scale (``metrics.reconstructed_forman``); it substitutes
+    for the (unknown) true node curvature. The NN-only baseline counts
+    triangles of ``a_rho`` directly.
     """
-    if a_rho.n != emb.n:
-        raise ValueError("reconstructed graph and embedding node counts differ")
-    proxy = reconstructed_forman(emb)
+    if a_rho.n != proxy.size:
+        raise ValueError("reconstructed graph and curvature proxy node counts differ")
     raw = estimate_triangles_from_curvature(a_rho, proxy, gamma)
     _, nn_counts = triangle_counts(a_rho)
     return TriangleEstimates(
@@ -144,10 +141,9 @@ def estimate_triangles(emb: Embedding, a_rho: Graph, gamma: float = 4.0) -> Tria
     )
 
 
-def curvature_correction(emb: Embedding, a_rho: Graph, rho: float, step: float,
-                         percentile: float = 90.0, gamma: float = 1.0,
-                         g_true: Graph | None = None,
-                         sq: np.ndarray | None = None) -> ReconstructionResult:
+def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: float,
+                         step: float, percentile: float = 90.0, gamma: float = 1.0,
+                         g_true: Graph | None = None) -> ReconstructionResult:
     """Locally re-threshold the worst curvature-mismatch nodes, keeping only
     changes that reduce the total curvature error.
 
@@ -155,29 +151,25 @@ def curvature_correction(emb: Embedding, a_rho: Graph, rho: float, step: float,
     given percentile are processed in descending error order. A node with
     too-low graph curvature gets its incident edges re-thresholded at
     rho + step (densify); too-high at rho - step (sparsify). Each change is
-    accepted only if the summed error strictly decreases. ``sq`` as in
-    :func:`nn_graph`.
+    accepted only if the summed error strictly decreases. ``proxy`` is as in
+    :func:`estimate_triangles` and ``sq`` as in :func:`nn_graph`.
 
     A candidate at node i moves only the Forman values of i, of its old and
     new neighbours and of the neighbours of its toggled partners; only those
     are recomputed, on an adjacency mask, degrees and packed rows that are
-    edited in place and built at the first row that changes.
+    edited in place.
     """
     if not (0.0 < percentile < 100.0):
         raise ValueError("percentile must be in (0, 100)")
     if step <= 0:
         raise ValueError("step must be positive")
-    proxy = reconstructed_forman(emb)
-    if sq is None:
-        sq = pairwise_sq_distances(emb.spec, emb.blocks)
-
     f_now = forman(a_rho, gamma).node_values
     err = np.abs(proxy - f_now)
     err_total = float(err.sum())
     cutoff = float(np.percentile(err, percentile))
     worklist = [i for i in np.argsort(-err, kind="stable") if err[i] > cutoff]
 
-    adj = deg = bits = None  # the current graph's state, once a row changes
+    adj, deg, bits = a_rho.adjacency_mask(), a_rho.degrees, a_rho.adjacency_bits()
     changed = False
     log: list[tuple[int, str, bool]] = []
     for i in worklist:
@@ -192,13 +184,10 @@ def curvature_correction(emb: Embedding, a_rho: Graph, rho: float, step: float,
             radius = max(rho - step, 0.0)
         row = np.sqrt(sq[i]) <= radius
         row[i] = False
-        nbrs = a_rho.neighbors(i) if adj is None else np.flatnonzero(adj[i])
-        partners = np.setxor1d(np.flatnonzero(row), nbrs, assume_unique=True)
+        partners = np.setxor1d(np.flatnonzero(row), np.flatnonzero(adj[i]), assume_unique=True)
         if partners.size == 0:
             log.append((int(i), action, False))
             continue
-        if adj is None:
-            adj, deg, bits = a_rho.adjacency_mask(), a_rho.degrees, a_rho.adjacency_bits()
         _toggle_edges(adj, deg, bits, i, partners)
         # nodes whose degree, neighbours' degrees or edge triangles moved
         moved = adj[i] | adj[partners].any(axis=0)

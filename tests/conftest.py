@@ -11,6 +11,21 @@ import pytest
 
 from hetembed.graph import Graph, UNREACHABLE
 
+# tolerance of the sphere and hyperboloid constraints in the geometry tests
+CONSTRAINT_TOL = 1e-9
+
+
+def edge_set(g: Graph) -> set[tuple[int, int]]:
+    """The edges of ``g`` as a set of (i, j) tuples with i < j."""
+    return {(int(i), int(j)) for i, j in g.edges()}
+
+
+def sq_distances(emb) -> np.ndarray:
+    """The embedding's (n, n) squared product distances, as the CLI builds them."""
+    from hetembed.manifold import pairwise_sq_distances
+
+    return pairwise_sq_distances(emb.spec, emb.blocks)
+
 
 def floyd_warshall(g: Graph) -> np.ndarray:
     """Dense all-pairs shortest paths, O(n^3)."""
@@ -137,7 +152,7 @@ def curvature_correction_reference(emb, a_rho: Graph, rho: float, step: float,
     proxy = reconstructed_forman(emb)
     dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks))
     n = a_rho.n
-    edges = a_rho.edge_set()
+    edges = edge_set(a_rho)
     err = np.abs(proxy - forman_reference(a_rho, gamma)[1])
     err_total = float(err.sum())
     cutoff = float(np.percentile(err, percentile))
@@ -166,7 +181,7 @@ def curvature_correction_reference(emb, a_rho: Graph, rho: float, step: float,
         outcomes.append("accepted" if accept else "rejected")
         if accept:
             current, edges, err_total = candidate, new_edges, cand_total
-    mismatch = len(current.edge_set() ^ g_true.edge_set()) if g_true is not None else None
+    mismatch = len(edge_set(current) ^ edge_set(g_true)) if g_true is not None else None
     return log, sorted(edges), mismatch, outcomes
 
 

@@ -30,6 +30,7 @@ from hetembed.metrics import (
     avg_distance_distortion,
     avg_triangle_distortion,
     mean_average_precision,
+    reconstructed_forman,
     volume_match,
 )
 from hetembed.optim import (
@@ -52,7 +53,7 @@ from hetembed.reconstruct import (
 from hetembed.synthetic import cycle_tree, gnp_graph, random_connected_graph
 
 from conftest import (floyd_warshall, graph_sq_distances, map_bruteforce, pair_sq_distances,
-                      simpson_grid, spearman, tangent_basis)
+                      simpson_grid, spearman, sq_distances, tangent_basis)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -280,7 +281,7 @@ def test_criterion_3_oracle_equivalence():
         coords = rng.normal(0, 1, size=(n, 2))
         emb = Embedding(spec=parse_manifold("e2"), blocks=[coords])
         d = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1))
-        assert mean_average_precision(emb, g) == pytest.approx(
+        assert mean_average_precision(sq_distances(emb), g) == pytest.approx(
             map_bruteforce(g, d), abs=1e-12)
         checked += 1
 
@@ -316,8 +317,8 @@ def test_criterion_4_table1_aves_wildbird():
     assert g.n == 131 and g.num_edges == 1444  # Table 1 sizes
     emb, _ = train(g, parse_manifold("h5,h5,rot(a=auto)"),
                    _dataset_train_config(seed=11))
-    ad_d = avg_distance_distortion(emb, g)
-    m_ap = mean_average_precision(emb, g)
+    ad_d = avg_distance_distortion(sq_distances(emb), bfs_apsp(g))
+    m_ap = mean_average_precision(sq_distances(emb), g)
     ad_c = avg_curvature_distortion(emb, forman(g, 1.0))
     elapsed = time.perf_counter() - start
     assert ad_d <= 0.12
@@ -334,7 +335,7 @@ def test_criterion_4_extended_cs_phd():
     assert g.n == 1025 and g.num_edges == 1043  # Table 1 sizes
     emb, _ = train(g, parse_manifold("h5,h5,rot(a=auto)"),
                    _dataset_train_config(seed=11))
-    ad_d = avg_distance_distortion(emb, g)
+    ad_d = avg_distance_distortion(sq_distances(emb), bfs_apsp(g))
     assert ad_d <= 0.06
     report("4 extended", f"cs-phd AD_d={ad_d:.3f}")
 
@@ -346,8 +347,8 @@ def _dataset_train_config(seed: int) -> TrainConfig:
 
 
 def test_criterion_4s_synthetic_twin(twin_graph, twin_het):
-    ad_d = avg_distance_distortion(twin_het, twin_graph)
-    m_ap = mean_average_precision(twin_het, twin_graph)
+    ad_d = avg_distance_distortion(sq_distances(twin_het), bfs_apsp(twin_graph))
+    m_ap = mean_average_precision(sq_distances(twin_het), twin_graph)
     ad_c = avg_curvature_distortion(twin_het, forman(twin_graph, 1.0))
     # twin gates calibrated to this graph's Forman scale (|F|+1 denominators
     # are ~10x smaller than Aves-Wildbird's, which makes AD_c harder here)
@@ -370,15 +371,15 @@ def test_criterion_5_homogeneous_parity_aves():
     het, _ = train(g, parse_manifold("h5,h5,rot(a=auto)"), _dataset_train_config(seed=11))
     hom, _ = train(g, parse_manifold("h5,h5"),
                    replace(_dataset_train_config(seed=11), tau=0.0, lambda_rot=1.0))
-    ad_het = avg_distance_distortion(het, g)
-    ad_hom = avg_distance_distortion(hom, g)
+    ad_het = avg_distance_distortion(sq_distances(het), bfs_apsp(g))
+    ad_hom = avg_distance_distortion(sq_distances(hom), bfs_apsp(g))
     assert ad_het <= ad_hom + 0.03
     report("5", f"aves het AD_d={ad_het:.3f} vs homog {ad_hom:.3f}")
 
 
 def test_criterion_5s_synthetic_twin(twin_graph, twin_het, twin_homog):
-    ad_het = avg_distance_distortion(twin_het, twin_graph)
-    ad_hom = avg_distance_distortion(twin_homog, twin_graph)
+    ad_het = avg_distance_distortion(sq_distances(twin_het), bfs_apsp(twin_graph))
+    ad_hom = avg_distance_distortion(sq_distances(twin_homog), bfs_apsp(twin_graph))
     assert ad_het <= ad_hom + 0.03
     report("5s", f"twin het AD_d={ad_het:.3f} vs homog {ad_hom:.3f} (within +0.03)")
 
@@ -423,9 +424,9 @@ def test_criterion_6_triangle_estimation_aves():
 
     cfg = replace(TWIN_CFG_GAMMA4, seed=11)
     emb, _ = train(g, parse_manifold("h5,h5,rot(a=auto)"), cfg)
-    rho = tune_threshold(emb, g, seed=3)
-    rec = nn_graph(emb, rho)
-    est = estimate_triangles(emb, rec, gamma=4.0)
+    rho = tune_threshold(sq_distances(emb), g, seed=3)
+    rec = nn_graph(sq_distances(emb), rho)
+    est = estimate_triangles(reconstructed_forman(emb), rec, gamma=4.0)
     ad_nn = avg_triangle_distortion(true_tri, est.nn_baseline)
     ad_curv = avg_triangle_distortion(true_tri, est.clamped)
     assert ad_curv <= 0.8 * ad_nn
@@ -445,9 +446,9 @@ def test_criterion_6_exact_identity_synthetic():
 
 def test_criterion_6s_synthetic_twin(twin_graph, twin_g4):
     _, true_tri = triangle_counts(twin_graph)
-    rho = tune_threshold(twin_g4, twin_graph, seed=3)
-    rec = nn_graph(twin_g4, rho)
-    est = estimate_triangles(twin_g4, rec, gamma=4.0)
+    rho = tune_threshold(sq_distances(twin_g4), twin_graph, seed=3)
+    rec = nn_graph(sq_distances(twin_g4), rho)
+    est = estimate_triangles(reconstructed_forman(twin_g4), rec, gamma=4.0)
     ad_nn = avg_triangle_distortion(true_tri, est.nn_baseline)
     ad_curv = avg_triangle_distortion(true_tri, est.clamped)
     assert ad_curv <= 0.8 * ad_nn
@@ -545,11 +546,12 @@ def test_criterion_9_curvature_correction_web_edu():
 
     cfg = replace(_dataset_train_config(seed=11), epochs=600, batch_pairs=200_000)
     emb, _ = train(g, parse_manifold("h5,h5,rot(a=auto)"), cfg)
-    rho = tune_threshold(emb, g, seed=3)
-    base = nn_graph(emb, rho)
+    rho = tune_threshold(sq_distances(emb), g, seed=3)
+    base = nn_graph(sq_distances(emb), rho)
     mis0 = edge_mismatch(base, g)
-    corrected = curvature_correction(emb, base, rho=rho, step=0.2 * rho,
-                                     percentile=90.0, gamma=1.0, g_true=g)
+    corrected = curvature_correction(reconstructed_forman(emb), base, sq_distances(emb),
+                                     rho=rho, step=0.2 * rho, percentile=90.0, gamma=1.0,
+                                     g_true=g)
     elapsed = time.perf_counter() - start
     assert mis0 > 0
     assert corrected.mismatch <= 0.95 * mis0
@@ -558,11 +560,12 @@ def test_criterion_9_curvature_correction_web_edu():
 
 
 def test_criterion_9s_synthetic_twin(twin_graph, twin_g4):
-    rho = tune_threshold(twin_g4, twin_graph, seed=3)
-    base = nn_graph(twin_g4, rho)
+    rho = tune_threshold(sq_distances(twin_g4), twin_graph, seed=3)
+    base = nn_graph(sq_distances(twin_g4), rho)
     mis0 = edge_mismatch(base, twin_graph)
-    corrected = curvature_correction(twin_g4, base, rho=rho, step=0.2 * rho,
-                                     percentile=90.0, gamma=4.0, g_true=twin_graph)
+    corrected = curvature_correction(reconstructed_forman(twin_g4), base, sq_distances(twin_g4),
+                                     rho=rho, step=0.2 * rho, percentile=90.0, gamma=4.0,
+                                     g_true=twin_graph)
     assert mis0 > 0
     assert corrected.mismatch <= 0.96 * mis0  # measured 5.9% reduction
     accepted = [e for e in corrected.correction_log if e[2]]

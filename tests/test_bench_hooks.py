@@ -16,8 +16,11 @@ import numpy as np
 from hetembed.fileio import read_embedding
 from hetembed.graph import forman
 from hetembed.manifold import parse_manifold
+from hetembed.metrics import reconstructed_forman
 from hetembed.optim import Embedding, ShiftConstants
 from hetembed.reconstruct import curvature_correction, nn_graph
+
+from conftest import sq_distances
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 WORKLOADS = TRACER.parent / "workloads.py"
@@ -51,10 +54,11 @@ def test_correction_hook_reads_the_log():
     rng = np.random.default_rng(3)
     emb = Embedding(spec=parse_manifold("e2,rot(a=1.0)"),
                     blocks=[rng.uniform(0, 3, (16, 2)), rng.uniform(0.05, 2.0, (16, 1))])
-    a_rho = nn_graph(emb, 0.8)
+    a_rho = nn_graph(sq_distances(emb), 0.8)
     emb.shift_constants = ShiftConstants(min_forman=forman(a_rho).min_node, delta_hat=1.0,
                                          lam=1.0, r_h=0.0)
-    result = curvature_correction(emb, a_rho, rho=0.8, step=0.3, percentile=50.0)
+    result = curvature_correction(reconstructed_forman(emb), a_rho, sq_distances(emb), rho=0.8,
+                                  step=0.3, percentile=50.0)
     log = result.correction_log
     assert log
     hook = _load_tracer().COUNTERS["reconstruct.curvature_correction"]

@@ -55,6 +55,20 @@ class TestEmbeddingFile:
         with pytest.raises(ValueError):
             embedding_from_json(json.dumps({"format_version": 99, "nodes": []}))
 
+    def test_rejects_reordered_or_repeated_node_ids(self, tmp_path, graph_file):
+        # a reordered or repeated id would put coordinates on the wrong nodes
+        emb = Embedding(spec=parse_manifold("e2"),
+                        blocks=[np.arange(20, dtype=float).reshape(10, 2)])
+        payload = json.loads(embedding_to_json(emb))
+        nodes = payload["nodes"]
+        for bad in (nodes[1::-1] + nodes[2:], nodes[:1] + nodes[:-1]):
+            text = json.dumps({**payload, "nodes": bad})
+            with pytest.raises(ValueError, match="node ids"):
+                embedding_from_json(text)
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+            assert run_cli("eval", graph_file, str(path)) == 1
+
 
 class TestConfigFiles:
     def test_parse_and_types(self):
@@ -194,6 +208,25 @@ class TestCliCommands:
         assert run_cli("reconstruct", str(graph), str(emb_path)) == 1
         err = capsys.readouterr().err
         assert "error: the validation sample has no node pairs" in err
+        assert "Traceback" not in err
+
+    def test_reconstruct_homogeneous_needs_the_proxy_only_for_curvature(self, tmp_path,
+                                                                        graph_file):
+        emb_path = tmp_path / "emb.json"
+        assert run_cli("embed", graph_file, "-m", "e2", "--epochs", "4",
+                       "--out", str(emb_path)) == 0
+        assert run_cli("reconstruct", graph_file, str(emb_path)) == 0
+        for flag in ("--correct", "--triangles"):
+            assert run_cli("reconstruct", graph_file, str(emb_path), flag) == 1
+
+    def test_memory_error_exit_1(self, tmp_path, graph_file, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.21 GiB for an array")
+
+        monkeypatch.setattr("hetembed.cli.train", out_of_memory)
+        assert run_cli("embed", graph_file, "-m", "e2", "--out", str(tmp_path / "e.json")) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: ") and "Unable to allocate" in err
         assert "Traceback" not in err
 
     def test_generate_outputs(self, tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hetembed.manifold import (
-    CONSTRAINT_TOL,
     ManifoldSpec,
     ShapeError,
     TangencyError,
@@ -31,8 +30,8 @@ from hetembed.manifold import (
     scalar_curvature,
 )
 
-from conftest import (pairwise_sq_distances_reference, quadric_sq_dw_reference, rotsym_phi,
-                      simpson_grid, tangent_basis)
+from conftest import (CONSTRAINT_TOL, pairwise_sq_distances_reference, quadric_sq_dw_reference,
+                      rotsym_phi, simpson_grid, tangent_basis)
 
 
 def rotsym_curvature_oracle(alpha: float, r: float, h: float = 1e-4) -> float:

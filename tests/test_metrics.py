@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hetembed.graph import forman, from_edges
+from hetembed.graph import bfs_apsp, forman, from_edges
 from hetembed.manifold import parse_manifold, resolve_spec, rotsym_curvature_inverse
 from hetembed.metrics import (
     avg_curvature_distortion,
@@ -23,7 +23,7 @@ from hetembed.synthetic import (
     star_graph,
 )
 
-from conftest import map_bruteforce
+from conftest import map_bruteforce, sq_distances
 
 
 def line_embedding(coords):
@@ -33,29 +33,33 @@ def line_embedding(coords):
 
 class TestAvgDistanceDistortion:
     def test_isometric_p3(self):
-        assert avg_distance_distortion(line_embedding([0, 1, 2]), path_graph(3)) == 0.0
+        g = path_graph(3)
+        assert avg_distance_distortion(sq_distances(line_embedding([0, 1, 2])), bfs_apsp(g)) == 0.0
 
     def test_doubled_distances(self):
         # every embedded distance at exactly twice the hop distance
-        assert avg_distance_distortion(line_embedding([0, 2, 4]), path_graph(3)) \
+        g = path_graph(3)
+        assert avg_distance_distortion(sq_distances(line_embedding([0, 2, 4])), bfs_apsp(g)) \
             == pytest.approx(1.0)
 
     def test_scale_sensitivity(self):
         g = path_graph(4)
-        base = avg_distance_distortion(line_embedding([0, 1, 2, 3]), g)
-        stretched = avg_distance_distortion(line_embedding([0, 1.5, 3, 4.5]), g)
+        dist = bfs_apsp(g)
+        base = avg_distance_distortion(sq_distances(line_embedding([0, 1, 2, 3])), dist)
+        stretched = avg_distance_distortion(sq_distances(line_embedding([0, 1.5, 3, 4.5])), dist)
         assert base == 0.0 and stretched == pytest.approx(0.5)
 
     def test_disconnected_pairs_excluded(self):
         g = from_edges(4, [(0, 1), (2, 3)])
         emb = line_embedding([0, 1, 10, 11])
-        assert avg_distance_distortion(emb, g) == 0.0
+        assert avg_distance_distortion(sq_distances(emb), bfs_apsp(g)) == 0.0
 
 
 class TestMeanAveragePrecision:
     def test_perfect_retrieval(self):
         g = path_graph(3)
-        assert mean_average_precision(line_embedding([0, 1, 2]), g) == pytest.approx(1.0)
+        assert mean_average_precision(sq_distances(line_embedding([0, 1, 2])), g) \
+            == pytest.approx(1.0)
 
     def test_star_with_far_center_oracle(self):
         # center embedded far away while the leaves cluster
@@ -65,7 +69,7 @@ class TestMeanAveragePrecision:
                    - np.array([10.0, 0.0, 0.1, 0.2])[None, :])
         expected = map_bruteforce(g, d)
         assert expected == pytest.approx(0.5)
-        assert mean_average_precision(emb, g) == pytest.approx(expected)
+        assert mean_average_precision(sq_distances(emb), g) == pytest.approx(expected)
 
     def test_matches_bruteforce_random(self, rng):
         for trial in range(30):
@@ -77,7 +81,7 @@ class TestMeanAveragePrecision:
             emb = initialize(spec, g, TrainConfig(seed=trial, epochs=1))
             emb.blocks[0] = rng.normal(0, 1, size=(n, 3))
             d = np.sqrt(((emb.blocks[0][:, None] - emb.blocks[0][None]) ** 2).sum(-1))
-            assert mean_average_precision(emb, g) == pytest.approx(
+            assert mean_average_precision(sq_distances(emb), g) == pytest.approx(
                 map_bruteforce(g, d), abs=1e-12
             )
 
@@ -90,20 +94,20 @@ class TestMeanAveragePrecision:
             g = from_edges(n + 1, g.edges() + 1)
             coords = rng.integers(0, 4, size=n + 1).astype(float)
             d = np.abs(coords[:, None] - coords[None, :])
-            assert mean_average_precision(line_embedding(coords), g) == pytest.approx(
-                map_bruteforce(g, d), abs=1e-12)
+            assert mean_average_precision(sq_distances(line_embedding(coords)), g) \
+                == pytest.approx(map_bruteforce(g, d), abs=1e-12)
 
     def test_invariant_under_increasing_transform(self, rng):
         g = gnp_graph(15, 0.3, seed=9)
         coords = rng.normal(0, 1, size=15)
-        a = mean_average_precision(line_embedding(coords), g)
-        b = mean_average_precision(line_embedding(coords * 7.3), g)
+        a = mean_average_precision(sq_distances(line_embedding(coords)), g)
+        b = mean_average_precision(sq_distances(line_embedding(coords * 7.3)), g)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_in_unit_interval(self, rng):
         g = gnp_graph(12, 0.4, seed=3)
         emb = line_embedding(rng.normal(0, 1, size=12))
-        assert 0.0 <= mean_average_precision(emb, g) <= 1.0
+        assert 0.0 <= mean_average_precision(sq_distances(emb), g) <= 1.0
 
 
 def rot_embedding(radii, shift: ShiftConstants, alpha=1.0):
@@ -207,10 +211,10 @@ class TestPermutationInvariance:
         blocks2 = coords.copy()
         blocks2[perm] = coords
         emb2 = Embedding(spec=parse_manifold("e1"), blocks=[blocks2])
-        assert avg_distance_distortion(emb, g) == pytest.approx(
-            avg_distance_distortion(emb2, g2), rel=1e-12)
-        assert mean_average_precision(emb, g) == pytest.approx(
-            mean_average_precision(emb2, g2), rel=1e-12)
+        assert avg_distance_distortion(sq_distances(emb), bfs_apsp(g)) == pytest.approx(
+            avg_distance_distortion(sq_distances(emb2), bfs_apsp(g2)), rel=1e-12)
+        assert mean_average_precision(sq_distances(emb), g) == pytest.approx(
+            mean_average_precision(sq_distances(emb2), g2), rel=1e-12)
 
 
 class TestEvaluate:

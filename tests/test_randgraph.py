@@ -20,7 +20,7 @@ from hetembed.randgraph import (
 )
 from hetembed.synthetic import complete_graph, cycle_graph, gnp_graph, path_graph
 
-from conftest import (degree_barycenter_reference, degree_order_masks_reference,
+from conftest import (degree_barycenter_reference, degree_order_masks_reference, edge_set,
                       max_clique_reference, sample_points_reference)
 
 
@@ -99,13 +99,13 @@ class TestGenerators:
         spec = ManifoldSpec((Factor("hyperbolic", dim=3), Factor("rotsym", alpha=1.0)))
         sq = pairwise_sq_distances(spec, blocks)
         expected = {(i, j) for i in range(120) for j in range(i + 1, 120) if sq[i, j] <= 1.0}
-        assert het.edge_set() == expected
+        assert edge_set(het) == expected
 
     def test_monotone_in_rho_antitone_in_ell(self):
         base = dict(n=100, alpha=1.0, seed=9)
-        e1 = generate_heterogeneous(SampleConfig(rho=2.0, ell=2.0, **base)).edge_set()
-        e2 = generate_heterogeneous(SampleConfig(rho=3.5, ell=2.0, **base)).edge_set()
-        e3 = generate_heterogeneous(SampleConfig(rho=2.0, ell=4.0, **base)).edge_set()
+        e1 = edge_set(generate_heterogeneous(SampleConfig(rho=2.0, ell=2.0, **base)))
+        e2 = edge_set(generate_heterogeneous(SampleConfig(rho=3.5, ell=2.0, **base)))
+        e3 = edge_set(generate_heterogeneous(SampleConfig(rho=2.0, ell=4.0, **base)))
         assert e1 <= e2
         assert e3 <= e1
 
@@ -131,9 +131,9 @@ class TestGenerators:
         graphs, stats = run_generator("homogeneous", cfg)
         assert len(graphs) == 3 and len(stats) == 3
         # derived seeds differ, so the runs differ
-        assert graphs[0].edge_set() != graphs[1].edge_set()
+        assert edge_set(graphs[0]) != edge_set(graphs[1])
         graphs2, _ = run_generator("homogeneous", cfg)
-        assert all(a.edge_set() == b.edge_set() for a, b in zip(graphs, graphs2))
+        assert all(edge_set(a) == edge_set(b) for a, b in zip(graphs, graphs2))
 
 
 class TestGraphStats:

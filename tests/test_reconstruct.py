@@ -22,7 +22,8 @@ from hetembed.reconstruct import (
 )
 from hetembed.synthetic import complete_graph, gnp_graph, path_graph, random_connected_graph
 
-from conftest import curvature_correction_reference, forman_reference, tune_threshold_reference
+from conftest import (curvature_correction_reference, edge_set, forman_reference, sq_distances,
+                      tune_threshold_reference)
 
 
 def line_embedding(coords):
@@ -33,23 +34,23 @@ def line_embedding(coords):
 class TestNnGraph:
     def test_below_min_distance_empty(self):
         emb = line_embedding([0, 1, 2])
-        assert nn_graph(emb, 0.5).num_edges == 0
+        assert nn_graph(sq_distances(emb), 0.5).num_edges == 0
 
     def test_above_diameter_complete(self):
         emb = line_embedding([0, 1, 2])
-        g = nn_graph(emb, 10.0)
+        g = nn_graph(sq_distances(emb), 10.0)
         assert g.num_edges == 3
 
     def test_unit_spacing_path(self):
         emb = line_embedding([0, 1, 2, 3, 4])
-        g = nn_graph(emb, 1.0)
-        assert g.edge_set() == {(0, 1), (1, 2), (2, 3), (3, 4)}
+        g = nn_graph(sq_distances(emb), 1.0)
+        assert edge_set(g) == {(0, 1), (1, 2), (2, 3), (3, 4)}
 
     def test_monotone_in_rho(self, rng):
         emb = line_embedding(rng.normal(0, 2, size=12))
         previous = set()
         for rho in (0.3, 0.8, 1.5, 3.0, 8.0):
-            edges = nn_graph(emb, rho).edge_set()
+            edges = edge_set(nn_graph(sq_distances(emb), rho))
             assert previous <= edges
             previous = edges
 
@@ -59,15 +60,15 @@ class TestTuneThreshold:
         # all true-edge distances below all non-edge distances
         g = path_graph(4)
         emb = line_embedding([0.0, 1.0, 2.0, 3.0])
-        rho = tune_threshold(emb, g, seed=1)
-        rec = nn_graph(emb, rho)
+        rho = tune_threshold(sq_distances(emb), g, seed=1)
+        rec = nn_graph(sq_distances(emb), rho)
         assert edge_mismatch(rec, g) == 0
 
     def test_matches_dense_grid_oracle(self, rng):
         g = random_connected_graph(12, 0.25, seed=17)
         emb = line_embedding(rng.normal(0, 1.5, size=12))
         seed = 3
-        rho = tune_threshold(emb, g, seed=seed)
+        rho = tune_threshold(sq_distances(emb), g, seed=seed)
 
         # oracle: mismatch over a dense grid of thresholds, same validation rows
         n = g.n
@@ -103,28 +104,43 @@ class TestTuneThreshold:
         val_degrees = []
         for seed, (g, coords) in enumerate(cases):
             emb = line_embedding(coords)
-            rho = tune_threshold(emb, g, seed=seed)
+            rho = tune_threshold(sq_distances(emb), g, seed=seed)
             assert rho.hex() == tune_threshold_reference(emb, g, seed=seed).hex()
             val = np.random.default_rng(seed).choice(g.n, size=round(0.1 * g.n), replace=False)
-            val_degrees.append(set(nn_graph(emb, rho).degrees[val].tolist()))
+            val_degrees.append(set(nn_graph(sq_distances(emb), rho).degrees[val].tolist()))
         assert val_degrees[-3:] == [{0}, {1}, {29}]
+
+    def test_tie_heavy_grids_match_loop_reference(self, rng):
+        # integer e2 grids: coincident points and long runs of equal distances,
+        # whose order inside a run the sweep must not depend on
+        for trial in range(30):
+            n = int(rng.integers(6, 40))
+            g = gnp_graph(n, float(rng.uniform(0.1, 0.6)), seed=300 + trial)
+            emb = Embedding(spec=parse_manifold("e2"),
+                            blocks=[rng.integers(0, 3, size=(n, 2)).astype(float)])
+            sq = sq_distances(emb)
+            for val_fraction, seed in ((0.10, 0), (0.25, 7), (0.5, 11)):
+                rho = tune_threshold(sq, g, val_fraction=val_fraction, seed=seed)
+                assert rho.hex() == tune_threshold_reference(
+                    emb, g, val_fraction=val_fraction, seed=seed).hex()
 
     def test_deterministic(self, rng):
         g = random_connected_graph(10, 0.3, seed=18)
         emb = line_embedding(rng.normal(0, 1, size=10))
-        assert tune_threshold(emb, g, seed=5) == tune_threshold(emb, g, seed=5)
+        sq = sq_distances(emb)
+        assert tune_threshold(sq, g, seed=5) == tune_threshold(sq, g, seed=5)
 
     def test_rescale_equivariance(self, rng):
         g = random_connected_graph(10, 0.3, seed=19)
         coords = rng.normal(0, 1, size=10)
-        rho1 = tune_threshold(line_embedding(coords), g, seed=2)
-        rho2 = tune_threshold(line_embedding(coords * 3.0), g, seed=2)
+        rho1 = tune_threshold(sq_distances(line_embedding(coords)), g, seed=2)
+        rho2 = tune_threshold(sq_distances(line_embedding(coords * 3.0)), g, seed=2)
         assert rho2 == pytest.approx(3.0 * rho1, rel=1e-9)
 
     def test_val_fraction_bounds(self):
         g = path_graph(4)
         with pytest.raises(ValueError):
-            tune_threshold(line_embedding([0, 1, 2, 3]), g, val_fraction=0.0)
+            tune_threshold(sq_distances(line_embedding([0, 1, 2, 3])), g, val_fraction=0.0)
 
 
 def rot_embedding_for(g, radii, shift, alpha=1.0):
@@ -166,9 +182,13 @@ class TestEstimateTriangles:
         r = rotsym_curvature_inverse(1.0, 3.0)
         emb = rot_embedding_for(g, [r] * 3, shift)
         assert np.allclose(reconstructed_forman(emb), 12.0)
-        out = estimate_triangles(emb, g, gamma=4.0)
+        out = estimate_triangles(reconstructed_forman(emb), g, gamma=4.0)
         assert np.allclose(out.raw, 1.0)
         assert np.allclose(out.nn_baseline, 1.0)
+
+    def test_proxy_and_graph_node_counts_must_match(self):
+        with pytest.raises(ValueError):
+            estimate_triangles(np.zeros(4), path_graph(3))
 
     def test_negative_estimates_clamped_copy(self):
         g = path_graph(3)
@@ -176,7 +196,7 @@ class TestEstimateTriangles:
         assert (est < 0).any()
         shift = ShiftConstants(min_forman=0.0, delta_hat=50.0, lam=1.0, r_h=0.0)
         emb = rot_embedding_for(g, [5.0, 5.0, 5.0], shift)
-        out = estimate_triangles(emb, g, gamma=4.0)
+        out = estimate_triangles(reconstructed_forman(emb), g, gamma=4.0)
         assert np.all(out.clamped >= 0.0)
 
 
@@ -196,14 +216,15 @@ class TestCurvatureCorrection:
     def test_consistent_graph_untouched(self):
         g, emb = self._setup()
         # reconstruction IS the true graph: proxy matches Forman, no change
-        result = curvature_correction(emb, g, rho=1.0, step=0.1, gamma=1.0, g_true=g)
+        result = curvature_correction(reconstructed_forman(emb), g, sq_distances(emb), rho=1.0,
+                                      step=0.1, gamma=1.0, g_true=g)
         assert all(not acc for _, _, acc in result.correction_log)
-        assert result.graph.edge_set() == g.edge_set()
+        assert edge_set(result.graph) == edge_set(g)
 
     def test_error_sum_never_increases(self):
         g, emb = self._setup(seed=4)
         # corrupt reconstruction: drop a few edges
-        edges = sorted(g.edge_set())
+        edges = sorted(edge_set(g))
         broken = from_edges(g.n, edges[:-3])
         proxy = reconstructed_forman(emb)
 
@@ -211,7 +232,8 @@ class TestCurvatureCorrection:
             return float(np.abs(proxy - forman(gr, 1.0).node_values).sum())
 
         before = total_err(broken)
-        result = curvature_correction(emb, broken, rho=1.0, step=0.5, gamma=1.0, g_true=g)
+        result = curvature_correction(reconstructed_forman(emb), broken, sq_distances(emb),
+                                      rho=1.0, step=0.5, gamma=1.0, g_true=g)
         after = total_err(result.graph)
         assert after <= before
         accepted = [e for e in result.correction_log if e[2]]
@@ -220,16 +242,18 @@ class TestCurvatureCorrection:
 
     def test_log_records_direction(self):
         g, emb = self._setup(seed=7)
-        edges = sorted(g.edge_set())
+        edges = sorted(edge_set(g))
         broken = from_edges(g.n, edges[:-4])
-        result = curvature_correction(emb, broken, rho=1.0, step=0.5, gamma=1.0, g_true=g)
+        result = curvature_correction(reconstructed_forman(emb), broken, sq_distances(emb),
+                                      rho=1.0, step=0.5, gamma=1.0, g_true=g)
         for node, action, accepted in result.correction_log:
             assert action in ("densify", "sparsify")
             assert isinstance(accepted, bool)
 
     def test_mismatch_reported(self):
         g, emb = self._setup(seed=9)
-        result = curvature_correction(emb, g, rho=1.0, step=0.2, gamma=1.0, g_true=g)
+        result = curvature_correction(reconstructed_forman(emb), g, sq_distances(emb), rho=1.0,
+                                      step=0.2, gamma=1.0, g_true=g)
         assert result.mismatch == edge_mismatch(result.graph, g)
 
     @staticmethod
@@ -238,8 +262,8 @@ class TestCurvatureCorrection:
         rng = np.random.default_rng(seed)
         emb = Embedding(spec=parse_manifold("e2,rot(a=1.0)"),
                         blocks=[rng.uniform(0, 3, (n, 2)), rng.uniform(0.05, 2.0, (n, 1))])
-        g_true = nn_graph(emb, rho)
-        edges = sorted(g_true.edge_set())
+        g_true = nn_graph(sq_distances(emb), rho)
+        edges = sorted(edge_set(g_true))
         keep = rng.random(len(edges)) >= drop
         a_rho = from_edges(n, [e for e, k in zip(edges, keep) if k])
         emb.shift_constants = ShiftConstants(min_forman=forman(g_true, gamma).min_node,
@@ -252,8 +276,9 @@ class TestCurvatureCorrection:
         and returns (result, outcome per logged node)."""
         log, edges, mismatch, kinds = curvature_correction_reference(
             emb, a_rho, rho=rho, step=step, percentile=percentile, gamma=gamma, g_true=g_true)
-        result = curvature_correction(emb, a_rho, rho=rho, step=step, percentile=percentile,
-                                      gamma=gamma, g_true=g_true)
+        result = curvature_correction(reconstructed_forman(emb), a_rho, sq_distances(emb),
+                                      rho=rho, step=step, percentile=percentile, gamma=gamma,
+                                      g_true=g_true)
         assert result.correction_log == log
         assert [tuple(e) for e in result.graph.edges().tolist()] == edges
         assert result.mismatch == mismatch
