@@ -1,6 +1,6 @@
 """Command-line surface: embed, eval, reconstruct, generate, volume, stats.
 
-Exit codes: 0 success, 1 input/parse error or out of memory, 2 numeric abort
+Exit codes: 0 success, 1 usage/input/parse error or out of memory, 2 numeric abort
 during training. All randomness flows from the --seed flag; identical
 invocations produce byte-identical primary outputs.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import fileio, metrics, reconstruct as recon, randgraph
@@ -23,7 +23,7 @@ from .graph import (
     triangle_counts,
 )
 from .manifold import pairwise_sq_distances, parse_manifold
-from .optim import Embedding, NumericAbortError, TrainConfig, train
+from .optim import Embedding, NumericAbortError, TrainConfig, to_flat, train
 
 
 def _load_graph(path: str) -> Graph:
@@ -47,26 +47,25 @@ def _load_graph_and_embedding(args: argparse.Namespace) -> tuple[Graph, Embeddin
     return g, emb
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    for key, default in TrainConfig().to_flat().items():
+def _add_config_flags(p: argparse.ArgumentParser, base: fileio.Config) -> None:
+    """One flag per field of the config dataclass ``base``, which gives the defaults."""
+    for key, default in to_flat(base).items():
         p.add_argument("--" + key.replace("_", "-"), dest=key, help=f"default: {default}")
 
 
-def _build_config(args: argparse.Namespace) -> TrainConfig:
-    """The --config file, if any, overlaid with the config flags given."""
-    cfg = TrainConfig()
-    if args.config:
-        cfg = fileio.load_config(args.config, cfg)
-    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+def _build_config(args: argparse.Namespace, base: fileio.Config) -> fileio.Config:
+    """``base`` overlaid with the --config file, if any, then with the config flags given."""
+    if getattr(args, "config", None):
+        base = fileio.load_config(args.config, base)
+    overrides = {f.name: getattr(args, f.name) for f in fields(base)
                  if getattr(args, f.name) is not None}
-    return fileio.config_from_mapping(overrides, cfg)
+    return fileio.config_from_mapping(overrides, base)
 
 
 def _cmd_embed(args) -> int:
     g = _load_graph(args.graph)
     spec = parse_manifold(args.manifold)
-    cfg = _build_config(args)
+    cfg = _build_config(args, TrainConfig())
     emb, history = train(g, spec, cfg)
     out = Path(args.out)
     fileio.write_embedding(emb, out)
@@ -126,16 +125,10 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    cfg = randgraph.SampleConfig(
-        n=args.n, tangent_radius=args.tangent_radius,
-        radial_interval=(args.radial_lo, args.radial_hi), alpha=args.alpha,
-        rho=args.rho, ell=args.ell, runs=args.runs, seed=args.seed,
-    )
-    if args.mode == "heterogeneous" and cfg.ell is None:
-        raise ValueError("--ell is required for heterogeneous generation")
+    cfg = _build_config(args, randgraph.SampleConfig())
+    graphs, stats = randgraph.run_generator(args.mode, cfg, clique_budget=args.clique_budget)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    graphs, stats = randgraph.run_generator(args.mode, cfg, clique_budget=args.clique_budget)
     for k, g in enumerate(graphs):
         with open(out_dir / f"run_{k:03d}.edges", "w", encoding="utf-8") as fh:
             save_edge_list(g, fh)
@@ -162,17 +155,20 @@ def _cmd_stats(args) -> int:
     stats = randgraph.graph_stats(g, clique_budget=args.clique_budget)
     if args.out:
         fileio.write_stats_csv([stats], args.out)
-    print(json.dumps({
-        "n": g.n, "edges": g.num_edges,
-        "degree_mean": stats.degree_mean, "degree_var": stats.degree_var,
-        "clustering_mean": stats.clustering_mean, "clustering_var": stats.clustering_var,
-        "max_clique_size": stats.max_clique_size, "clique_exact": stats.clique_exact,
-    }, indent=1))
+    print(json.dumps({"n": g.n, "edges": g.num_edges, **asdict(stats)}, indent=1))
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code; 2 means a numeric abort."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hetembed",
         description="Curvature-aware graph embeddings into heterogeneous manifolds",
     )
@@ -184,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='e.g. "h5,h5,rot(a=auto)" or "e2"')
     p.add_argument("--out", default="embedding.json")
     p.add_argument("--history", help="history CSV path (default: <out>.history.csv)")
-    _add_config_flags(p)
+    p.add_argument("--config", help="flat key=value config file")
+    _add_config_flags(p, TrainConfig())
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("eval", help="evaluate an embedding against its graph")
@@ -212,15 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample random graphs from H3 / H3 x R")
     p.add_argument("--mode", choices=["homogeneous", "heterogeneous"], required=True)
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--tangent-radius", dest="tangent_radius", type=float, default=2.75)
-    p.add_argument("--radial-lo", dest="radial_lo", type=float, default=0.0)
-    p.add_argument("--radial-hi", dest="radial_hi", type=float, default=2.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--ell", type=float)
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, randgraph.SampleConfig())
     p.add_argument("--clique-budget", dest="clique_budget", type=float, default=10.0)
     p.add_argument("--out-dir", dest="out_dir", default="generated")
     p.set_defaults(func=_cmd_generate)

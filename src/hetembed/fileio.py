@@ -14,8 +14,11 @@ import numpy as np
 
 from .manifold import check_point, parse_manifold
 from .optim import Embedding, ShiftConstants, TrainConfig, TrainHistory
+from .randgraph import GraphStats, SampleConfig
 
 FORMAT_VERSION = 1
+
+Config = TrainConfig | SampleConfig  # the dataclasses read from flat key=value text
 
 
 def embedding_to_json(emb: Embedding) -> str:
@@ -100,22 +103,24 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _parse_value(declared: str, raw: str):
-    """One flat config value, parsed by its TrainConfig field's declared type."""
-    if declared == "float":
+    """One flat config value, parsed by its config field's declared type."""
+    if declared in ("float", "float | None"):
         return float(raw)
     if declared == "int":
         return int(raw)
     if declared == "int | str":
         return raw if raw in ("all", "auto") else int(raw)
-    if declared.startswith("tuple") and raw != "auto":
+    if declared.startswith("tuple") and not (raw == "auto" and declared.endswith("| str")):
         lo, hi = raw.split(",")
         return float(lo), float(hi)
     return raw
 
 
-def config_from_mapping(values: dict[str, str], base: TrainConfig | None = None) -> TrainConfig:
-    """Overlay flat key=value strings on ``base``; the keys are TrainConfig's fields."""
-    declared = {f.name: f.type for f in fields(TrainConfig)}
+def config_from_mapping(values: dict[str, str], base: Config | None = None) -> Config:
+    """Overlay flat key=value strings on ``base`` (default ``TrainConfig()``) and
+    validate the result; the keys are its fields."""
+    base = base or TrainConfig()
+    declared = {f.name: f.type for f in fields(base)}
     unknown = set(values) - set(declared)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -125,12 +130,12 @@ def config_from_mapping(values: dict[str, str], base: TrainConfig | None = None)
             kwargs[key] = _parse_value(declared[key], raw)
         except ValueError as exc:
             raise ValueError(f"config {key}={raw!r}: {exc}") from None
-    cfg = replace(base if base is not None else TrainConfig(), **kwargs)
+    cfg = replace(base, **kwargs)
     cfg.validate()
     return cfg
 
 
-def load_config(path: str | Path, base: TrainConfig | None = None) -> TrainConfig:
+def load_config(path: str | Path, base: Config | None = None) -> Config:
     return config_from_mapping(parse_config_text(Path(path).read_text(encoding="utf-8")), base)
 
 
@@ -141,18 +146,18 @@ def write_history_csv(history: TrainHistory, path: str | Path) -> None:
             out.write(f"{e},{ld!r},{lc!r},{ms:.3f}\n")
 
 
-def write_stats_csv(stats: list, path: str | Path) -> None:
-    """One row per run plus a 'mean' summary row."""
-    cols = ("degree_mean", "degree_var", "clustering_mean", "clustering_var",
-            "max_clique_size", "clique_exact")
+def write_stats_csv(stats: list[GraphStats], path: str | Path) -> None:
+    """One row per run plus a 'mean' summary row: the mean of each number, and
+    whether every run's clique is exact."""
+    cols = fields(GraphStats)
+    rows = [[getattr(s, f.name) for f in cols] for s in stats]
+    summary = [all(col) if f.type == "bool" else float(np.mean(col))
+               for f, col in zip(cols, zip(*rows))]
     with open(path, "w", encoding="utf-8") as out:
-        out.write("run," + ",".join(cols) + "\n")
-        for k, s in enumerate(stats):
-            vals = [getattr(s, c) for c in cols]
-            out.write(f"{k}," + ",".join(_cell(v) for v in vals) + "\n")
-        means = [float(np.mean([getattr(s, c) for s in stats])) for c in cols[:-1]]
-        exact_all = all(s.clique_exact for s in stats)
-        out.write("mean," + ",".join(_cell(v) for v in means) + f",{_cell(exact_all)}\n")
+        out.write("run," + ",".join(f.name for f in cols) + "\n")
+        for k, row in enumerate(rows):
+            out.write(f"{k}," + ",".join(map(_cell, row)) + "\n")
+        out.write("mean," + ",".join(map(_cell, summary)) + "\n")
 
 
 def _cell(v) -> str:

@@ -4,7 +4,7 @@ Forman variance, and the annular volume-matching experiment."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,21 +19,11 @@ class EvalReport:
     map: float
     ad_c: float | None
     forman_variance: float
-    ad_triangle: float | None
     n_pairs_used: int
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "ad_d": self.ad_d,
-            "map": self.map,
-            "ad_c": self.ad_c,
-            "forman_variance": self.forman_variance,
-            "ad_triangle": self.ad_triangle,
-            "n_pairs_used": self.n_pairs_used,
-            "notes": self.notes,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def avg_distance_distortion(sq: np.ndarray, dist: np.ndarray) -> float:
@@ -152,7 +142,6 @@ def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal) -> EvalReport:
         map=mean_average_precision(sq, g),
         ad_c=ad_c,
         forman_variance=forman_variance(f_signal),
-        ad_triangle=None,
         n_pairs_used=n_pairs,
         notes=notes,
     )

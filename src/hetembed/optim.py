@@ -78,13 +78,14 @@ class TrainConfig:
         if self.curvature_residuals not in ("normalized", "raw"):
             raise ValueError("curvature_residuals must be 'normalized' or 'raw'")
 
-    def to_flat(self) -> dict[str, str]:
-        """Every field as the text a config file line or CLI flag gives for it."""
-        return {f.name: _flat_text(getattr(self, f.name)) for f in fields(self)}
-
     def digest(self) -> str:
-        text = "\n".join(f"{k}={v}" for k, v in sorted(self.to_flat().items()))
+        text = "\n".join(f"{k}={v}" for k, v in sorted(to_flat(self).items()))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def to_flat(cfg) -> dict[str, str]:
+    """Every field of a config dataclass as the text a config line or CLI flag gives for it."""
+    return {f.name: _flat_text(getattr(cfg, f.name)) for f in fields(cfg)}
 
 
 def _flat_text(value) -> str:

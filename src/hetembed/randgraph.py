@@ -3,7 +3,8 @@ quantile-averaged degree-histogram barycenter."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,13 +26,17 @@ class SampleConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if self.n < 1 or self.runs < 1:
             raise ValueError("n and runs must be positive")
         if self.tangent_radius <= 0 or self.alpha <= 0 or self.rho <= 0:
             raise ValueError("tangent_radius, alpha and rho must be positive")
         lo, hi = self.radial_interval
-        if not (0 <= lo < hi):
-            raise ValueError("radial_interval must satisfy 0 <= lo < hi")
+        if not (0 <= lo < hi < math.inf):
+            raise ValueError("radial_interval must satisfy 0 <= lo < hi < inf")
 
 
 @dataclass

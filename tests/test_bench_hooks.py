@@ -13,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
+from hetembed import cli
 from hetembed.fileio import read_embedding
 from hetembed.graph import forman
 from hetembed.manifold import parse_manifold
 from hetembed.metrics import reconstructed_forman
-from hetembed.optim import Embedding, ShiftConstants
+from hetembed.optim import Embedding, ShiftConstants, TrainConfig
+from hetembed.randgraph import SampleConfig
 from hetembed.reconstruct import curvature_correction, nn_graph
 
 from conftest import sq_distances
@@ -89,3 +91,39 @@ def test_reference_embedding_reads_back_as_the_benchmark_reads_it(tmp_path, monk
     assert kinds == ["h", "r"] and len(payload["nodes"]) == 12
     for k, block in enumerate(emb.blocks):
         assert np.array_equal(np.array([node["blocks"][k] for node in payload["nodes"]]), block)
+
+
+def _load_bench_modules(monkeypatch) -> dict[str, types.ModuleType]:
+    """bench/run.py, with the tracer and workloads modules it imports by name."""
+    modules = {}
+    for name in ("tracer", "workloads", "run"):
+        spec = importlib.util.spec_from_file_location(name, TRACER.parent / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    return modules
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # generate's flags come from SampleConfig's field names and embed's from
+    # TrainConfig's: a rename would turn every benchmark cycle into a failed operation
+    bench = _load_bench_modules(monkeypatch)
+    workloads = bench["workloads"]
+    for w in workloads.WORKLOADS.values():
+        cloud = tmp_path / "cloud.json" if w.reference_cloud else None
+        inputs = workloads.Inputs(graph_path=tmp_path / "g.edges", n=1, edges=set(), pairs=0,
+                                  cloud_path=cloud)
+        pipeline = bench["run"].Pipeline(cli, w, inputs, tmp_path)
+        assert set(pipeline.argv) == set(bench["run"].OPS)
+        for op, argv in pipeline.argv.items():
+            args = cli.build_parser().parse_args(argv)
+            if op == "embed":
+                assert cli._build_config(args, TrainConfig()).epochs == pipeline.epochs
+            elif op == "generate":
+                assert cli._build_config(args, SampleConfig()).runs == w.generate_runs
+
+    twin = SampleConfig(n=131, tangent_radius=1.6, rho=4.5, ell=10.8, seed=7)
+    table3 = SampleConfig(n=500, rho=7.0, ell=11.45, alpha=1.0, seed=1)
+    for flags, expected in ((workloads.TWIN_GENERATE, twin), (workloads.TABLE3_GENERATE, table3)):
+        args = cli.build_parser().parse_args(["generate", "--mode", "heterogeneous", *flags])
+        assert cli._build_config(args, SampleConfig()) == expected

@@ -31,6 +31,29 @@ def run_cli(*args) -> int:
     return main(list(args))
 
 
+def exit_code(argv: list[str]) -> int:
+    """The process exit code of ``hetembed argv``, whether main returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "g.edges", "e.json", "--gamma", "abc"],
+    ["reconstruct", "g.edges", "e.json", "--rho", "x"],
+    ["generate", "--mode", "heterogeneous", "--n", "abc"],
+    ["generate", "--mode", "heterogeneous", "--radial-lo", "0"],
+    ["stats"],
+    ["bogus"],
+    [],
+])
+def test_usage_error_exit_1(argv, capsys):
+    # 2 is the numeric-abort code, so a usage error must not exit with argparse's 2
+    assert exit_code(argv) == 1
+    assert "error: " in capsys.readouterr().err
+
+
 class TestEmbeddingFile:
     def test_round_trip_bit_stable(self):
         g = random_connected_graph(9, 0.3, seed=2)
@@ -164,7 +187,7 @@ class TestCliCommands:
         report_path = tmp_path / "report.json"
         assert run_cli("eval", graph_file, str(emb_path), "--out", str(report_path)) == 0
         report = json.loads(report_path.read_text())
-        for key in ("ad_d", "map", "ad_c", "forman_variance", "ad_triangle", "n_pairs_used"):
+        for key in ("ad_d", "map", "ad_c", "forman_variance", "n_pairs_used"):
             assert key in report
         assert report["ad_c"] is not None
 
@@ -240,6 +263,26 @@ class TestCliCommands:
         bary = (out_dir / "barycenter.csv").read_text().splitlines()
         assert bary[0] == "degree,mass"
         assert abs(sum(float(line.split(",")[1]) for line in bary[1:]) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--rho", "nan"), ("--ell", "nan"), ("--alpha", "nan"), ("--tangent-radius", "inf"),
+        ("--radial-interval", "0,inf"), ("--n", "abc"), ("--n", "0"),
+    ])
+    def test_generate_bad_value_exit_1(self, tmp_path, flag, value):
+        out_dir = tmp_path / "gen"
+        argv = ["generate", "--mode", "heterogeneous", "--n", "50", "--rho", "3", "--ell", "3",
+                flag, value, "--out-dir", str(out_dir)]
+        assert exit_code(argv) == 1
+        assert not out_dir.exists()
+
+    def test_generate_flags_are_sample_config_fields(self, tmp_path, capsys):
+        assert exit_code(["generate", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--radial-interval RADIAL_INTERVAL default: 0.0,2.0" in text
+        assert "--tangent-radius TANGENT_RADIUS default: 2.75" in text
+        assert run_cli("generate", "--mode", "heterogeneous", "--n", "40", "--rho", "3",
+                       "--ell", "3", "--radial-interval", "0.5,3",
+                       "--out-dir", str(tmp_path / "gen")) == 0
 
     def test_generate_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "g1", tmp_path / "g2"

@@ -228,5 +228,5 @@ class TestEvaluate:
         assert 0 <= report.map <= 1
         assert report.n_pairs_used == g.n * (g.n - 1) // 2
         text = report.to_json()
-        for key in ("ad_d", "map", "ad_c", "forman_variance", "ad_triangle", "n_pairs_used"):
+        for key in ("ad_d", "map", "ad_c", "forman_variance", "n_pairs_used"):
             assert f'"{key}"' in text
