@@ -122,6 +122,9 @@ def load_edge_list(source: str | bytes | IO) -> Graph:
     """Parse an edge list (two integer tokens per line, '#'/'%' comments).
 
     Node ids are remapped to a dense 0..n-1 range in first-appearance order.
+    A ``v v`` line before the first edge between two nodes that first names
+    ``v`` declares the node, as the witness preamble of :func:`save_edge_list`
+    does; any other ``v v`` line is a dropped self-loop.
     Counts of dropped duplicates/self-loops and the id map are stored in
     ``Graph.meta``.
     """
@@ -155,9 +158,12 @@ def load_edge_list(source: str | bytes | IO) -> Graph:
     ids[order] = np.arange(uniq.size)
     ends = ids[inverse].reshape(-1, 2)
     g = from_edges(uniq.size, ends)
-    self_loops = int(np.count_nonzero(ends[:, 0] == ends[:, 1]))
+    loops = ends[:, 0] == ends[:, 1]
+    lead = loops.size if loops.all() else int(np.argmin(loops))  # the leading v v lines
+    token = 2 * np.arange(lead)  # the first token of each
+    self_loops = int(np.count_nonzero(loops)) - int(np.count_nonzero(first[inverse[token]] == token))
     g.meta.update(
-        duplicates_dropped=ends.shape[0] - self_loops - g.num_edges,
+        duplicates_dropped=ends.shape[0] - int(np.count_nonzero(loops)) - g.num_edges,
         self_loops_dropped=self_loops,
         id_map=dict(zip(map(str, uniq[order].tolist()), range(uniq.size))),
     )
@@ -169,8 +175,8 @@ def save_edge_list(g: Graph, out: IO[str] | None = None) -> str:
 
     Reloading applies the dense first-appearance id remap, so when the plain
     edge order would permute ids (or lose isolated nodes) a preamble of
-    ``i i`` witness lines pins every id; those lines reload as dropped
-    self-loops and keep the round trip exact.
+    ``i i`` witness lines pins every id; those lines reload as node
+    declarations, not self-loops, and keep the round trip exact.
     """
     edges = g.edges()
     ids, first = np.unique(edges.ravel(), return_index=True)

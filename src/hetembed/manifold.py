@@ -383,9 +383,12 @@ def _check_blocks(spec: ManifoldSpec, blocks: Sequence[np.ndarray], what: str) -
 
 
 def check_point(spec: ManifoldSpec, blocks: Sequence[np.ndarray], atol: float = 1e-7) -> None:
-    """Validate constraint-surface membership of every block."""
+    """Validate finite coordinates and constraint-surface membership of every block."""
     blocks = _check_blocks(spec, blocks, "point")
     for f, b in zip(spec.factors, blocks):
+        # every comparison below is false for NaN, so it would pass them
+        if not np.isfinite(b).all():
+            raise ValueError(f"factor {f.to_string()} has non-finite coordinates")
         if f.kind == "sphere":
             err = np.abs((b * b).sum(axis=-1) - 1.0).max()
             if err > atol:
@@ -485,39 +488,37 @@ def _quadric_inner(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _angle_from_inner(factor: Factor, w: np.ndarray) -> np.ndarray:
     """Unit-scale quadric distance from w, clamped onto its domain. Computed in
-    w's memory (often (n, n)): callers pass a fresh array."""
+    w's memory: callers pass a fresh array or a buffer they own."""
     w = np.asarray(w)  # single points give a numpy scalar, which has no out=
     if factor.kind == "sphere":
         return np.arccos(np.clip(w, -1.0, 1.0, out=w), out=w)
     return np.arccosh(np.maximum(w, 1.0, out=w), out=w)
 
 
-def _gram(factor: Factor, x: np.ndarray) -> np.ndarray:
-    """(n, n) matrix of w over all row pairs of x, by one matmul."""
-    return (x if factor.kind == "sphere" else _neg_space(x.copy())) @ x.T
-
-
-def _quadric_sq_dw(factor: Factor, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit-scale squared quadric distance from a fresh w, in w's memory, d(sq)/dw
-    in one more buffer, and the mask where d(sq)/dw is regular, all from one
-    arccos or arccosh.
-    At the branch point (coincident, or antipodal on the sphere) it is 0/0: 0 there.
-    On the regular cells the clamp onto the domain leaves w as it is."""
+def _quadric_sq_dw(factor: Factor, w: np.ndarray, dsq: np.ndarray, bad: np.ndarray) -> None:
+    """Unit-scale squared quadric distance from w, in w's memory, with d(sq)/dw
+    into ``dsq`` and the branch-point mask into the bool ``bad`` (both of w's
+    shape), all from one arccos or arccosh.
+    At the branch point (coincident, or antipodal on the sphere) d(sq)/dw is
+    0/0: 0 there. On the regular cells the clamp onto the domain leaves w as it is."""
     sphere = factor.kind == "sphere"
-    ok = np.abs(w) <= 1.0 - _COINCIDENT_EPS if sphere else w >= 1.0 + _COINCIDENT_EPS
-    root = np.square(w)
+    if sphere:
+        np.less_equal(np.abs(w, out=dsq), 1.0 - _COINCIDENT_EPS, out=bad)
+    else:
+        np.greater_equal(w, 1.0 + _COINCIDENT_EPS, out=bad)
+    np.logical_not(bad, out=bad)
+    root = np.square(w, out=dsq)
     if sphere:
         np.subtract(1.0, root, out=root)
     else:
         root -= 1.0
-    singular = ~ok
-    root[singular] = 1.0  # regular stand-in, zeroed below
+    root[bad] = 1.0  # regular stand-in, zeroed below
     np.sqrt(root, out=root)
     theta = _angle_from_inner(factor, w)
-    dsq = np.divide(theta, root, out=root)
+    np.divide(theta, root, out=dsq)
     dsq *= -2.0 if sphere else 2.0
-    dsq[singular] = 0.0
-    return np.square(theta, out=theta), dsq, ok
+    dsq[bad] = 0.0
+    np.square(theta, out=theta)
 
 
 def factor_sq_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -530,38 +531,69 @@ def factor_sq_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarr
     return np.square(theta, out=theta)
 
 
-def _pairwise_factor(factor: Factor, x: np.ndarray, return_dw: bool):
-    """Unit-scale squared distances over all row pairs of x and, with ``return_dw``
-    on a quadric, its (d(sq)/dw, regular mask); else None. A quadric takes one
-    Gram matmul and one arccos or arccosh for both."""
+class _Buffers:
+    """Flat arrays by name, each allocated at its first use and reused after;
+    ``view`` gives a C-contiguous view of one's leading items."""
+
+    def __init__(self, size: int):
+        self._size = size
+        self._flat: dict = {}
+
+    def view(self, name, shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
+        flat = self._flat.get(name)
+        if flat is None:
+            flat = self._flat[name] = np.empty(self._size, dtype)
+        return flat[: shape[0] * shape[1]].reshape(shape)
+
+
+def _tile_operand(factor: Factor, x: np.ndarray) -> np.ndarray:
+    """What :func:`_sq_tile` reads of a factor besides x, built once per pass:
+    the squared row norms (Euclidean), x with its space coordinates negated
+    (hyperboloid, so the Gram matmul gives w), else x itself."""
     if factor.kind == "euclidean":
-        norms = (x * x).sum(axis=1)
-        return np.maximum(norms[:, None] + norms[None, :] - 2.0 * x @ x.T, 0.0), None
-    if factor.kind == "rotsym":
-        diff = np.subtract.outer(x[:, 0], x[:, 0])
-        return np.square(diff, out=diff), None
-    w = _gram(factor, x)
-    if not return_dw:
-        return np.square(_angle_from_inner(factor, w), out=w), None
-    sq, dsq, ok = _quadric_sq_dw(factor, w)
-    return sq, (dsq, ok)
+        return (x * x).sum(axis=1)
+    if factor.kind == "hyperbolic":
+        return _neg_space(x.copy())
+    return x
 
 
-def pairwise_sq_distance_grad(factor: Factor, x: np.ndarray, weight: np.ndarray,
-                              dw, pairs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Ambient derivatives: row i is d/dx_i of sum_j weight_ij * sq(x_i, x_j), the
-    factor's unit-scale squared distance, for a symmetric (n, n) ``weight`` with
-    zero diagonal and the factor's ``dw`` terms from :func:`pairwise_sq_distances`.
-    Quadric pairs at the branch point (coincident, or antipodal on the sphere)
-    have a 0/0 derivative and contribute 0; it counts those inside the (n, n)
-    mask ``pairs``. A quadric takes one matmul, (weight * d(sq)/dw) @ x, in dw's
-    memory."""
-    if factor.kind in ("euclidean", "rotsym"):
-        return 2.0 * (weight.sum(axis=1)[:, None] * x - weight @ x), 0
-    dsq, ok = dw
-    amb = np.multiply(dsq, weight, out=dsq) @ x
-    singular = int(np.count_nonzero(pairs & ~ok)) // 2
-    return (_neg_space(amb) if factor.kind == "hyperbolic" else amb), singular
+def _sq_tile(factor: Factor, x: np.ndarray, op: np.ndarray, rows: slice, cols: slice,
+             out: np.ndarray, scratch, dw: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    """Unit-scale squared distances between the rows ``rows`` and ``cols`` of x,
+    into ``out``; ``op`` is :func:`_tile_operand` of x and ``scratch(name)``
+    gives a spare buffer of out's shape by name. With ``dw`` = (dsq, bad) on a
+    quadric, also d(sq)/dw and the branch-point mask, by :func:`_quadric_sq_dw`.
+    A quadric takes one Gram matmul and one arccos or arccosh."""
+    if factor.kind == "euclidean":
+        np.matmul(2.0 * x[rows], x[cols].T, out=out)
+        sums = np.add(op[rows, None], op[None, cols], out=scratch("sums"))
+        np.maximum(np.subtract(sums, out, out=out), 0.0, out=out)
+    elif factor.kind == "rotsym":
+        np.square(np.subtract(x[rows], x[cols, 0], out=out), out=out)
+    else:
+        np.matmul(op[rows], x[cols].T, out=out)
+        if dw is None:
+            np.square(_angle_from_inner(factor, out), out=out)
+        else:
+            _quadric_sq_dw(factor, out, *dw)
+
+
+def _product_sq_tile(spec: ManifoldSpec, blocks: Sequence[np.ndarray],
+                     ops: Sequence[np.ndarray], rows: slice, cols: slice, out: np.ndarray,
+                     scratch, dws: Sequence | None = None) -> np.ndarray:
+    """Squared product distances between the rows ``rows`` and ``cols`` of the
+    points, into ``out``: each factor's unit-scale tile (the first in out, the
+    rest in ``scratch("sq")``) times lambda^2, summed from the first factor's.
+    No factor's tile holds -0.0, so the bits are those of a sum that starts
+    from 0.0. ``dws`` gives each quadric's (dsq, bad) buffers for :func:`_sq_tile`."""
+    for k, (f, x, op) in enumerate(zip(spec.factors, blocks, ops)):
+        sq = out if k == 0 else scratch("sq")
+        _sq_tile(f, x, op, rows, cols, sq, scratch, None if dws is None else dws[k])
+        if f.lam != 1.0:
+            sq *= f.lam**2
+        if k:
+            out += sq
+    return out
 
 
 def distance(spec: ManifoldSpec, p: Sequence[np.ndarray], q: Sequence[np.ndarray]) -> float | np.ndarray:
@@ -611,24 +643,15 @@ def scalar_curvature(spec: ManifoldSpec, p: Sequence[np.ndarray]) -> float | np.
     return total
 
 
-def pairwise_sq_distances(spec: ManifoldSpec, blocks: Sequence[np.ndarray],
-                          return_dw: bool = False):
-    """(n, n) matrix of squared product distances for stacked points. With
-    ``return_dw``, also a list with each factor's ``dw`` terms for
-    :func:`pairwise_sq_distance_grad` (None for flat factors)."""
+def pairwise_sq_distances(spec: ManifoldSpec, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """(n, n) matrix of squared product distances for stacked points: one tile
+    over all row pairs, with one (n, n) scratch buffer per name."""
     blocks = _check_blocks(spec, blocks, "points")
-    total = None
-    dws = []
-    for f, x in zip(spec.factors, blocks):
-        sq, dw = _pairwise_factor(f, x, return_dw)
-        sq *= f.lam**2
-        if total is None:
-            # the sum accumulates in the first factor's buffer; no factor's sq
-            # holds -0.0, so the bits are those of a sum that starts from 0.0
-            total = sq
-        else:
-            total += sq
-        del sq  # before the next factor's (n, n) temporaries
-        dws.append(dw)
+    n = blocks[0].shape[0]
+    every = slice(0, n)
+    ops = [_tile_operand(f, x) for f, x in zip(spec.factors, blocks)]
+    scratch = _Buffers(n * n)
+    total = _product_sq_tile(spec, blocks, ops, every, every, np.empty((n, n)),
+                             lambda name: scratch.view(name, (n, n)))
     np.fill_diagonal(total, 0.0)
-    return (total, dws) if return_dw else total
+    return total

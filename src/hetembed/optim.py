@@ -14,10 +14,12 @@ from .graph import Graph, bfs_apsp, connected_pairs, forman
 from .manifold import (
     ManifoldSpec,
     TangencyError,
+    _Buffers,
+    _neg_space,
+    _product_sq_tile,
+    _tile_operand,
     alpha_from_range,
     exp_map,
-    pairwise_sq_distance_grad,
-    pairwise_sq_distances,
     resolve_spec,
     riemannian_gradient,
     rotsym_curvature,
@@ -28,6 +30,10 @@ from .manifold import (
 
 # default pair-batch size for graphs too large for full-batch steps
 _BIG_GRAPH_BATCH = 200_000
+# most rows per tile edge of the all-pairs passes: a gradient pass keeps about
+# seven (b, b) float64 tile buffers, 1.6 MiB at b = 171 (n = 1,025), inside a
+# 2 MiB L2; 131 nodes fit one tile
+_TILE = 192
 
 
 class NumericAbortError(RuntimeError):
@@ -167,21 +173,34 @@ def initialize(spec: ManifoldSpec, g: Graph, cfg: TrainConfig) -> Embedding:
     )
 
 
+class _Workspace(_Buffers):
+    """The tiles of one :class:`DistanceTarget`'s all-pairs passes and their
+    buffers, which every pass reuses. The row ranges split 0..n evenly into
+    the fewest tiles of at most ``_TILE`` rows."""
+
+    def __init__(self, n: int):
+        k = max(-(-n // _TILE), 1)
+        edges = [n * t // k for t in range(k + 1)]
+        self.tiles = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        super().__init__((-(-n // k)) ** 2)
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceTarget:
     """The graph distances one :func:`train` call fits, built once from the hop
-    matrix: (n, n) d_G^2 (1 off the connected pairs), the mask of connected
-    pairs and those pairs in :func:`connected_pairs` order."""
+    matrix: the (n, n) hop matrix itself, whose squares each tile reads as
+    d_G^2, the mask of connected pairs, those pairs in :func:`connected_pairs`
+    order, and the tile buffers of the passes over them."""
 
-    d_g2: np.ndarray
+    hops: np.ndarray
     connected: np.ndarray
     pairs: np.ndarray
+    workspace: _Workspace = field(repr=False)
 
     @classmethod
     def from_hops(cls, dist: np.ndarray) -> "DistanceTarget":
-        connected = dist > 0
-        d_g2 = np.where(connected, np.square(dist, dtype=np.float64), 1.0)
-        return cls(d_g2=d_g2, connected=connected, pairs=connected_pairs(dist))
+        return cls(hops=dist, connected=dist > 0, pairs=connected_pairs(dist),
+                   workspace=_Workspace(dist.shape[0]))
 
     def mask(self, pairs: np.ndarray) -> np.ndarray:
         """(n, n) mask of a (P, 2) pair array: the connected mask itself for
@@ -198,21 +217,87 @@ class DistanceTarget:
         return mask
 
 
-def _deviation(sq: np.ndarray, target: DistanceTarget) -> np.ndarray:
-    """d_M^2 / d_G^2 - 1 from the (n, n) d_M^2, in its memory: 0 off the connected pairs."""
-    sq /= target.d_g2
-    sq[~target.connected] = 1.0
-    return np.subtract(sq, 1.0, out=sq)
+def _pair_pass(emb: Embedding, target: DistanceTarget, mask: np.ndarray, grad: bool):
+    """One walk over the upper-triangle tiles (rows I <= columns J) of the pair
+    matrix, in the target's buffers.
+
+    Per tile: the squared product distances, the deviation d_M^2 / d_G^2 - 1 of
+    the connected pairs (0 elsewhere) and its absolute sum, which a diagonal
+    tile holds twice. Without ``grad`` that sum is over the pairs of ``mask``,
+    and the pass returns it. With ``grad`` it is over all connected pairs, and
+    the weights sign(dev) / d_G^2 on ``mask`` give each factor's ambient
+    derivatives: row i gets d/dx_i of sum_j weight_ij * lambda^2 * sq(x_i, x_j),
+    as ``T @ x[J]`` onto rows I and ``T.T @ x[I]`` onto rows J of an off-diagonal
+    tile. Quadric pairs at the branch point (coincident, or antipodal on the
+    sphere) have a 0/0 derivative and contribute 0; those in ``mask`` are
+    counted. Returns (loss, skipped pairs, ambient derivatives).
+    """
+    spec, blocks, ws = emb.spec, emb.blocks, target.workspace
+    ops = [_tile_operand(f, x) for f, x in zip(spec.factors, blocks)]
+    quadric = [f.kind in ("sphere", "hyperbolic") for f in spec.factors]
+    # -0.0 is the additive identity: a row block's first tile keeps its bits
+    ambient = [np.full_like(x, -0.0) for x in blocks] if grad else None
+    batch = mask is not target.connected
+    loss, skipped = 0.0, 0
+    for t, rows in enumerate(ws.tiles):
+        for cols in ws.tiles[t:]:
+            diag = rows == cols
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            dws = [(ws.view(("dsq", k), shape), ws.view(("bad", k), shape, bool)) if q else None
+                   for k, q in enumerate(quadric)] if grad else None
+            dev = _product_sq_tile(spec, blocks, ops, rows, cols, ws.view("dev", shape),
+                                   lambda name: ws.view(name, shape), dws)
+            off = np.logical_not(target.connected[rows, cols], out=ws.view("off", shape, bool))
+            d_g2 = np.square(target.hops[rows, cols], dtype=np.float64, out=ws.view("d_g2", shape))
+            d_g2[off] = 1.0
+            dev /= d_g2
+            dev[off] = 1.0
+            dev -= 1.0
+            if grad:
+                base = np.sign(dev, out=ws.view("base", shape))
+                base /= d_g2  # 0 off the connected pairs
+                if batch:
+                    base *= mask[rows, cols]
+            np.abs(dev, out=dev)
+            if batch and not grad:
+                dev *= mask[rows, cols]
+            part = float(dev.sum())
+            loss += part / 2.0 if diag else part
+            if grad:
+                skipped += _tile_gradient(spec, blocks, ambient, dws, base, mask, rows, cols,
+                                          diag, ws)
+    if grad:
+        for f, amb in zip(spec.factors, ambient):
+            if f.kind == "hyperbolic":
+                _neg_space(amb)  # dw/dx of -<x,y>_M
+    return loss, skipped, ambient
+
+
+def _tile_gradient(spec, blocks, ambient, dws, base, mask, rows, cols, diag, ws) -> int:
+    """Adds one tile's terms to every factor's ambient derivatives, and returns
+    the singular pairs of ``mask`` it holds (see :func:`_pair_pass`)."""
+    skipped = 0
+    for f, x, amb, dw in zip(spec.factors, blocks, ambient, dws):
+        lam2 = f.lam**2
+        weight = base if lam2 == 1.0 else np.multiply(base, lam2, out=ws.view("weight", base.shape))
+        if dw is None:  # flat: d/dx_i of |x_i - x_j|^2 is 2 (x_i - x_j)
+            amb[rows] += 2.0 * (weight.sum(axis=1)[:, None] * x[rows] - weight @ x[cols])
+            if not diag:
+                amb[cols] += 2.0 * (weight.sum(axis=0)[:, None] * x[cols] - weight.T @ x[rows])
+            continue
+        dsq, bad = dw
+        tile = np.multiply(dsq, weight, out=dsq)
+        amb[rows] += tile @ x[cols]
+        if not diag:
+            amb[cols] += tile.T @ x[rows]
+        count = int(np.count_nonzero(np.logical_and(bad, mask[rows, cols], out=bad)))
+        skipped += count // 2 if diag else count  # a diagonal tile holds each pair twice
+    return skipped
 
 
 def loss_distance(emb: Embedding, target: DistanceTarget, pairs: np.ndarray) -> float:
     """Relative squared-distance distortion summed over the given pairs."""
-    mask = target.mask(pairs)
-    dev = _deviation(pairwise_sq_distances(emb.spec, emb.blocks), target)
-    np.abs(dev, out=dev)
-    if mask is not target.connected:
-        dev *= mask
-    return float(dev.sum()) / 2.0  # each pair sits twice in (n, n)
+    return _pair_pass(emb, target, target.mask(pairs), grad=False)[0]
 
 
 def _curvature_residuals(emb: Embedding, f_signal, cfg: TrainConfig):
@@ -251,28 +336,15 @@ def gradients(emb: Embedding, target: DistanceTarget, f_signal, cfg: TrainConfig
     """Analytic Riemannian gradients of the total loss over ``pairs`` at the
     current state, and the distance loss over all connected pairs there.
 
-    One all-pairs pass: the (n, n) weight matrix of every connected pair, times
-    the 0/1 mask of ``pairs`` unless they are ``target.pairs``, gives each
-    factor's ambient coordinate derivatives by one matmul; those are mapped
-    through the inverse metric + tangent projection. Pairs whose space-form
-    distance derivative is numerically singular (coincident points, antipodal
-    sphere points) are dropped, and those inside ``pairs`` are counted.
+    One walk over the upper-triangle tiles of the pair matrix (:func:`_pair_pass`):
+    the weights of the connected pairs, times the 0/1 mask of ``pairs`` unless
+    they are ``target.pairs``, give each factor's ambient coordinate
+    derivatives, which are mapped through the inverse metric + tangent
+    projection. Pairs whose space-form distance derivative is numerically
+    singular (coincident points, antipodal sphere points) are dropped, and
+    those inside ``pairs`` are counted.
     """
-    mask = target.mask(pairs)
-    sq, dws = pairwise_sq_distances(emb.spec, emb.blocks, return_dw=True)
-    dev = _deviation(sq, target)
-    base = np.sign(dev)
-    base /= target.d_g2  # 0 off the connected pairs
-    if mask is not target.connected:
-        base *= mask
-    loss_d = float(np.abs(dev, out=dev).sum()) / 2.0  # each pair sits twice in (n, n)
-    del sq, dev
-    skipped, ambient = 0, []
-    for f, x in zip(emb.spec.factors, emb.blocks):
-        # pop: each factor's (n, n) d(sq)/dw is freed once its matmul is done
-        amb, singular = pairwise_sq_distance_grad(f, x, f.lam**2 * base, dws.pop(0), mask)
-        skipped += singular
-        ambient.append(amb)
+    loss_d, skipped, ambient = _pair_pass(emb, target, target.mask(pairs), grad=True)
 
     if cfg.tau > 0:
         res, weights, rot = _curvature_residuals(emb, f_signal, cfg)

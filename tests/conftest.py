@@ -121,7 +121,7 @@ def forman_reference(g: Graph, gamma: float, normalize: bool = False):
 def pairwise_sq_distances_reference(spec, blocks) -> np.ndarray:
     """The all-pairs squared product distance summed from 0.0, one weighted
     factor at a time; radial factors by the broadcast row kernel."""
-    from hetembed.manifold import _pairwise_factor, factor_sq_distance
+    from hetembed.manifold import _sq_tile, _tile_operand, factor_sq_distance
 
     n = blocks[0].shape[0]
     total = np.zeros((n, n))
@@ -129,7 +129,9 @@ def pairwise_sq_distances_reference(spec, blocks) -> np.ndarray:
         if f.kind == "rotsym":
             sq = factor_sq_distance(f, x[:, None], x[None, :])
         else:
-            sq, _ = _pairwise_factor(f, x, False)
+            sq = np.empty((n, n))
+            _sq_tile(f, x, _tile_operand(f, x), slice(0, n), slice(0, n), sq,
+                     lambda name: np.empty((n, n)))
         total += f.lam**2 * sq
     np.fill_diagonal(total, 0.0)
     return total
@@ -204,7 +206,9 @@ def save_edge_list_reference(g: Graph) -> str:
 
 def load_edge_list_reference(source) -> Graph:
     """The edge-list parse by a per-line loop: an id dict in first-appearance
-    order and a set of edge tuples, duplicates and self-loops counted as met."""
+    order and a set of edge tuples, duplicates and self-loops counted as met;
+    a ``v v`` line in the file's leading run of such lines that first names
+    ``v`` declares ``v``."""
     from hetembed.graph import EdgeListParseError, from_edges
 
     if isinstance(source, bytes):
@@ -219,6 +223,7 @@ def load_edge_list_reference(source) -> Graph:
     seen: set[tuple[int, int]] = set()
     duplicates = 0
     self_loops = 0
+    preamble = True
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped[0] in "#%":
@@ -230,12 +235,14 @@ def load_edge_list_reference(source) -> Graph:
             u_raw, v_raw = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise EdgeListParseError(line_no, line, "non-integer token") from None
+        declares = preamble and u_raw == v_raw and u_raw not in id_map
+        preamble = preamble and u_raw == v_raw
         for raw in (u_raw, v_raw):
             if raw not in id_map:
                 id_map[raw] = len(id_map)
         u, v = id_map[u_raw], id_map[v_raw]
         if u == v:
-            self_loops += 1
+            self_loops += not declares
             continue
         key = (min(u, v), max(u, v))
         if key in seen:

@@ -93,6 +93,25 @@ class TestEmbeddingFile:
             assert run_cli("eval", graph_file, str(path)) == 1
 
 
+    @pytest.mark.parametrize("factor, value", [(0, float("nan")), (0, float("inf")),
+                                               (1, float("-inf")), (1, float("nan"))])
+    def test_rejects_non_finite_coordinates(self, tmp_path, graph_file, capsys, factor, value):
+        # every constraint check is false for NaN, so NaN used to reach the reports
+        emb_path = tmp_path / "emb.json"
+        assert run_cli("embed", graph_file, "-m", "h2,rot(a=auto)", "--tau", "0.3",
+                       "--epochs", "4", "--out", str(emb_path)) == 0
+        payload = json.loads(emb_path.read_text())
+        payload["nodes"][3]["blocks"][factor][0] = value
+        emb_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for command in ("eval", "reconstruct"):
+            out = tmp_path / f"{command}.json"
+            assert run_cli(command, graph_file, str(emb_path), "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert "error: " in err and "non-finite" in err and "Traceback" not in err
+            assert not out.exists()
+
+
 class TestConfigFiles:
     def test_parse_and_types(self):
         text = "# comment\ntau=0.25\nepochs=100\nbatch_pairs=all\nradial_init=0.2,0.9\n"
@@ -311,6 +330,18 @@ class TestCliCommands:
                        "--out", str(emb_path)) == 0
         assert run_cli("volume", graph_file, str(emb_path), "--out",
                        str(tmp_path / "v.csv")) == 1
+
+    def test_stats_on_generated_graph_has_no_note(self, tmp_path, capsys):
+        # the generator's "v v" preamble lines declare nodes; they are not self-loops
+        out_dir = tmp_path / "gen"
+        assert run_cli("generate", "--mode", "heterogeneous", "--n", "200", "--rho", "4.5",
+                       "--ell", "10.8", "--seed", "7", "--runs", "1",
+                       "--out-dir", str(out_dir)) == 0
+        run = out_dir / "run_000.edges"
+        assert run.read_text().startswith("0 0\n")
+        capsys.readouterr()
+        assert run_cli("stats", str(run), "--out", str(tmp_path / "s.csv")) == 0
+        assert "note:" not in capsys.readouterr().err
 
     def test_stats_command(self, tmp_path, graph_file):
         assert run_cli("stats", graph_file, "--out", str(tmp_path / "s.csv")) == 0

@@ -84,6 +84,21 @@ class TestLoadEdgeList:
         assert g.meta["duplicates_dropped"] == 1
         assert g.meta["self_loops_dropped"] == 1
 
+    def test_writer_preamble_is_not_counted_as_self_loops(self):
+        # node 3 is isolated, so the writer pins every id with "v v" lines
+        g = from_edges(5, [(0, 1), (1, 2), (2, 4)])
+        text = save_edge_list(g)
+        assert text.startswith("0 0\n")
+        g2 = load_edge_list(text)
+        assert g2.n == 5 and edge_set(g2) == edge_set(g)
+        assert g2.meta["self_loops_dropped"] == g2.meta["duplicates_dropped"] == 0
+
+    def test_self_loop_on_a_named_node_is_counted(self):
+        # a repeated preamble line, and loops after the first edge, are self-loops
+        g = load_edge_list("3 3\n3 3\n5 5\n3 5\n5 5\n7 7\n")
+        assert g.n == 3 and edge_set(g) == {(0, 1)}
+        assert g.meta["self_loops_dropped"] == 3
+
     def test_comments_and_blanks(self):
         g = load_edge_list("# header\n% other comment\n\n5 7\n7 9\n")
         assert g.n == 3

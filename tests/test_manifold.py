@@ -7,10 +7,12 @@ from hetembed.manifold import (
     ManifoldSpec,
     ShapeError,
     TangencyError,
-    _gram,
     _mink_inner,
+    _neg_space,
+    _product_sq_tile,
     _quadric_inner,
     _quadric_sq_dw,
+    _tile_operand,
     alpha_from_range,
     annular_volume,
     check_point,
@@ -19,7 +21,6 @@ from hetembed.manifold import (
     factor_exp,
     factor_sq_distance,
     parse_manifold,
-    pairwise_sq_distance_grad,
     pairwise_sq_distances,
     resolve_spec,
     riemannian_gradient,
@@ -145,9 +146,22 @@ def _random_tangent(spec, point, rng, scale=1.0):
     return out
 
 
+def _tile_sq_dw(spec, pts, rows, cols):
+    """The squared product distances of one tile with each quadric's (dsq, bad)
+    buffers filled, and the same tile without them, all in fresh buffers."""
+    shape = (len(range(*rows.indices(len(pts[0])))), len(range(*cols.indices(len(pts[0])))))
+    ops = [_tile_operand(f, x) for f, x in zip(spec.factors, pts)]
+    dws = [(np.empty(shape), np.empty(shape, bool)) if f.kind in ("sphere", "hyperbolic") else None
+           for f in spec.factors]
+    fresh = lambda name: np.empty(shape)
+    with_dw = _product_sq_tile(spec, pts, ops, rows, cols, np.empty(shape), fresh, dws)
+    plain = _product_sq_tile(spec, pts, ops, rows, cols, np.empty(shape), fresh)
+    return with_dw, plain, dws
+
+
 class TestPairwiseKernel:
-    """One Gram matmul and one arccos or arccosh per quadric factor give both
-    the squared distances and d(sq)/dw."""
+    """One Gram matmul and one arccos or arccosh per quadric factor and tile
+    give both the squared distances and d(sq)/dw."""
 
     def test_matches_summed_reference_bytewise(self, rng):
         # the sum accumulates in the first factor's buffer; its bits, the sign
@@ -163,7 +177,8 @@ class TestPairwiseKernel:
             got = pairwise_sq_distances(spec, pts)
             assert got.tobytes() == want.tobytes()
             assert not np.signbit(got).any()  # no -0.0 for a sum from 0.0 to turn into +0.0
-            total, _ = pairwise_sq_distances(spec, pts, return_dw=True)
+            total, _, _ = _tile_sq_dw(spec, pts, slice(0, 9), slice(0, 9))
+            np.fill_diagonal(total, 0.0)
             assert total.tobytes() == want.tobytes()
 
     def test_matches_separate_passes_bitwise(self, rng):
@@ -171,33 +186,45 @@ class TestPairwiseKernel:
         pts = _random_points(spec, rng, 10)
         for f, b in zip(spec.factors, pts):
             b[3] = b[2]  # coincident
+            b[8] = b[1]  # coincident, off the diagonal tiles below
             if f.kind == "sphere":
                 b[5] = -b[4]  # antipodal
-        total, dws = pairwise_sq_distances(spec, pts, return_dw=True)
-        assert total.tobytes() == pairwise_sq_distances(spec, pts).tobytes()
+                b[9] = -b[0]  # antipodal, off the diagonal tiles below
         off_diagonal = ~np.eye(10, dtype=bool)
         iu, ju = np.triu_indices(10, k=1)
-        for f, x, dw in zip(spec.factors, pts, dws, strict=True):
-            if f.kind in ("euclidean", "rotsym"):
-                assert dw is None
+        # the whole matrix as one tile, then off-diagonal tiles, one of them
+        # across the row 5 boundary
+        for rows, cols, singular in ((slice(0, 10), slice(0, 10), {"sphere": 4, "hyperbolic": 2}),
+                                     (slice(0, 5), slice(5, 10), {"sphere": 3, "hyperbolic": 1}),
+                                     (slice(0, 4), slice(4, 10), {"sphere": 2, "hyperbolic": 1}),
+                                     (slice(1, 3), slice(3, 9), {"sphere": 2, "hyperbolic": 2})):
+            total, plain, dws = _tile_sq_dw(spec, pts, rows, cols)
+            assert total.tobytes() == plain.tobytes()
+            whole = rows == cols
+            for f, x, dw in zip(spec.factors, pts, dws, strict=True):
+                if f.kind in ("euclidean", "rotsym"):
+                    assert dw is None
+                    continue
+                dsq, bad = dw
+                lhs = x[rows] if f.kind == "sphere" else _neg_space(x[rows].copy())
+                want, want_ok = quadric_sq_dw_reference(f, lhs @ x[cols].T)
+                assert dsq.tobytes() == want.tobytes()
+                assert (bad == ~want_ok).all()
+                pairs = off_diagonal[rows, cols]
+                count = np.count_nonzero(pairs & bad)
+                assert (count // 2 if whole else count) == singular[f.kind]
+        # the paired-row route shares the formula
+        for f, x in zip(spec.factors, pts):
+            if f.kind not in ("sphere", "hyperbolic"):
                 continue
-            dsq, ok = dw
-            want, want_ok = quadric_sq_dw_reference(f, _gram(f, x))
-            assert dsq.tobytes() == want.tobytes()
-            assert (ok == want_ok).all()
-            singular = 2 if f.kind == "sphere" else 1
-            assert np.count_nonzero(off_diagonal & ~want_ok) // 2 == singular
-            weight = rng.random((10, 10))
-            weight += weight.T
-            np.fill_diagonal(weight, 0.0)
-            assert pairwise_sq_distance_grad(f, x, weight, (dsq.copy(), ok), off_diagonal)[1] == singular
-            # the paired-row route shares the formula
+            singular = 4 if f.kind == "sphere" else 2
             rows = _quadric_inner(f, x[iu], x[ju])
             want, want_ok = quadric_sq_dw_reference(f, rows)
-            sq, dsq, ok = _quadric_sq_dw(f, rows.copy())
-            assert dsq.tobytes() == want.tobytes() and (ok == want_ok).all()
+            sq, dsq, bad = rows.copy(), np.empty_like(rows), np.empty(rows.shape, bool)
+            _quadric_sq_dw(f, sq, dsq, bad)
+            assert dsq.tobytes() == want.tobytes() and (bad == ~want_ok).all()
             assert sq.tobytes() == factor_sq_distance(f, x[iu], x[ju]).tobytes()
-            assert np.count_nonzero(~ok) == singular
+            assert np.count_nonzero(bad) == singular
 
 
 class TestExpMap:

@@ -319,6 +319,42 @@ class TestGradients:
                 assert loss_distance(emb, target, batch) == pytest.approx(
                     want.loss_distance, rel=1e-12)
 
+    def test_tiles_match_gathered_pairs(self, rng):
+        # n = 400 takes three or more tile rows; coincident hyperboloid and
+        # antipodal sphere pairs sit inside a diagonal tile, in off-diagonal
+        # tiles, and on the two sides of each tile boundary
+        g = random_connected_graph(400, 0.01, seed=41)
+        dist = bfs_apsp(g)
+        target = DistanceTarget.from_hops(dist)
+        tiles = target.workspace.tiles
+        assert len(tiles) >= 3 and tiles[-1].stop == 400
+        cut1, cut2 = tiles[1].start, tiles[2].start
+        cfg = TrainConfig(tau=0.5, seed=8, epochs=1)
+        emb = make_embedding("h2,s2,e2,rot(a=1.0,l=0.5)", g, cfg)
+        f = forman(g, cfg.gamma)
+        coincident = [(20, 40), (5, cut2 + 30), (cut1 - 1, cut1)]
+        antipodal = [(50, 60), (10, cut1 + 60), (cut2 - 1, cut2)]
+        for i, j in coincident:
+            emb.blocks[0][j] = emb.blocks[0][i]
+        for i, j in antipodal:
+            emb.blocks[1][j] = -emb.blocks[1][i]
+        n_pairs = target.pairs.shape[0]
+        sample = target.pairs[np.sort(rng.choice(n_pairs, size=2000, replace=False))]
+        with_singular = np.unique(np.vstack([sample, coincident, antipodal[1:]]), axis=0)
+        for batch, singular in ((target.pairs, 6), (sample, None), (with_singular, 5)):
+            got = gradients(emb, target, f, cfg, batch)
+            want = gradients_reference(emb, dist, f, cfg, batch)
+            assert got.skipped_pairs == want.skipped_pairs
+            if singular is not None:
+                assert got.skipped_pairs == singular
+            assert_blocks_close(got, want)
+            assert loss_distance(emb, target, batch) == pytest.approx(
+                want.loss_distance, rel=1e-12)
+        assert got.loss_distance == pytest.approx(
+            loss_distance(emb, target, target.pairs), rel=1e-12)
+        full = gradients_reference(emb, dist, f, cfg, target.pairs)
+        assert got.loss_distance == pytest.approx(full.loss_distance, rel=1e-12)
+
     def test_singular_pairs_counted_inside_the_batch_only(self):
         # path 0-1-2-3 with node 0 on node 1 and node 2 on node 3
         g = path_graph(4)
