@@ -114,7 +114,7 @@ def _cmd_reconstruct(args) -> int:
             "ad_curvature": metrics.avg_triangle_distortion(true_counts, est.clamped),
             "gamma": args.gamma,
         }
-    text = json.dumps(payload, indent=1) + "\n"
+    text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     summary = {k: payload[k] for k in ("rho", "mismatch", "mismatch_baseline") if k in payload}

@@ -7,6 +7,7 @@ Python's shortest-repr decimals (up to 17 significant digits).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -43,43 +44,77 @@ def embedding_to_json(emb: Embedding) -> str:
             for i in range(emb.n)
         ],
     }
-    return json.dumps(payload, indent=1) + "\n"
+    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
 def write_embedding(emb: Embedding, path: str | Path) -> None:
     Path(path).write_text(embedding_to_json(emb), encoding="utf-8")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """Whether a JSON value is a number that converts to a finite float."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def embedding_from_json(text: str) -> Embedding:
+    """An embedding from the text :func:`embedding_to_json` writes. Every field
+    is checked for its type and shape before conversion, and a mismatch
+    raises ValueError naming it."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("embedding file must hold a JSON object")
     if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported embedding format version {payload.get('format_version')}")
+    if not isinstance(payload.get("manifold"), str):
+        raise ValueError("embedding 'manifold' must be a string")
     spec = parse_manifold(payload["manifold"])
-    nodes = payload["nodes"]
-    if not nodes:
-        raise ValueError("embedding has no nodes")
-    if [node["id"] for node in nodes] != list(range(len(nodes))):
+    nodes = payload.get("nodes")
+    if not isinstance(nodes, list) or not nodes:
+        raise ValueError("embedding 'nodes' must be a non-empty list")
+    k = len(spec.factors)
+    for node in nodes:
+        if not (isinstance(node, dict) and isinstance(node.get("blocks"), list)
+                and len(node["blocks"]) == k):
+            raise ValueError(f"every embedding node must be an object with a list of {k} blocks")
+    if [node.get("id") for node in nodes] != list(range(len(nodes))):
         raise ValueError("embedding node ids must be 0..n-1 in list order")
-    blocks = [
-        np.array([node["blocks"][k] for node in nodes], dtype=np.float64)
-        for k in range(len(spec.factors))
-    ]
+    blocks = []
+    for f, column in zip(spec.factors, zip(*(node["blocks"] for node in nodes))):
+        try:
+            b = np.array(column)
+            ok = b.dtype.kind in "iuf" and b.shape == (len(nodes), f.block_dim)
+        except ValueError:  # ragged rows
+            ok = False
+        if not ok:
+            raise ValueError(f"blocks of factor {f.to_string()} must be lists of "
+                             f"{f.block_dim} numbers")
+        blocks.append(b.astype(np.float64, copy=False))
     check_point(spec, blocks)
-    shift = None
-    if payload.get("shift_constants") is not None:
-        s = payload["shift_constants"]
-        shift = ShiftConstants(
-            min_forman=float(s["min_forman"]),
-            delta_hat=float(s["delta_hat"]),
-            lam=float(s["lambda"]),
-            r_h=float(s["r_h"]),
-        )
+    shift = payload.get("shift_constants")
+    if shift is not None:
+        keys = {"min_forman": "min_forman", "delta_hat": "delta_hat", "lam": "lambda", "r_h": "r_h"}
+        if not (isinstance(shift, dict) and all(_is_finite(shift.get(key)) for key in keys.values())):
+            raise ValueError(f"embedding 'shift_constants' must map {sorted(keys.values())} "
+                             "to finite numbers")
+        shift = ShiftConstants(**{field: float(shift[key]) for field, key in keys.items()})
+    seed, epochs = payload.get("seed", 0), payload.get("epochs", 0)
+    if not (_is_int(seed) and _is_int(epochs)):
+        raise ValueError("embedding 'seed' and 'epochs' must be integers")
     return Embedding(
         spec=spec,
         blocks=blocks,
         shift_constants=shift,
-        seed=int(payload.get("seed", 0)),
-        epochs=int(payload.get("epochs", 0)),
+        seed=seed,
+        epochs=epochs,
         config_digest=str(payload.get("config_digest", "")),
     )
 

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .graph import UNREACHABLE, FormanSignal, Graph, bfs_apsp
-from .manifold import annular_volume, pairwise_sq_distances, rotsym_curvature
+from .manifold import _Workspace, annular_volume, pairwise_sq_distances, rotsym_curvature
 from .optim import Embedding
 
 
@@ -23,21 +23,23 @@ class EvalReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def avg_distance_distortion(sq: np.ndarray, dist: np.ndarray) -> float:
+def avg_distance_distortion(sq: np.ndarray, dist: np.ndarray, connected: np.ndarray) -> float:
     """Mean relative distance distortion |1 - d_M/d_G| over connected pairs.
 
-    ``sq`` is the embedding's :func:`pairwise_sq_distances` matrix and ``dist``
-    the graph's :func:`bfs_apsp` hop matrix.
+    ``sq`` is the embedding's :func:`pairwise_sq_distances` matrix, ``dist``
+    the graph's :func:`bfs_apsp` hop matrix and ``connected`` the mask of its
+    connected pairs above the diagonal, ``np.triu(dist != UNREACHABLE, 1)``.
     """
-    connected = np.triu(dist != UNREACHABLE, 1)  # read in connected_pairs' row-major order
     if not connected.any():
         raise ValueError("graph has no connected pairs")
-    d_m = np.sqrt(sq[connected])
-    d_g = dist[connected].astype(np.float64)
-    return float(np.abs(1.0 - d_m / d_g).mean())
+    # boolean indexing reads in connected_pairs' row-major order
+    dev = np.sqrt(sq[connected])
+    dev /= dist[connected].astype(np.float64)
+    np.subtract(1.0, dev, out=dev)
+    return float(np.abs(dev, out=dev).mean())
 
 
 def mean_average_precision(sq: np.ndarray, g: Graph) -> float:
@@ -46,22 +48,58 @@ def mean_average_precision(sq: np.ndarray, g: Graph) -> float:
     For every node i and graph neighbor j, precision is the fraction of graph
     neighbors among all nodes embedded at least as close as j. Isolated nodes
     are skipped. ``sq`` as in :func:`avg_distance_distortion`.
+
+    One pass over the neighbour entries (i, j) in CSR order, with threshold
+    t = sq[i, j]: the nodes at or below t come from a bisection on row i
+    sorted, a block of rows at a time, and the neighbours at or below t from
+    one lexsort of the (i, t) entries. The rows of each degree are averaged
+    as one (rows, degree) array, and the row means are added in node order.
     """
-    ap_sum = 0.0
-    rated = 0
-    for i in range(g.n):
-        nbrs = g.neighbors(i)
-        if nbrs.size == 0:
-            continue
-        thresholds = sq[i, nbrs]
-        # the row's own diagonal 0 is at or below every threshold: count it off
-        sizes = np.searchsorted(np.sort(sq[i]), thresholds, side="right") - 1
-        hits = np.searchsorted(np.sort(thresholds), thresholds, side="right")
-        ap_sum += float((hits / sizes).mean())
-        rated += 1
-    if rated == 0:
+    n, deg, indptr = g.n, g.degrees, g.indptr
+    rows = np.repeat(np.arange(n), deg)
+    if rows.size == 0:
         raise ValueError("graph has no non-isolated nodes")
-    return ap_sum / rated
+    thresholds = sq[rows, g.indices]
+    # neighbours of the same row at or below each threshold: the end of its
+    # run of ties in (row, threshold) order, counted from the row's start
+    order = np.lexsort((thresholds, rows))
+    r, t = rows[order], thresholds[order]
+    run_end = np.ones(rows.size, dtype=bool)
+    run_end[:-1] = (r[1:] != r[:-1]) | (t[1:] != t[:-1])
+    ends = np.flatnonzero(run_end)
+    hits = np.empty(rows.size, dtype=np.int64)
+    hits[order] = ends[np.cumsum(run_end) - run_end] + 1 - indptr[r]
+    # nodes at or below each threshold, less the row's own diagonal 0
+    sizes = np.empty(rows.size, dtype=np.int64)
+    blocks = _Workspace(n).tiles
+    buf = np.empty((max(blk.stop - blk.start for blk in blocks), n))
+    for blk in blocks:
+        lo, hi = indptr[blk.start], indptr[blk.stop]
+        sorted_rows = buf[: blk.stop - blk.start]
+        sorted_rows[...] = sq[blk]
+        sorted_rows.sort(axis=1)
+        flat = sorted_rows.ravel()
+        before = (rows[lo:hi] - blk.start) * n - 1  # flat index of a row's item 0, less 1
+        thr = thresholds[lo:hi]
+        count = np.zeros(hi - lo, dtype=np.int64)
+        step = 1 << (n.bit_length() - 1)
+        while step:  # keeps count the length of the row's prefix at or below thr
+            probe = count + step
+            ok = probe <= n
+            ok &= flat[before + np.minimum(probe, n)] <= thr
+            np.copyto(count, probe, where=ok)
+            step >>= 1
+        sizes[lo:hi] = count - 1
+    precision = hits / sizes
+    # a row's mean over its degree d is numpy's pairwise sum of its d
+    # precisions, as a mean over a (rows, d) array takes it row by row
+    means = np.empty(n)
+    for d in np.unique(deg[deg > 0]):
+        nodes = np.flatnonzero(deg == d)
+        means[nodes] = precision[indptr[nodes, None] + np.arange(d)].mean(axis=1)
+    rated = means[deg > 0]
+    # the row means added in node order, one rounding per addition
+    return float(np.cumsum(rated)[-1] / rated.size)
 
 
 def reconstructed_forman(emb: Embedding) -> np.ndarray:
@@ -122,7 +160,8 @@ def volume_match(emb: Embedding, g: Graph, rho: float) -> tuple[np.ndarray, np.n
 def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal) -> EvalReport:
     """Assemble the full metric report for one embedding."""
     dist = bfs_apsp(g)
-    n_pairs = int(np.count_nonzero(np.triu(dist != UNREACHABLE, 1)))
+    connected = np.triu(dist != UNREACHABLE, 1)
+    n_pairs = int(np.count_nonzero(connected))
     notes = []
     total_pairs = g.n * (g.n - 1) // 2
     if n_pairs < total_pairs:
@@ -138,7 +177,7 @@ def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal) -> EvalReport:
         notes.append("forman signal normalized by max endpoint degree")
     sq = pairwise_sq_distances(emb.spec, emb.blocks)
     return EvalReport(
-        ad_d=avg_distance_distortion(sq, dist),
+        ad_d=avg_distance_distortion(sq, dist, connected),
         map=mean_average_precision(sq, g),
         ad_c=ad_c,
         forman_variance=forman_variance(f_signal),

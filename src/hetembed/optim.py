@@ -14,7 +14,7 @@ from .graph import Graph, bfs_apsp, connected_pairs, forman
 from .manifold import (
     ManifoldSpec,
     TangencyError,
-    _Buffers,
+    _Workspace,
     _neg_space,
     _product_sq_tile,
     _tile_operand,
@@ -30,10 +30,6 @@ from .manifold import (
 
 # default pair-batch size for graphs too large for full-batch steps
 _BIG_GRAPH_BATCH = 200_000
-# most rows per tile edge of the all-pairs passes: a gradient pass keeps about
-# seven (b, b) float64 tile buffers, 1.6 MiB at b = 171 (n = 1,025), inside a
-# 2 MiB L2; 131 nodes fit one tile
-_TILE = 192
 
 
 class NumericAbortError(RuntimeError):
@@ -173,18 +169,6 @@ def initialize(spec: ManifoldSpec, g: Graph, cfg: TrainConfig) -> Embedding:
     )
 
 
-class _Workspace(_Buffers):
-    """The tiles of one :class:`DistanceTarget`'s all-pairs passes and their
-    buffers, which every pass reuses. The row ranges split 0..n evenly into
-    the fewest tiles of at most ``_TILE`` rows."""
-
-    def __init__(self, n: int):
-        k = max(-(-n // _TILE), 1)
-        edges = [n * t // k for t in range(k + 1)]
-        self.tiles = [slice(a, b) for a, b in zip(edges, edges[1:])]
-        super().__init__((-(-n // k)) ** 2)
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceTarget:
     """The graph distances one :func:`train` call fits, built once from the hop
@@ -239,33 +223,31 @@ def _pair_pass(emb: Embedding, target: DistanceTarget, mask: np.ndarray, grad: b
     ambient = [np.full_like(x, -0.0) for x in blocks] if grad else None
     batch = mask is not target.connected
     loss, skipped = 0.0, 0
-    for t, rows in enumerate(ws.tiles):
-        for cols in ws.tiles[t:]:
-            diag = rows == cols
-            shape = (rows.stop - rows.start, cols.stop - cols.start)
-            dws = [(ws.view(("dsq", k), shape), ws.view(("bad", k), shape, bool)) if q else None
-                   for k, q in enumerate(quadric)] if grad else None
-            dev = _product_sq_tile(spec, blocks, ops, rows, cols, ws.view("dev", shape),
-                                   lambda name: ws.view(name, shape), dws)
-            off = np.logical_not(target.connected[rows, cols], out=ws.view("off", shape, bool))
-            d_g2 = np.square(target.hops[rows, cols], dtype=np.float64, out=ws.view("d_g2", shape))
-            d_g2[off] = 1.0
-            dev /= d_g2
-            dev[off] = 1.0
-            dev -= 1.0
-            if grad:
-                base = np.sign(dev, out=ws.view("base", shape))
-                base /= d_g2  # 0 off the connected pairs
-                if batch:
-                    base *= mask[rows, cols]
-            np.abs(dev, out=dev)
-            if batch and not grad:
-                dev *= mask[rows, cols]
-            part = float(dev.sum())
-            loss += part / 2.0 if diag else part
-            if grad:
-                skipped += _tile_gradient(spec, blocks, ambient, dws, base, mask, rows, cols,
-                                          diag, ws)
+    for rows, cols, shape in ws.upper():
+        diag = rows == cols
+        dws = [(ws.view(("dsq", k), shape), ws.view(("bad", k), shape, bool)) if q else None
+               for k, q in enumerate(quadric)] if grad else None
+        dev = _product_sq_tile(spec, blocks, ops, rows, cols, ws.view("dev", shape),
+                               lambda name: ws.view(name, shape), dws)
+        off = np.logical_not(target.connected[rows, cols], out=ws.view("off", shape, bool))
+        d_g2 = np.square(target.hops[rows, cols], dtype=np.float64, out=ws.view("d_g2", shape))
+        d_g2[off] = 1.0
+        dev /= d_g2
+        dev[off] = 1.0
+        dev -= 1.0
+        if grad:
+            base = np.sign(dev, out=ws.view("base", shape))
+            base /= d_g2  # 0 off the connected pairs
+            if batch:
+                base *= mask[rows, cols]
+        np.abs(dev, out=dev)
+        if batch and not grad:
+            dev *= mask[rows, cols]
+        part = float(dev.sum())
+        loss += part / 2.0 if diag else part
+        if grad:
+            skipped += _tile_gradient(spec, blocks, ambient, dws, base, mask, rows, cols,
+                                      diag, ws)
     if grad:
         for f, amb in zip(spec.factors, ambient):
             if f.kind == "hyperbolic":

@@ -27,6 +27,15 @@ def sq_distances(emb) -> np.ndarray:
     return pairwise_sq_distances(emb.spec, emb.blocks)
 
 
+def distance_distortion(emb, g: Graph) -> float:
+    """AD_d of an embedding against its graph, from the matrices ``evaluate`` builds."""
+    from hetembed.graph import bfs_apsp
+    from hetembed.metrics import avg_distance_distortion
+
+    dist = bfs_apsp(g)
+    return avg_distance_distortion(sq_distances(emb), dist, np.triu(dist != UNREACHABLE, 1))
+
+
 def floyd_warshall(g: Graph) -> np.ndarray:
     """Dense all-pairs shortest paths, O(n^3)."""
     n = g.n
@@ -118,20 +127,29 @@ def forman_reference(g: Graph, gamma: float, normalize: bool = False):
     return np.array(edge_values), node_values
 
 
-def pairwise_sq_distances_reference(spec, blocks) -> np.ndarray:
+def pairwise_sq_distances_reference(spec, blocks, tiles=None) -> np.ndarray:
     """The all-pairs squared product distance summed from 0.0, one weighted
-    factor at a time; radial factors by the broadcast row kernel."""
+    factor at a time; radial factors by the broadcast row kernel, the others
+    by the Gram kernel in fresh buffers. With ``tiles`` (row ranges) each
+    block (I, J), lower ones too, takes a Gram call of its own; by default
+    the whole matrix takes one."""
     from hetembed.manifold import _sq_tile, _tile_operand, factor_sq_distance
 
     n = blocks[0].shape[0]
+    tiles = tiles or [slice(0, n)]
     total = np.zeros((n, n))
     for f, x in zip(spec.factors, blocks):
         if f.kind == "rotsym":
             sq = factor_sq_distance(f, x[:, None], x[None, :])
         else:
             sq = np.empty((n, n))
-            _sq_tile(f, x, _tile_operand(f, x), slice(0, n), slice(0, n), sq,
-                     lambda name: np.empty((n, n)))
+            op = _tile_operand(f, x)
+            for rows in tiles:
+                for cols in tiles:
+                    shape = (rows.stop - rows.start, cols.stop - cols.start)
+                    tile = np.empty(shape)
+                    _sq_tile(f, x, op, rows, cols, tile, lambda name: np.empty(shape))
+                    sq[rows, cols] = tile
         total += f.lam**2 * sq
     np.fill_diagonal(total, 0.0)
     return total
@@ -638,3 +656,23 @@ def degree_barycenter_reference(histograms) -> np.ndarray:
     for d, m in out.items():
         result[d] = m
     return result
+
+
+def mean_average_precision_loop(sq: np.ndarray, g: Graph) -> float:
+    """mAP by a per-row loop: each row sorted whole, its neighbours' thresholds
+    sorted on their own, the row means added as Python floats in node order."""
+    ap_sum = 0.0
+    rated = 0
+    for i in range(g.n):
+        nbrs = g.neighbors(i)
+        if nbrs.size == 0:
+            continue
+        thresholds = sq[i, nbrs]
+        # the row's own diagonal 0 is at or below every threshold: count it off
+        sizes = np.searchsorted(np.sort(sq[i]), thresholds, side="right") - 1
+        hits = np.searchsorted(np.sort(thresholds), thresholds, side="right")
+        ap_sum += float((hits / sizes).mean())
+        rated += 1
+    if rated == 0:
+        raise ValueError("graph has no non-isolated nodes")
+    return ap_sum / rated

@@ -27,7 +27,6 @@ from hetembed.manifold import (
 )
 from hetembed.metrics import (
     avg_curvature_distortion,
-    avg_distance_distortion,
     avg_triangle_distortion,
     mean_average_precision,
     reconstructed_forman,
@@ -52,8 +51,8 @@ from hetembed.reconstruct import (
 )
 from hetembed.synthetic import cycle_tree, gnp_graph, random_connected_graph
 
-from conftest import (floyd_warshall, graph_sq_distances, map_bruteforce, pair_sq_distances,
-                      simpson_grid, spearman, sq_distances, tangent_basis)
+from conftest import (distance_distortion, floyd_warshall, graph_sq_distances, map_bruteforce,
+                      pair_sq_distances, simpson_grid, spearman, sq_distances, tangent_basis)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -317,7 +316,7 @@ def test_criterion_4_table1_aves_wildbird():
     assert g.n == 131 and g.num_edges == 1444  # Table 1 sizes
     emb, _ = train(g, parse_manifold("h5,h5,rot(a=auto)"),
                    _dataset_train_config(seed=11))
-    ad_d = avg_distance_distortion(sq_distances(emb), bfs_apsp(g))
+    ad_d = distance_distortion(emb, g)
     m_ap = mean_average_precision(sq_distances(emb), g)
     ad_c = avg_curvature_distortion(emb, forman(g, 1.0))
     elapsed = time.perf_counter() - start
@@ -335,7 +334,7 @@ def test_criterion_4_extended_cs_phd():
     assert g.n == 1025 and g.num_edges == 1043  # Table 1 sizes
     emb, _ = train(g, parse_manifold("h5,h5,rot(a=auto)"),
                    _dataset_train_config(seed=11))
-    ad_d = avg_distance_distortion(sq_distances(emb), bfs_apsp(g))
+    ad_d = distance_distortion(emb, g)
     assert ad_d <= 0.06
     report("4 extended", f"cs-phd AD_d={ad_d:.3f}")
 
@@ -347,7 +346,7 @@ def _dataset_train_config(seed: int) -> TrainConfig:
 
 
 def test_criterion_4s_synthetic_twin(twin_graph, twin_het):
-    ad_d = avg_distance_distortion(sq_distances(twin_het), bfs_apsp(twin_graph))
+    ad_d = distance_distortion(twin_het, twin_graph)
     m_ap = mean_average_precision(sq_distances(twin_het), twin_graph)
     ad_c = avg_curvature_distortion(twin_het, forman(twin_graph, 1.0))
     # twin gates calibrated to this graph's Forman scale (|F|+1 denominators
@@ -371,15 +370,15 @@ def test_criterion_5_homogeneous_parity_aves():
     het, _ = train(g, parse_manifold("h5,h5,rot(a=auto)"), _dataset_train_config(seed=11))
     hom, _ = train(g, parse_manifold("h5,h5"),
                    replace(_dataset_train_config(seed=11), tau=0.0, lambda_rot=1.0))
-    ad_het = avg_distance_distortion(sq_distances(het), bfs_apsp(g))
-    ad_hom = avg_distance_distortion(sq_distances(hom), bfs_apsp(g))
+    ad_het = distance_distortion(het, g)
+    ad_hom = distance_distortion(hom, g)
     assert ad_het <= ad_hom + 0.03
     report("5", f"aves het AD_d={ad_het:.3f} vs homog {ad_hom:.3f}")
 
 
 def test_criterion_5s_synthetic_twin(twin_graph, twin_het, twin_homog):
-    ad_het = avg_distance_distortion(sq_distances(twin_het), bfs_apsp(twin_graph))
-    ad_hom = avg_distance_distortion(sq_distances(twin_homog), bfs_apsp(twin_graph))
+    ad_het = distance_distortion(twin_het, twin_graph)
+    ad_hom = distance_distortion(twin_homog, twin_graph)
     assert ad_het <= ad_hom + 0.03
     report("5s", f"twin het AD_d={ad_het:.3f} vs homog {ad_hom:.3f} (within +0.03)")
 

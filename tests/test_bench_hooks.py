@@ -35,21 +35,40 @@ def _load_tracer():
     return module
 
 
+def _traced_function(tracer, name: str):
+    """The function ``Tracer.install`` wraps as ``<layer>.<function>``: a public
+    function defined in the layer module itself."""
+    layer, attr = name.split(".")
+    assert layer in tracer.LAYERS, name
+    module = importlib.import_module(f"hetembed.{layer}")
+    fn = getattr(module, attr, None)
+    assert isinstance(fn, types.FunctionType) and not attr.startswith("_"), name
+    assert fn.__module__ == module.__name__, name
+    return fn
+
+
 def test_counter_hooks_name_public_functions_and_their_arguments():
     tracer = _load_tracer()
     bound_names = set()
     for name, hook in tracer.COUNTERS.items():
-        layer, attr = name.split(".")
-        assert layer in tracer.LAYERS, name
-        module = importlib.import_module(f"hetembed.{layer}")
-        fn = getattr(module, attr, None)
-        # what Tracer.install wraps: public functions defined in the module itself
-        assert isinstance(fn, types.FunctionType) and not attr.startswith("_"), name
-        assert fn.__module__ == module.__name__, name
+        fn = _traced_function(tracer, name)
         bound = set(re.findall(r'call\.arguments\["(\w+)"\]', inspect.getsource(hook)))
         assert bound <= set(inspect.signature(fn).parameters), (name, bound)
         bound_names |= bound
     assert bound_names == {"emb", "pairs", "path"}
+
+
+def test_per_layer_metrics_name_public_functions():
+    # a "<layer>.<function>.<quantity>" metric of BENCHMARK.json reads that
+    # function's spans, and a traced run fails when it reads 0: a rename must
+    # fail here first
+    tracer = _load_tracer()
+    spec = json.loads((TRACER.parents[1] / "BENCHMARK.json").read_text())
+    named = [m["name"].rsplit(".", 1)[0] for m in spec["per_layer"] if m["name"].count(".") == 2]
+    assert "manifold.pairwise_sq_distances" in named
+    assert "metrics.mean_average_precision" in named
+    for name in named:
+        _traced_function(tracer, name)
 
 
 def test_correction_hook_reads_the_log():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hetembed.fileio import (
 )
 from hetembed.graph import load_edge_list, save_edge_list
 from hetembed.manifold import parse_manifold
+from hetembed.metrics import EvalReport
 from hetembed.optim import Embedding, TrainConfig, train
 from hetembed.randgraph import SampleConfig, generate_heterogeneous
 from hetembed.synthetic import cycle_tree, path_graph, random_connected_graph
@@ -110,6 +112,52 @@ class TestEmbeddingFile:
             err = capsys.readouterr().err
             assert "error: " in err and "non-finite" in err and "Traceback" not in err
             assert not out.exists()
+
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: {**p, "nodes": 5},
+        lambda p: {**p, "manifold": 3},
+        lambda p: {**p, "shift_constants": "x"},
+        lambda p: [p],
+        lambda p: {**p, "nodes": [{"id": 0, "blocks": None}] + p["nodes"][1:]},
+        lambda p: {**p, "nodes": [{"id": 0, "blocks": [list(map(str, p["nodes"][0]["blocks"][0])),
+                                                       p["nodes"][0]["blocks"][1]]}]
+                   + p["nodes"][1:]},
+        lambda p: {**p, "shift_constants": {**p["shift_constants"], "min_forman": float("inf")}},
+        lambda p: {**p, "shift_constants": {**p["shift_constants"], "r_h": float("nan")}},
+        lambda p: {**p, "shift_constants": {**p["shift_constants"], "delta_hat": 10**400}},
+        lambda p: {**p, "seed": None},
+    ], ids=["nodes-int", "manifold-int", "shift-str", "top-level-list", "blocks-null",
+            "coordinate-str", "min-forman-inf", "r-h-nan", "delta-hat-huge", "seed-null"])
+    def test_malformed_file_exits_1(self, tmp_path, graph_file, capsys, edit):
+        # each of these used to raise a TypeError or AttributeError traceback,
+        # or, for a non-finite shift constant, write "ad_c": Infinity
+        emb_path = tmp_path / "emb.json"
+        assert run_cli("embed", graph_file, "-m", "h2,rot(a=auto)", "--tau", "0.3",
+                       "--epochs", "4", "--out", str(emb_path)) == 0
+        emb_path.write_text(json.dumps(edit(json.loads(emb_path.read_text()))))
+        capsys.readouterr()
+        for command in ("eval", "reconstruct"):
+            out = tmp_path / f"{command}.json"
+            assert run_cli(command, graph_file, str(emb_path), "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not out.exists()
+
+    def test_writers_refuse_non_finite_values(self, tmp_path, graph_file, capsys):
+        emb = Embedding(spec=parse_manifold("e2"), blocks=[np.full((3, 2), np.inf)])
+        with pytest.raises(ValueError):
+            embedding_to_json(emb)
+        with pytest.raises(ValueError):
+            EvalReport(ad_d=0.1, map=1.0, ad_c=math.inf, forman_variance=0.0,
+                       n_pairs_used=3).to_json()
+        emb_path = tmp_path / "emb.json"
+        assert run_cli("embed", graph_file, "-m", "e2", "--epochs", "2",
+                       "--out", str(emb_path)) == 0
+        out = tmp_path / "rec.json"
+        assert run_cli("reconstruct", graph_file, str(emb_path), "--rho", "inf",
+                       "--out", str(out)) == 1
+        assert "error: " in capsys.readouterr().err and not out.exists()
 
 
 class TestConfigFiles:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hetembed.manifold import (
     ManifoldSpec,
     ShapeError,
     TangencyError,
+    _Workspace,
     _mink_inner,
     _neg_space,
     _product_sq_tile,
@@ -180,6 +182,42 @@ class TestPairwiseKernel:
             total, _, _ = _tile_sq_dw(spec, pts, slice(0, 9), slice(0, 9))
             np.fill_diagonal(total, 0.0)
             assert total.tobytes() == want.tobytes()
+
+    def test_tiles_build_the_whole_symmetric_matrix(self, rng):
+        # n = 400 is three tile rows; coincident points, and antipodal ones on
+        # the sphere, sit inside tiles and on both sides of each tile boundary
+        n = 400
+        tiles = _Workspace(n).tiles
+        assert len(tiles) == 3
+        cut1, cut2 = tiles[1].start, tiles[2].start
+        for text in ("s2,h2(l=0.7),e3(l=1.3),rot(a=1.0,l=0.5)", "h3,rot(a=1.0,l=0.5)",
+                     "rot(a=1.0),s2,e1", "e2,h2"):
+            spec = resolve_spec(parse_manifold(text))
+            pts = _random_points(spec, rng, n)
+            for f, b in zip(spec.factors, pts):
+                for i, j in ((20, 40), (5, cut2 + 30), (cut1 - 1, cut1), (cut2 - 1, cut2)):
+                    b[j] = b[i]
+                if f.kind == "sphere":
+                    for i, j in ((50, 60), (10, cut1 + 60), (cut1 - 2, cut1 + 1)):
+                        b[j] = -b[i]
+            got = pairwise_sq_distances(spec, pts)
+            # the reference takes a Gram call per block, lower blocks included
+            want = pairwise_sq_distances_reference(spec, pts, tiles)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got, got.T)
+            assert not np.signbit(got).any()
+
+    def test_no_scratch_matrix_besides_the_output(self, rng):
+        spec = resolve_spec(parse_manifold("h3,s2,e2,rot(a=1.0,l=0.5)"))
+        n = 600
+        pts = _random_points(spec, rng, n)
+        tracemalloc.start()
+        try:
+            pairwise_sq_distances(spec, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     def test_matches_separate_passes_bitwise(self, rng):
         spec = resolve_spec(parse_manifold("h2,s2,e2,h3,rot(a=1.0,l=0.5)"))

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hetembed.graph import bfs_apsp, forman, from_edges
-from hetembed.manifold import parse_manifold, resolve_spec, rotsym_curvature_inverse
+from hetembed.graph import forman, from_edges, from_mask
+from hetembed.manifold import (pairwise_sq_distances, parse_manifold, resolve_spec,
+                               rotsym_curvature_inverse, sample_tangent_ball)
 from hetembed.metrics import (
     avg_curvature_distortion,
-    avg_distance_distortion,
     avg_triangle_distortion,
     evaluate,
     forman_variance,
@@ -23,7 +25,7 @@ from hetembed.synthetic import (
     star_graph,
 )
 
-from conftest import map_bruteforce, sq_distances
+from conftest import distance_distortion, map_bruteforce, mean_average_precision_loop, sq_distances
 
 
 def line_embedding(coords):
@@ -34,25 +36,24 @@ def line_embedding(coords):
 class TestAvgDistanceDistortion:
     def test_isometric_p3(self):
         g = path_graph(3)
-        assert avg_distance_distortion(sq_distances(line_embedding([0, 1, 2])), bfs_apsp(g)) == 0.0
+        assert distance_distortion(line_embedding([0, 1, 2]), g) == 0.0
 
     def test_doubled_distances(self):
         # every embedded distance at exactly twice the hop distance
         g = path_graph(3)
-        assert avg_distance_distortion(sq_distances(line_embedding([0, 2, 4])), bfs_apsp(g)) \
+        assert distance_distortion(line_embedding([0, 2, 4]), g) \
             == pytest.approx(1.0)
 
     def test_scale_sensitivity(self):
         g = path_graph(4)
-        dist = bfs_apsp(g)
-        base = avg_distance_distortion(sq_distances(line_embedding([0, 1, 2, 3])), dist)
-        stretched = avg_distance_distortion(sq_distances(line_embedding([0, 1.5, 3, 4.5])), dist)
+        base = distance_distortion(line_embedding([0, 1, 2, 3]), g)
+        stretched = distance_distortion(line_embedding([0, 1.5, 3, 4.5]), g)
         assert base == 0.0 and stretched == pytest.approx(0.5)
 
     def test_disconnected_pairs_excluded(self):
         g = from_edges(4, [(0, 1), (2, 3)])
         emb = line_embedding([0, 1, 10, 11])
-        assert avg_distance_distortion(sq_distances(emb), bfs_apsp(g)) == 0.0
+        assert distance_distortion(emb, g) == 0.0
 
 
 class TestMeanAveragePrecision:
@@ -108,6 +109,39 @@ class TestMeanAveragePrecision:
         g = gnp_graph(12, 0.4, seed=3)
         emb = line_embedding(rng.normal(0, 1, size=12))
         assert 0.0 <= mean_average_precision(sq_distances(emb), g) <= 1.0
+
+    @pytest.mark.parametrize("n", [40, 420])
+    def test_array_pass_equals_row_loop(self, rng, n):
+        # 420 rows take three sort blocks; the brute force runs on the small size
+        spec = resolve_spec(parse_manifold("h2,rot(a=1.0,l=0.5)"))
+        cloud = pairwise_sq_distances(spec, [sample_tangent_ball(spec.factors[0], n, 2.0, rng),
+                                             rng.uniform(0.0, 2.0, (n, 1))])
+        tree = random_connected_graph(n, 0.0, seed=n)
+        dense = from_mask(cloud <= np.quantile(cloud, 0.15))
+        # nodes 0..4 isolated; integer points put many distances in exact ties
+        sparse = from_edges(n, gnp_graph(n - 5, 6.0 / n, seed=n).edges() + 5)
+        grid = sq_distances(Embedding(spec=parse_manifold("e2"),
+                                      blocks=[rng.integers(0, 4, (n, 2)).astype(float)]))
+        assert tree.num_edges == n - 1 and dense.degrees.max() >= 8
+        for g, sq in ((tree, cloud), (dense, cloud), (sparse, grid)):
+            got = mean_average_precision(sq, g)
+            assert got == mean_average_precision_loop(sq, g)
+            if n <= 60:
+                assert got == pytest.approx(map_bruteforce(g, sq), abs=1e-12)
+
+    def test_sorts_rows_a_block_at_a_time(self, rng):
+        # rows are sorted a block at a time, never the whole matrix at once
+        n = 1025
+        g = random_connected_graph(n, 0.0, seed=5)
+        x = rng.normal(size=(n, 3))
+        sq = ((x[:, None] - x[None]) ** 2).sum(axis=-1)
+        tracemalloc.start()
+        try:
+            mean_average_precision(sq, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sq.nbytes / 2
 
 
 def rot_embedding(radii, shift: ShiftConstants, alpha=1.0):
@@ -211,8 +245,8 @@ class TestPermutationInvariance:
         blocks2 = coords.copy()
         blocks2[perm] = coords
         emb2 = Embedding(spec=parse_manifold("e1"), blocks=[blocks2])
-        assert avg_distance_distortion(sq_distances(emb), bfs_apsp(g)) == pytest.approx(
-            avg_distance_distortion(sq_distances(emb2), bfs_apsp(g2)), rel=1e-12)
+        assert distance_distortion(emb, g) == pytest.approx(
+            distance_distortion(emb2, g2), rel=1e-12)
         assert mean_average_precision(sq_distances(emb), g) == pytest.approx(
             mean_average_precision(sq_distances(emb2), g2), rel=1e-12)
 
