@@ -2,13 +2,16 @@
 
 Exit codes: 0 success, 1 usage/input/parse error or out of memory, 2 numeric abort
 during training. All randomness flows from the --seed flag; identical
-invocations produce byte-identical primary outputs.
+invocations produce byte-identical primary outputs on one machine with one
+numpy/BLAS build and one BLAS thread count (BLAS may split a matrix product
+differently for another thread count and round its last bits apart).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -159,6 +162,17 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors exit 1, the input-error code; 2 means a numeric abort."""
 
@@ -187,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an embedding against its graph")
     p.add_argument("graph")
     p.add_argument("embedding")
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--normalized-forman", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
@@ -195,35 +209,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="rebuild the graph from an embedding")
     p.add_argument("graph")
     p.add_argument("embedding")
-    p.add_argument("--rho", type=float, help="threshold (default: tuned on a validation sample)")
-    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.10)
+    p.add_argument("--rho", type=_finite_float, help="threshold (default: tuned on a validation sample)")
+    p.add_argument("--val-fraction", dest="val_fraction", type=_finite_float, default=0.10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--correct", action="store_true", help="run curvature correction")
-    p.add_argument("--percentile", type=float, default=90.0)
-    p.add_argument("--step", type=float, help="correction step (default 0.1*rho)")
-    p.add_argument("--forman-gamma", dest="forman_gamma", type=float, default=1.0)
+    p.add_argument("--percentile", type=_finite_float, default=90.0)
+    p.add_argument("--step", type=_finite_float, help="correction step (default 0.1*rho)")
+    p.add_argument("--forman-gamma", dest="forman_gamma", type=_finite_float, default=1.0)
     p.add_argument("--triangles", action="store_true", help="estimate triangle counts")
-    p.add_argument("--gamma", type=float, default=4.0, help="triangle weighting")
+    p.add_argument("--gamma", type=_finite_float, default=4.0, help="triangle weighting")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("generate", help="sample random graphs from H3 / H3 x R")
     p.add_argument("--mode", choices=["homogeneous", "heterogeneous"], required=True)
     _add_config_flags(p, randgraph.SampleConfig())
-    p.add_argument("--clique-budget", dest="clique_budget", type=float, default=10.0)
+    p.add_argument("--clique-budget", dest="clique_budget", type=_finite_float, default=10.0)
     p.add_argument("--out-dir", dest="out_dir", default="generated")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("volume", help="graph ball sizes vs annular volumes (H3 x R)")
     p.add_argument("graph")
     p.add_argument("embedding")
-    p.add_argument("--rho", type=float, default=4.0)
+    p.add_argument("--rho", type=_finite_float, default=4.0)
     p.add_argument("--out", default="volume.csv")
     p.set_defaults(func=_cmd_volume)
 
     p = sub.add_parser("stats", help="degree/clustering/clique statistics of a graph")
     p.add_argument("graph")
-    p.add_argument("--clique-budget", dest="clique_budget", type=float, default=10.0)
+    p.add_argument("--clique-budget", dest="clique_budget", type=_finite_float, default=10.0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_stats)
 

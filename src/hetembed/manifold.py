@@ -19,7 +19,9 @@ import numpy as np
 
 # below this r/alpha the 0/0 forms switch to series expansions
 _SERIES_U = 1e-3
-_SPACE_FORMS = ("euclidean", "sphere", "hyperbolic")
+# the curvature sign of each factor kind, the one place a kind picks its
+# kernel: 0 flat (Euclidean, the radial line), +1 sphere, -1 hyperboloid
+_SIGN = {"euclidean": 0, "rotsym": 0, "sphere": 1, "hyperbolic": -1}
 _KIND_CODE = {"euclidean": "e", "sphere": "s", "hyperbolic": "h"}
 
 
@@ -39,6 +41,7 @@ class Factor:
     "not pinned yet" and is treated as 1 until resolved by the training config.
     ``alpha`` is the radial-factor shape parameter; ``None`` means "auto",
     resolved from the graph's curvature range when training starts.
+    ``sign`` is the curvature sign, which picks the factor's kernel.
     """
 
     kind: str
@@ -47,24 +50,24 @@ class Factor:
     scale: float | None = None
 
     def __post_init__(self):
-        if self.kind in _SPACE_FORMS:
-            if self.dim < 1:
-                raise ValueError(f"{self.kind} factor needs dim >= 1")
-        elif self.kind == "rotsym":
+        if self.kind not in _SIGN:
+            raise ValueError(f"unknown factor kind {self.kind!r}")
+        if self.kind == "rotsym":
             if self.alpha is not None and self.alpha <= 0:
                 raise ValueError("alpha must be positive")
-        else:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
+        elif self.dim < 1:
+            raise ValueError(f"{self.kind} factor needs dim >= 1")
         if self.scale is not None and self.scale <= 0:
             raise ValueError("scale must be positive")
 
     @property
+    def sign(self) -> int:
+        return _SIGN[self.kind]
+
+    @property
     def block_dim(self) -> int:
-        if self.kind == "euclidean":
-            return self.dim
-        if self.kind == "rotsym":
-            return 1
-        return self.dim + 1
+        """d coordinates, d + 1 ambient ones on a quadric, 1 on the radial line."""
+        return 1 if self.kind == "rotsym" else self.dim + abs(self.sign)
 
     @property
     def lam(self) -> float:
@@ -116,24 +119,11 @@ class ManifoldSpec:
         """Scalar curvature contributed by the space-form factors (R_h)."""
         r_h = 0.0
         for f in self.factors:
-            if f.kind == "sphere":
-                r_h += f.dim * (f.dim - 1) / f.lam**2
-            elif f.kind == "hyperbolic":
-                r_h -= f.dim * (f.dim - 1) / f.lam**2
+            r_h += f.sign * f.dim * (f.dim - 1) / f.lam**2
         return r_h
 
     def to_string(self) -> str:
         return ",".join(f.to_string() for f in self.factors)
-
-    def base_point(self) -> list[np.ndarray]:
-        """A canonical point: origin / last-coordinate pole / r = 0."""
-        blocks = []
-        for f in self.factors:
-            b = np.zeros(f.block_dim)
-            if f.kind in ("sphere", "hyperbolic"):
-                b[-1] = 1.0
-            blocks.append(b)
-        return blocks
 
 
 def _split_atoms(text: str) -> list[str]:
@@ -364,10 +354,15 @@ def annular_volume(alpha: float, hyperbolic_dim: int, center_r: float, rho: floa
 
 
 # ---------------------------------------------------------------------------
-# per-factor primitives; points are rows of shape (..., block_dim)
+# per-factor kernels, chosen by the curvature sign; points are rows of shape
+# (..., block_dim). A flat factor (sign 0) is R^d or the radial line. A quadric
+# reads two points through w(x, y) = sign * <x, y>_space + x_last y_last, which
+# is <x,y> on the sphere and -<x,y>_M on the hyperboloid: the cos or cosh of
+# their distance, with w(x, x) = 1 on the surface.
 
-def _mink_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (x[..., :-1] * y[..., :-1]).sum(axis=-1) - x[..., -1] * y[..., -1]
+def _quadric_inner(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """w(x, y) of matching (broadcast) rows of a quadric factor."""
+    return factor.sign * (x[..., :-1] * y[..., :-1]).sum(axis=-1) + x[..., -1] * y[..., -1]
 
 
 def _check_blocks(spec: ManifoldSpec, blocks: Sequence[np.ndarray], what: str) -> list[np.ndarray]:
@@ -389,38 +384,31 @@ def check_point(spec: ManifoldSpec, blocks: Sequence[np.ndarray], atol: float = 
         # every comparison below is false for NaN, so it would pass them
         if not np.isfinite(b).all():
             raise ValueError(f"factor {f.to_string()} has non-finite coordinates")
-        if f.kind == "sphere":
-            err = np.abs((b * b).sum(axis=-1) - 1.0).max()
-            if err > atol:
-                raise ValueError(f"sphere block off the unit sphere by {err:.3g}")
-        elif f.kind == "hyperbolic":
-            # measuring <x,x>+1 is conditioned by |x|^2, so scale the tolerance
+        if f.sign:
+            # measuring w(x,x) - 1 is conditioned by |x|^2, so scale the tolerance
             scale = np.maximum((b * b).sum(axis=-1), 1.0)
-            err = (np.abs(_mink_inner(b, b) + 1.0) / scale).max()
-            if err > atol or (b[..., -1] <= 0).any():
-                raise ValueError("hyperboloid block violates <x,x> = -1, x_last > 0")
-        elif f.kind == "rotsym":
-            if (b < 0).any():
-                raise ValueError("radial coordinate must be nonnegative")
+            err = (np.abs(_quadric_inner(f, b, b) - 1.0) / scale).max()
+            if err > atol or (f.sign < 0 and (b[..., -1] <= 0).any()):
+                raise ValueError(f"factor {f.to_string()} is off w(x,x) = 1 by {err:.3g}"
+                                 + (", or has x_last <= 0" if f.sign < 0 else ""))
+        elif f.kind == "rotsym" and (b < 0).any():
+            raise ValueError("radial coordinate must be nonnegative")
 
 
 def factor_exp(factor: Factor, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Exponential map on a single factor, with re-projection for the quadrics."""
-    if factor.kind == "euclidean":
-        return p + v
-    if factor.kind == "rotsym":
-        return np.maximum(p + v, 0.0)
-    if factor.kind == "sphere":
-        nv = np.linalg.norm(v, axis=-1, keepdims=True)
-        small = nv < 1e-300
-        nv_safe = np.where(small, 1.0, nv)
-        out = np.cos(nv) * p + np.sin(nv) * np.where(small, 0.0, v / nv_safe)
-        return out / np.linalg.norm(out, axis=-1, keepdims=True)
-    nv2 = np.maximum(_mink_inner(v, v), 0.0)[..., None]
-    nv = np.sqrt(nv2)
+    """Exponential map on a single factor: p + v on a flat factor, clamped at 0
+    on the radial line; the (cos, sin) or (cosh, sinh) geodesic on a quadric,
+    re-projected onto it."""
+    if not factor.sign:
+        out = p + v
+        return np.maximum(out, 0.0) if factor.kind == "rotsym" else out
+    nv = np.sqrt(np.maximum(factor.sign * _quadric_inner(factor, v, v), 0.0))[..., None]
+    cos, sin = (np.cos, np.sin) if factor.sign > 0 else (np.cosh, np.sinh)
     small = nv < 1e-300
     nv_safe = np.where(small, 1.0, nv)
-    out = np.cosh(nv) * p + np.sinh(nv) * np.where(small, 0.0, v / nv_safe)
+    out = cos(nv) * p + sin(nv) * np.where(small, 0.0, v / nv_safe)
+    if factor.sign > 0:
+        return out / np.linalg.norm(out, axis=-1, keepdims=True)
     # re-project by recomputing the time coordinate; unlike a quadratic-form
     # rescale this stays exact to ulp even for far points (coords ~ e^d)
     out[..., -1] = np.sqrt(1.0 + (out[..., :-1] ** 2).sum(axis=-1))
@@ -438,33 +426,25 @@ def sample_tangent_ball(factor: Factor, n: int, radius: float,
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     radii = radius * rng.random(n) ** (1.0 / d)
     tangent = direction * radii[:, None]
-    if factor.kind == "euclidean":
+    if not factor.sign:
         return tangent
     pole = np.zeros((n, d + 1))
     pole[:, -1] = 1.0
     return factor_exp(factor, pole, np.concatenate([tangent, np.zeros((n, 1))], axis=1))
 
 
-def factor_tangency_error(factor: Factor, p: np.ndarray, v: np.ndarray) -> float:
-    if factor.kind in ("euclidean", "rotsym"):
-        return 0.0
-    return float(np.abs(_quadric_inner(factor, p, v)).max())
-
-
 def factor_rgrad(factor: Factor, p: np.ndarray, ambient: np.ndarray) -> np.ndarray:
     """Riemannian gradient of a single factor from raw coordinate derivatives.
 
-    Inverse-metric rescale (Minkowski flip for the hyperboloid, 1/lambda^2 for
-    the factor weight) followed by tangent projection.
+    Inverse-metric rescale (the last coordinate times the sign on a quadric,
+    1/lambda^2 for the factor weight) followed by tangent projection.
     """
     lam2 = factor.lam**2
-    if factor.kind in ("euclidean", "rotsym"):
+    if not factor.sign:
         return ambient / lam2
-    if factor.kind == "sphere":
-        return (ambient - (ambient * p).sum(axis=-1, keepdims=True) * p) / lam2
     h = ambient.copy()
-    h[..., -1] = -h[..., -1]
-    return (h + _mink_inner(h, p)[..., None] * p) / lam2
+    h[..., -1] *= factor.sign
+    return (h - _quadric_inner(factor, h, p)[..., None] * p) / lam2
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +460,11 @@ def _neg_space(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _quadric_inner(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """w = <x,y> on the sphere, -<x,y>_M on the hyperboloid, for matching rows:
-    the cos or cosh of their distance."""
-    return (x * y).sum(axis=-1) if factor.kind == "sphere" else -_mink_inner(x, y)
-
-
 def _angle_from_inner(factor: Factor, w: np.ndarray) -> np.ndarray:
     """Unit-scale quadric distance from w, clamped onto its domain. Computed in
     w's memory: callers pass a fresh array or a buffer they own."""
     w = np.asarray(w)  # single points give a numpy scalar, which has no out=
-    if factor.kind == "sphere":
+    if factor.sign > 0:
         return np.arccos(np.clip(w, -1.0, 1.0, out=w), out=w)
     return np.arccosh(np.maximum(w, 1.0, out=w), out=w)
 
@@ -501,32 +475,33 @@ def _quadric_sq_dw(factor: Factor, w: np.ndarray, dsq: np.ndarray, bad: np.ndarr
     shape), all from one arccos or arccosh.
     At the branch point (coincident, or antipodal on the sphere) d(sq)/dw is
     0/0: 0 there. On the regular cells the clamp onto the domain leaves w as it is."""
-    sphere = factor.kind == "sphere"
-    if sphere:
+    # the sphere branches at w = +-1 (coincident or antipodal), the hyperboloid
+    # at w = 1; root = sign (1 - w^2) is the sin^2 or sinh^2 of the distance,
+    # each in two passes
+    if factor.sign > 0:
         np.less_equal(np.abs(w, out=dsq), 1.0 - _COINCIDENT_EPS, out=bad)
+        root = np.subtract(1.0, np.square(w, out=dsq), out=dsq)
     else:
         np.greater_equal(w, 1.0 + _COINCIDENT_EPS, out=bad)
+        root = np.subtract(np.square(w, out=dsq), 1.0, out=dsq)
     np.logical_not(bad, out=bad)
-    root = np.square(w, out=dsq)
-    if sphere:
-        np.subtract(1.0, root, out=root)
-    else:
-        root -= 1.0
     root[bad] = 1.0  # regular stand-in, zeroed below
     np.sqrt(root, out=root)
     theta = _angle_from_inner(factor, w)
     np.divide(theta, root, out=dsq)
-    dsq *= -2.0 if sphere else 2.0
+    dsq *= -2.0 * factor.sign
     dsq[bad] = 0.0
     np.square(theta, out=theta)
 
 
 def factor_sq_distance(factor: Factor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Unit-scale squared geodesic distance between matching (broadcast) rows."""
-    if factor.kind == "euclidean":
-        return ((x - y) ** 2).sum(axis=-1)
-    if factor.kind == "rotsym":
-        return (x[..., 0] - y[..., 0]) ** 2
+    """Unit-scale squared geodesic distance between matching (broadcast) rows;
+    a flat factor sums the squared differences column by column."""
+    if not factor.sign:
+        sq = np.square(x[..., 0] - y[..., 0])
+        for k in range(1, x.shape[-1]):
+            sq += np.square(x[..., k] - y[..., k])
+        return sq
     theta = _angle_from_inner(factor, _quadric_inner(factor, x, y))
     return np.square(theta, out=theta)
 
@@ -565,14 +540,10 @@ class _Workspace:
 
 
 def _tile_operand(factor: Factor, x: np.ndarray) -> np.ndarray:
-    """What :func:`_sq_tile` reads of a factor besides x, built once per pass:
-    the squared row norms (Euclidean), x with its space coordinates negated
-    (hyperboloid, so the Gram matmul gives w), else x itself."""
-    if factor.kind == "euclidean":
-        return (x * x).sum(axis=1)
-    if factor.kind == "hyperbolic":
-        return _neg_space(x.copy())
-    return x
+    """The rows a quadric tile's Gram matmul takes, built once per pass: x with
+    its space coordinates negated on the hyperboloid, so that the matmul gives
+    w, else x itself."""
+    return _neg_space(x.copy()) if factor.sign < 0 else x
 
 
 def _sq_tile(factor: Factor, x: np.ndarray, op: np.ndarray, rows: slice, cols: slice,
@@ -581,19 +552,20 @@ def _sq_tile(factor: Factor, x: np.ndarray, op: np.ndarray, rows: slice, cols: s
     into ``out``; ``op`` is :func:`_tile_operand` of x and ``scratch(name)``
     gives a spare buffer of out's shape by name. With ``dw`` = (dsq, bad) on a
     quadric, also d(sq)/dw and the branch-point mask, by :func:`_quadric_sq_dw`.
-    A quadric takes one Gram matmul and one arccos or arccosh."""
-    if factor.kind == "euclidean":
-        np.matmul(2.0 * x[rows], x[cols].T, out=out)
-        sums = np.add(op[rows, None], op[None, cols], out=scratch("sums"))
-        np.maximum(np.subtract(sums, out, out=out), 0.0, out=out)
-    elif factor.kind == "rotsym":
-        np.square(np.subtract(x[rows], x[cols, 0], out=out), out=out)
+    A flat factor sums squared differences column by column, with the bits of
+    :func:`factor_sq_distance`; a quadric takes one Gram matmul and one arccos
+    or arccosh."""
+    if not factor.sign:
+        np.square(np.subtract(x[rows, :1], x[cols, 0], out=out), out=out)
+        for k in range(1, x.shape[1]):
+            col = np.subtract(x[rows, k:k + 1], x[cols, k], out=scratch("col"))
+            out += np.square(col, out=col)
+        return
+    np.matmul(op[rows], x[cols].T, out=out)
+    if dw is None:
+        np.square(_angle_from_inner(factor, out), out=out)
     else:
-        np.matmul(op[rows], x[cols].T, out=out)
-        if dw is None:
-            np.square(_angle_from_inner(factor, out), out=out)
-        else:
-            _quadric_sq_dw(factor, out, *dw)
+        _quadric_sq_dw(factor, out, *dw)
 
 
 def _product_sq_tile(spec: ManifoldSpec, blocks: Sequence[np.ndarray],
@@ -632,7 +604,8 @@ def exp_map(spec: ManifoldSpec, p: Sequence[np.ndarray], v: Sequence[np.ndarray]
     v = _check_blocks(spec, v, "tangent")
     out = []
     for f, bp, bv in zip(spec.factors, p, v):
-        err = factor_tangency_error(f, bp, bv)
+        # a quadric's tangents at p satisfy w(p, v) = 0
+        err = float(np.abs(_quadric_inner(f, bp, bv)).max()) if f.sign else 0.0
         if err > tangency_tol * (1.0 + float(np.abs(bv).max(initial=0.0))):
             raise TangencyError(f"vector not tangent on factor {f.to_string()} (error {err:.3g})")
         out.append(factor_exp(f, bp, bv))

@@ -218,15 +218,14 @@ def _pair_pass(emb: Embedding, target: DistanceTarget, mask: np.ndarray, grad: b
     """
     spec, blocks, ws = emb.spec, emb.blocks, target.workspace
     ops = [_tile_operand(f, x) for f, x in zip(spec.factors, blocks)]
-    quadric = [f.kind in ("sphere", "hyperbolic") for f in spec.factors]
     # -0.0 is the additive identity: a row block's first tile keeps its bits
     ambient = [np.full_like(x, -0.0) for x in blocks] if grad else None
     batch = mask is not target.connected
     loss, skipped = 0.0, 0
     for rows, cols, shape in ws.upper():
         diag = rows == cols
-        dws = [(ws.view(("dsq", k), shape), ws.view(("bad", k), shape, bool)) if q else None
-               for k, q in enumerate(quadric)] if grad else None
+        dws = [(ws.view(("dsq", k), shape), ws.view(("bad", k), shape, bool)) if f.sign else None
+               for k, f in enumerate(spec.factors)] if grad else None
         dev = _product_sq_tile(spec, blocks, ops, rows, cols, ws.view("dev", shape),
                                lambda name: ws.view(name, shape), dws)
         off = np.logical_not(target.connected[rows, cols], out=ws.view("off", shape, bool))
@@ -250,7 +249,7 @@ def _pair_pass(emb: Embedding, target: DistanceTarget, mask: np.ndarray, grad: b
                                       diag, ws)
     if grad:
         for f, amb in zip(spec.factors, ambient):
-            if f.kind == "hyperbolic":
+            if f.sign < 0:
                 _neg_space(amb)  # dw/dx of -<x,y>_M
     return loss, skipped, ambient
 

@@ -15,6 +15,22 @@ from hetembed.graph import Graph, UNREACHABLE
 CONSTRAINT_TOL = 1e-9
 
 
+def mink_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Minkowski form of matching rows, time coordinate last: sum x_i y_i - x_last y_last."""
+    return (x[..., :-1] * y[..., :-1]).sum(axis=-1) - x[..., -1] * y[..., -1]
+
+
+def base_point(spec) -> list[np.ndarray]:
+    """A canonical point: origin / last-coordinate pole / r = 0."""
+    blocks = []
+    for f in spec.factors:
+        b = np.zeros(f.block_dim)
+        if f.kind in ("sphere", "hyperbolic"):
+            b[-1] = 1.0
+        blocks.append(b)
+    return blocks
+
+
 def edge_set(g: Graph) -> set[tuple[int, int]]:
     """The edges of ``g`` as a set of (i, j) tuples with i < j."""
     return {(int(i), int(j)) for i, j in g.edges()}
@@ -129,27 +145,31 @@ def forman_reference(g: Graph, gamma: float, normalize: bool = False):
 
 def pairwise_sq_distances_reference(spec, blocks, tiles=None) -> np.ndarray:
     """The all-pairs squared product distance summed from 0.0, one weighted
-    factor at a time; radial factors by the broadcast row kernel, the others
-    by the Gram kernel in fresh buffers. With ``tiles`` (row ranges) each
-    block (I, J), lower ones too, takes a Gram call of its own; by default
-    the whole matrix takes one."""
-    from hetembed.manifold import _sq_tile, _tile_operand, factor_sq_distance
+    factor at a time: flat factors by the broadcast row kernel, quadrics by a
+    Gram matrix of their own, clamped and put through arccos or arccosh. With
+    ``tiles`` (row ranges) each block (I, J), lower ones too, takes a Gram call
+    of its own; by default the whole matrix takes one. The sphere's Gram
+    operands share x's buffer, as the library's do, so a diagonal block goes
+    through the same BLAS routine."""
+    from hetembed.manifold import factor_sq_distance
 
     n = blocks[0].shape[0]
     tiles = tiles or [slice(0, n)]
     total = np.zeros((n, n))
     for f, x in zip(spec.factors, blocks):
-        if f.kind == "rotsym":
+        if f.kind in ("euclidean", "rotsym"):
             sq = factor_sq_distance(f, x[:, None], x[None, :])
         else:
-            sq = np.empty((n, n))
-            op = _tile_operand(f, x)
+            # w = <x,y> on the sphere, -<x,y>_M on the hyperboloid
+            lhs = x if f.kind == "sphere" else x * np.append(-np.ones(f.dim), 1.0)
+            w = np.empty((n, n))
             for rows in tiles:
                 for cols in tiles:
-                    shape = (rows.stop - rows.start, cols.stop - cols.start)
-                    tile = np.empty(shape)
-                    _sq_tile(f, x, op, rows, cols, tile, lambda name: np.empty(shape))
-                    sq[rows, cols] = tile
+                    w[rows, cols] = lhs[rows] @ x[cols].T
+            if f.kind == "sphere":
+                sq = np.arccos(np.clip(w, -1.0, 1.0)) ** 2
+            else:
+                sq = np.arccosh(np.maximum(w, 1.0)) ** 2
         total += f.lam**2 * sq
     np.fill_diagonal(total, 0.0)
     return total
@@ -432,17 +452,18 @@ def _factor_sq_distance_grad_reference(factor, x: np.ndarray, y: np.ndarray, wei
     """``weight`` times the derivatives of the unit-scale squared distance between
     matching rows by x and by y, and the count of quadric rows at the branch
     point, whose 0/0 derivative contributes 0."""
-    from hetembed.manifold import _neg_space, _quadric_inner
-
     if factor.kind in ("euclidean", "rotsym"):
         gx = (2.0 * weight)[:, None] * (x - y)
         return gx, -gx, 0
-    # d(sq)/dw, then dw/dx = y on the sphere and _neg_space(y) on the hyperboloid
-    dsq, ok = quadric_sq_dw_reference(factor, _quadric_inner(factor, x, y))
+    # d(sq)/dw, then dw/dx = y on the sphere and y with its space part negated
+    # on the hyperboloid, where w = -<x,y>_M
+    sphere = factor.kind == "sphere"
+    dsq, ok = quadric_sq_dw_reference(factor, (x * y).sum(axis=1) if sphere else -mink_inner(x, y))
     dsq *= weight
     gx, gy = dsq[:, None] * y, dsq[:, None] * x
-    if factor.kind == "hyperbolic":
-        gx, gy = _neg_space(gx), _neg_space(gy)
+    if not sphere:
+        gx[:, :-1] *= -1.0
+        gy[:, :-1] *= -1.0
     return gx, gy, int((~ok).sum())
 
 
@@ -545,14 +566,12 @@ def tangent_basis(factor, p: np.ndarray) -> list[np.ndarray]:
     """
     import math
 
-    from hetembed.manifold import _mink_inner
-
     if factor.kind == "euclidean":
         return [e for e in np.eye(factor.dim)]
     if factor.kind == "rotsym":
         return [np.ones(1)]
     inner = (lambda a, b: float(a @ b)) if factor.kind == "sphere" else (
-        lambda a, b: float(_mink_inner(a, b))
+        lambda a, b: float(mink_inner(a, b))
     )
     basis: list[np.ndarray] = []
     for e in np.eye(factor.block_dim):
@@ -561,7 +580,7 @@ def tangent_basis(factor, p: np.ndarray) -> list[np.ndarray]:
         else:
             h = e.copy()
             h[-1] = -h[-1]
-            v = h + _mink_inner(h, p) * p
+            v = h + mink_inner(h, p) * p
         for b in basis:
             v = v - inner(v, b) * b
         norm2 = inner(v, v)

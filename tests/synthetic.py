@@ -1,10 +1,10 @@
-"""Small built-in graph families used by tests and examples."""
+"""Small built-in graph families used by the tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, from_edges
+from hetembed.graph import Graph, from_edges
 
 
 def path_graph(n: int) -> Graph:

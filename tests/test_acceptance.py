@@ -18,7 +18,6 @@ import pytest
 
 from hetembed.graph import bfs_apsp, forman, load_edge_list, triangle_counts
 from hetembed.manifold import (
-    _mink_inner,
     exp_map,
     factor_exp,
     parse_manifold,
@@ -49,10 +48,11 @@ from hetembed.reconstruct import (
     nn_graph,
     tune_threshold,
 )
-from hetembed.synthetic import cycle_tree, gnp_graph, random_connected_graph
 
-from conftest import (distance_distortion, floyd_warshall, graph_sq_distances, map_bruteforce,
-                      pair_sq_distances, simpson_grid, spearman, sq_distances, tangent_basis)
+from conftest import (base_point, distance_distortion, floyd_warshall, graph_sq_distances,
+                      map_bruteforce, mink_inner, pair_sq_distances, simpson_grid, spearman,
+                      sq_distances, tangent_basis)
+from synthetic import cycle_tree, gnp_graph, random_connected_graph
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -179,7 +179,7 @@ def test_criterion_1_gradient_correctness():
 
                     fd = (loss_at(h) - loss_at(-h)) / (2 * h)
                     gv = grad.blocks[fi][node]
-                    ip = float(_mink_inner(gv, v)) if fac.kind == "hyperbolic" else float(gv @ v)
+                    ip = float(mink_inner(gv, v)) if fac.kind == "hyperbolic" else float(gv @ v)
                     analytic = fac.lam**2 * ip
                     assert abs(analytic - fd) <= 1e-4 * max(abs(fd), abs(analytic)) + 1e-9, (
                         f"instance {instances} ({spec_text}, tau={tau}), node {node}, "
@@ -198,7 +198,7 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_geometry_invariants():
     rng = np.random.default_rng(99)
     spec = resolve_spec(parse_manifold("h3,s3"))
-    p = spec.base_point()
+    p = base_point(spec)
     # random walk of 1000 exp-map steps with bounded-metric-norm tangents
     for _ in range(1000):
         v = []
@@ -207,7 +207,7 @@ def test_criterion_2_geometry_invariants():
             coeff = rng.normal(0, 0.05, size=len(basis))
             v.append(sum(c * b for c, b in zip(coeff, basis)))
         p = exp_map(spec, p, v)
-    hyp_drift = abs(float(_mink_inner(p[0], p[0])) + 1.0)
+    hyp_drift = abs(float(mink_inner(p[0], p[0])) + 1.0)
     sph_drift = abs(float(p[1] @ p[1]) - 1.0)
     assert hyp_drift <= 1e-9 and sph_drift <= 1e-9
 
@@ -215,7 +215,7 @@ def test_criterion_2_geometry_invariants():
     for text, cap in [("e4", 10.0), ("h3", 10.0), ("s3", math.pi * 0.999)]:
         fspec = parse_manifold(text)
         fac = fspec.factors[0]
-        base = fspec.base_point()
+        base = base_point(fspec)
         for _ in range(25):
             raw = rng.normal(0, 1, size=fac.block_dim)
             if fac.kind == "sphere":
@@ -223,7 +223,7 @@ def test_criterion_2_geometry_invariants():
             elif fac.kind == "hyperbolic":
                 raw[-1] = 0.0
             norm = math.sqrt(float(raw @ raw)) if fac.kind != "hyperbolic" else math.sqrt(
-                float(_mink_inner(raw, raw)))
+                float(mink_inner(raw, raw)))
             target = rng.uniform(0.01, cap)
             v = raw * (target / norm)
             q = exp_map(fspec, base, [v])

@@ -17,7 +17,8 @@ from hetembed.manifold import parse_manifold
 from hetembed.metrics import EvalReport
 from hetembed.optim import Embedding, TrainConfig, train
 from hetembed.randgraph import SampleConfig, generate_heterogeneous
-from hetembed.synthetic import cycle_tree, path_graph, random_connected_graph
+
+from synthetic import cycle_tree, path_graph, random_connected_graph
 
 
 @pytest.fixture
@@ -54,6 +55,31 @@ def test_usage_error_exit_1(argv, capsys):
     # 2 is the numeric-abort code, so a usage error must not exit with argparse's 2
     assert exit_code(argv) == 1
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--gamma", "nan"), ("reconstruct", "--rho", "inf"), ("reconstruct", "--step", "nan"),
+    ("reconstruct", "--forman-gamma", "inf"), ("reconstruct", "--val-fraction", "nan"),
+    ("reconstruct", "--percentile", "-inf"), ("reconstruct", "--gamma", "nan"),
+    ("volume", "--rho", "inf"), ("stats", "--clique-budget", "nan"),
+    ("generate", "--clique-budget", "inf"),
+])
+def test_non_finite_float_flag_is_a_usage_error(command, flag, value, tmp_path, graph_file, capsys):
+    emb = tmp_path / "emb.json"
+    assert run_cli("embed", graph_file, "-m", "h3,rot(a=auto)", "--epochs", "2",
+                   "--out", str(emb)) == 0
+    inputs = {"stats": [graph_file],
+              "generate": ["--mode", "heterogeneous", "--n", "40", "--rho", "3", "--ell", "3"],
+              }.get(command, [graph_file, str(emb)])
+    out = tmp_path / "out"
+    # flag=value, so that argparse does not read "-inf" as a flag
+    argv = [command, *inputs, f"{flag}={value}", "--out-dir" if command == "generate" else "--out",
+            str(out)]
+    capsys.readouterr()
+    assert exit_code(argv + (["--correct"] if command == "reconstruct" else [])) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: expected a finite number, got '{value}'" in err
+    assert not out.exists()
 
 
 class TestEmbeddingFile:
@@ -155,8 +181,8 @@ class TestEmbeddingFile:
         assert run_cli("embed", graph_file, "-m", "e2", "--epochs", "2",
                        "--out", str(emb_path)) == 0
         out = tmp_path / "rec.json"
-        assert run_cli("reconstruct", graph_file, str(emb_path), "--rho", "inf",
-                       "--out", str(out)) == 1
+        assert exit_code(["reconstruct", graph_file, str(emb_path), "--rho", "inf",
+                          "--out", str(out)]) == 1
         assert "error: " in capsys.readouterr().err and not out.exists()
 
 

@@ -17,7 +17,6 @@ from hetembed.graph import (
     save_edge_list,
     triangle_counts,
 )
-from hetembed.synthetic import complete_graph, cycle_graph, gnp_graph, path_graph
 
 from conftest import (
     edge_set,
@@ -26,6 +25,7 @@ from conftest import (
     load_edge_list_reference,
     save_edge_list_reference,
 )
+from synthetic import complete_graph, cycle_graph, gnp_graph, path_graph
 
 
 def assert_csr(g):

@@ -1,15 +1,17 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hetembed
 from hetembed.manifold import (
     ManifoldSpec,
     ShapeError,
     TangencyError,
     _Workspace,
-    _mink_inner,
     _neg_space,
     _product_sq_tile,
     _quadric_inner,
@@ -33,8 +35,8 @@ from hetembed.manifold import (
     scalar_curvature,
 )
 
-from conftest import (CONSTRAINT_TOL, pairwise_sq_distances_reference, quadric_sq_dw_reference,
-                      rotsym_phi, simpson_grid, tangent_basis)
+from conftest import (CONSTRAINT_TOL, mink_inner, pairwise_sq_distances_reference,
+                      quadric_sq_dw_reference, rotsym_phi, simpson_grid, tangent_basis)
 
 
 def rotsym_curvature_oracle(alpha: float, r: float, h: float = 1e-4) -> float:
@@ -56,6 +58,7 @@ class TestSpecParsing:
     def test_block_dims(self):
         spec = parse_manifold("e2,s3,h4,rot(a=1.0)")
         assert spec.block_dims == (2, 4, 5, 1)
+        assert [f.sign for f in spec.factors] == [0, 1, -1, 0]
 
     def test_at_most_one_rotsym(self):
         with pytest.raises(ValueError):
@@ -143,7 +146,7 @@ def _random_tangent(spec, point, rng, scale=1.0):
             raw = raw - (raw @ p) * p
         elif f.kind == "hyperbolic":
             raw[-1] = 0.0
-            raw = raw + _mink_inner(raw, p) * p
+            raw = raw + mink_inner(raw, p) * p
         out.append(raw)
     return out
 
@@ -218,6 +221,17 @@ class TestPairwiseKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
+
+    def test_flat_factor_exact_for_near_points_far_out(self):
+        # a Gram expansion |x|^2 + |y|^2 - 2<x,y> cancels here to 0.0, 0.0 and
+        # 5.96e-08; the squared differences keep every pair
+        spec = parse_manifold("e2")
+        x = np.array([[1e4, 1e4], [1e4 + 1e-6, 1e4], [1e4, 1e4 + 3e-6]])
+        sq = pairwise_sq_distances(spec, [x])
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            want = distance(spec, [x[i]], [x[j]]) ** 2
+            assert sq[i, j] == sq[j, i] == pytest.approx(want, rel=1e-12)
+            assert 1e-13 < want < 1e-10
 
     def test_matches_separate_passes_bitwise(self, rng):
         spec = resolve_spec(parse_manifold("h2,s2,e2,h3,rot(a=1.0,l=0.5)"))
@@ -304,7 +318,7 @@ class TestExpMap:
                 if f.kind == "sphere":
                     n2 = float(v @ v)
                 elif f.kind == "hyperbolic":
-                    n2 = float(_mink_inner(v, v))
+                    n2 = float(mink_inner(v, v))
                 else:
                     n2 = float(v @ v)
                 target = rng.uniform(0.05, norm_cap)
@@ -322,7 +336,7 @@ class TestExpMap:
                 coeff = rng.normal(0, 0.05, size=len(basis))
                 v.append(sum(c * b for c, b in zip(coeff, basis)))
             p = exp_map(spec, p, v)
-        assert abs(_mink_inner(p[0], p[0]) + 1.0) <= CONSTRAINT_TOL
+        assert abs(mink_inner(p[0], p[0]) + 1.0) <= CONSTRAINT_TOL
         assert abs(p[1] @ p[1] - 1.0) <= CONSTRAINT_TOL
 
 
@@ -366,7 +380,7 @@ class TestRiemannianGradient:
             inner = 0.0
             for fac, gb, vb in zip(spec.factors, grad, v):
                 if fac.kind == "hyperbolic":
-                    ip = float(_mink_inner(gb, vb))
+                    ip = float(mink_inner(gb, vb))
                 else:
                     ip = float(gb @ vb)
                 inner += fac.lam**2 * ip
@@ -544,6 +558,13 @@ class TestCheckPoint:
         with pytest.raises(ValueError):
             check_point(spec, [np.array([0.0, 0.0, 1.1])])
 
+    def test_rejects_lower_hyperboloid_sheet(self):
+        # w(x, x) = 1 holds on both sheets; only x_last > 0 tells them apart
+        spec = parse_manifold("h2")
+        check_point(spec, [np.array([0.0, 0.0, 1.0])])
+        with pytest.raises(ValueError, match="x_last"):
+            check_point(spec, [np.array([0.0, 0.0, -1.0])])
+
 
 class TestTangentBasis:
     def test_spans_and_is_orthonormal(self, rng):
@@ -552,8 +573,52 @@ class TestTangentBasis:
         for fac, block in zip(spec.factors, pts):
             basis = tangent_basis(fac, block[0])
             assert len(basis) == fac.dim
-            inner = (lambda a, b: float(_mink_inner(a, b))) if fac.kind == "hyperbolic" else (
+            inner = (lambda a, b: float(mink_inner(a, b))) if fac.kind == "hyperbolic" else (
                 lambda a, b: float(a @ b))
             for i, u in enumerate(basis):
                 for j, v in enumerate(basis):
                     assert inner(u, v) == pytest.approx(1.0 if i == j else 0.0, abs=1e-9)
+
+
+# every factor kind name; comparing a factor's kind against one picks a kernel
+# by hand, so it may appear only where a factor is parsed, printed or
+# validated, and in the radial factor's own code, which may name only "rotsym"
+_KIND_NAMES = {"euclidean", "sphere", "hyperbolic", "rotsym"}
+_KIND_COMPARED_IN = {
+    ("manifold", "Factor"): _KIND_NAMES,
+    ("manifold", "ManifoldSpec"): _KIND_NAMES,
+    ("manifold", "parse_manifold"): _KIND_NAMES,
+    ("manifold", "resolve_spec"): _KIND_NAMES,
+    ("manifold", "check_point"): _KIND_NAMES,
+    ("metrics", "volume_match"): _KIND_NAMES,
+    ("manifold", "scalar_curvature"): {"rotsym"},
+    ("manifold", "factor_exp"): {"rotsym"},  # the radial clamp
+    ("optim", "initialize"): {"rotsym"},
+}
+
+
+def _kind_comparisons() -> list[tuple[str, str, str]]:
+    """(module, top-level def or class, kind name) of every comparison in the
+    package's modules that has a kind name among its operands."""
+    found = []
+    for path in sorted(Path(hetembed.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Compare):
+                    continue
+                for operand in (node.left, *node.comparators):
+                    found += [(path.stem, getattr(top, "name", "<module>"), c.value)
+                              for c in ast.walk(operand)
+                              if isinstance(c, ast.Constant) and c.value in _KIND_NAMES]
+    return found
+
+
+class TestKernelChoice:
+    def test_kind_names_compared_only_where_allowed(self):
+        found = _kind_comparisons()
+        # the walk sees the comparisons it polices
+        assert ("manifold", "factor_exp", "rotsym") in found
+        assert ("metrics", "volume_match", "hyperbolic") in found
+        stray = [(module, where, kind) for module, where, kind in found
+                 if kind not in _KIND_COMPARED_IN.get((module, where), ())]
+        assert not stray, "pick the kernel by Factor.sign, not by kind name"

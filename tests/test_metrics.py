@@ -16,7 +16,9 @@ from hetembed.metrics import (
     volume_match,
 )
 from hetembed.optim import Embedding, ShiftConstants, TrainConfig, initialize
-from hetembed.synthetic import (
+
+from conftest import distance_distortion, map_bruteforce, mean_average_precision_loop, sq_distances
+from synthetic import (
     complete_graph,
     cycle_tree,
     gnp_graph,
@@ -24,8 +26,6 @@ from hetembed.synthetic import (
     random_connected_graph,
     star_graph,
 )
-
-from conftest import distance_distortion, map_bruteforce, mean_average_precision_loop, sq_distances
 
 
 def line_embedding(coords):

@@ -7,7 +7,6 @@ import pytest
 import hetembed.optim as optim
 from hetembed.graph import UNREACHABLE, bfs_apsp, connected_pairs, forman, from_edges
 from hetembed.manifold import (
-    _mink_inner,
     factor_exp,
     pairwise_sq_distances,
     parse_manifold,
@@ -29,10 +28,10 @@ from hetembed.optim import (
     rsgd_step,
     train,
 )
-from hetembed.synthetic import complete_graph, path_graph, random_connected_graph
 
 from conftest import (gradients_reference, graph_sq_distances, initialize_blocks_reference,
-                      pair_sq_distances, tangent_basis, train_reference)
+                      mink_inner, pair_sq_distances, tangent_basis, train_reference)
+from synthetic import complete_graph, path_graph, random_connected_graph
 
 
 def make_embedding(spec_text, g, cfg, rng_shift=True):
@@ -93,7 +92,7 @@ class TestInitialize:
         g = random_connected_graph(25, 0.15, seed=3)
         spec = resolve_spec(parse_manifold("h4,s3"))
         emb = initialize(spec, g, TrainConfig(seed=5, epochs=1))
-        assert np.abs(_mink_inner(emb.blocks[0], emb.blocks[0]) + 1.0).max() < 1e-12
+        assert np.abs(mink_inner(emb.blocks[0], emb.blocks[0]) + 1.0).max() < 1e-12
         assert np.abs((emb.blocks[1] ** 2).sum(axis=1) - 1.0).max() < 1e-12
 
     def test_matches_own_tangent_ball_loop(self):
@@ -227,7 +226,7 @@ def directional_fd_check(emb, target, f_signal, cfg, pairs, h=1e-5, rel_tol=1e-4
 
                 fd = (loss_at(h) - loss_at(-h)) / (2 * h)
                 gv = grad.blocks[fi][node]
-                ip = float(_mink_inner(gv, v)) if fac.kind == "hyperbolic" else float(gv @ v)
+                ip = float(mink_inner(gv, v)) if fac.kind == "hyperbolic" else float(gv @ v)
                 analytic = fac.lam**2 * ip
                 assert analytic == pytest.approx(fd, rel=rel_tol, abs=5e-7), (
                     f"node {node}, factor {fac.to_string()}"
@@ -474,7 +473,7 @@ class TestRsgdStep:
         target = DistanceTarget.from_hops(dist)
         for _ in range(50):
             emb = rsgd_step(emb, gradients(emb, target, None, cfg, target.pairs), lr=0.01)
-        assert np.abs(_mink_inner(emb.blocks[0], emb.blocks[0]) + 1.0).max() < 1e-9
+        assert np.abs(mink_inner(emb.blocks[0], emb.blocks[0]) + 1.0).max() < 1e-9
 
 
 class TestTrain:

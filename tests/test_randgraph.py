@@ -7,7 +7,7 @@ import pytest
 
 from hetembed.clique import _degree_order_masks, max_clique
 from hetembed.graph import from_edges
-from hetembed.manifold import _mink_inner, rotsym_curvature
+from hetembed.manifold import rotsym_curvature
 from hetembed.randgraph import (
     SampleConfig,
     degree_barycenter,
@@ -18,10 +18,10 @@ from hetembed.randgraph import (
     run_generator,
     sample_points,
 )
-from hetembed.synthetic import complete_graph, cycle_graph, gnp_graph, path_graph
 
 from conftest import (degree_barycenter_reference, degree_order_masks_reference, edge_set,
-                      max_clique_reference, sample_points_reference)
+                      max_clique_reference, mink_inner, sample_points_reference)
+from synthetic import complete_graph, cycle_graph, gnp_graph, path_graph
 
 
 def clique_bruteforce(g) -> int:
@@ -46,7 +46,7 @@ class TestSamplePoints:
     def test_hyperboloid_constraint(self):
         cfg = SampleConfig(n=200, seed=3)
         blocks = sample_points(cfg, with_radial=True)
-        assert np.abs(_mink_inner(blocks[0], blocks[0]) + 1.0).max() < 1e-9
+        assert np.abs(mink_inner(blocks[0], blocks[0]) + 1.0).max() < 1e-9
 
     def test_radial_interval(self):
         cfg = SampleConfig(n=300, radial_interval=(0.0, 2.0), seed=4)

@@ -20,10 +20,10 @@ from hetembed.reconstruct import (
     nn_graph,
     tune_threshold,
 )
-from hetembed.synthetic import complete_graph, gnp_graph, path_graph, random_connected_graph
 
 from conftest import (curvature_correction_reference, edge_set, forman_reference, sq_distances,
                       tune_threshold_reference)
+from synthetic import complete_graph, gnp_graph, path_graph, random_connected_graph
 
 
 def line_embedding(coords):
