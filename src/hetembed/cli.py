@@ -147,7 +147,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_volume(args) -> int:
     g, emb = _load_graph_and_embedding(args)
-    graph_norm, vol_norm = metrics.volume_match(emb, g, rho=args.rho)
+    try:
+        graph_norm, vol_norm = metrics.volume_match(emb, g, rho=args.rho)
+    except OverflowError:
+        raise ValueError(f"argument --rho: {args.rho!r} gives annular volumes beyond "
+                         "the float range") from None
     fileio.write_volume_csv(graph_norm, vol_norm, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -23,6 +23,18 @@ Config = TrainConfig | SampleConfig  # the dataclasses read from flat key=value 
 
 
 def embedding_to_json(emb: Embedding) -> str:
+    """Format 1 text, byte for byte what ``json.dumps(payload, indent=1)``
+    writes for the payload of header keys and a "nodes" list of
+    ``{"id": i, "blocks": [[...], ...]}`` records, built without Python's
+    pure-Python encoder: the header is dumped with an empty node list, and the
+    node records are one ``%`` format of one template per node (``%r`` is the
+    ``float.__repr__`` that json writes). A non-finite coordinate raises
+    ValueError naming its factor and node."""
+    for f, b in zip(emb.spec.factors, emb.blocks):
+        bad = ~np.isfinite(b).all(axis=1)
+        if bad.any():
+            raise ValueError(f"embedding coordinate of factor {f.to_string()} at node "
+                             f"{int(np.argmax(bad))} is not a finite number")
     shift = None
     if emb.shift_constants is not None:
         s = emb.shift_constants
@@ -32,19 +44,25 @@ def embedding_to_json(emb: Embedding) -> str:
             "lambda": s.lam,
             "r_h": s.r_h,
         }
-    payload = {
+    head = {
         "format_version": FORMAT_VERSION,
         "manifold": emb.spec.to_string(),
         "shift_constants": shift,
         "config_digest": emb.config_digest,
         "seed": emb.seed,
         "epochs": emb.epochs,
-        "nodes": [
-            {"id": i, "blocks": [b[i].tolist() for b in emb.blocks]}
-            for i in range(emb.n)
-        ],
+        "nodes": [],
     }
-    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+    text = json.dumps(head, indent=1, allow_nan=False)
+    if emb.n == 0:
+        return text + "\n"
+    blocks = ",\n".join("    [\n" + ",\n".join(["     %r"] * b.shape[1]) + "\n    ]"
+                        for b in emb.blocks)
+    node = '  {\n   "id": %d,\n   "blocks": [\n' + blocks + "\n   ]\n  }"
+    # the id goes in as a float column; %d prints it as the integer it holds
+    rows = np.hstack([np.arange(emb.n, dtype=np.float64)[:, None], *emb.blocks])
+    nodes = ",\n".join([node] * emb.n) % tuple(rows.ravel().tolist())
+    return text[:-len("[]\n}")] + "[\n" + nodes + "\n ]\n}\n"
 
 
 def write_embedding(emb: Embedding, path: str | Path) -> None:

@@ -192,40 +192,56 @@ def save_edge_list(g: Graph, out: IO[str] | None = None) -> str:
 def bfs_apsp(g: Graph) -> np.ndarray:
     """Exact hop-distance matrix by a breadth-first search from every node at once.
 
-    Each node keeps a bitset of the sources whose search has reached it; one
-    level ORs the last level's new bits over every node's neighbours, and adds
-    1 to the distance of every (node, source) pair still unreached. Sources go
-    in blocks that bound the per-level temporaries. Returns an (n, n) int16
+    Each node keeps a bitset of the sources whose search has not reached it;
+    one level ORs the last level's new bits over every node's neighbours, and
+    the bits it newly reaches at level L are ORed into packed bit planes, plane
+    b for each set bit b of L. Each plane is unpacked once at the end, shifted
+    by its bit and added. An isolated node reads an all-zero sentinel row as
+    its one neighbour, so every node has a neighbour segment. Sources go in
+    blocks that bound the per-level temporaries. Returns an (n, n) int16
     matrix; unreachable pairs hold ``UNREACHABLE``.
     """
     n = g.n
     if n > MAX_DENSE_NODES:
         raise ValueError(f"dense distance matrix limited to n <= {MAX_DENSE_NODES}, got {n}")
-    indptr, indices = g.indptr, g.indices
-    if indices.size == 0:
-        dist = np.full((n, n), UNREACHABLE, dtype=np.int16)
-        np.fill_diagonal(dist, 0)
-        return dist
-    dist = np.zeros((n, n), dtype=np.int16)
-    linked = indptr[:-1] < indptr[1:]
-    starts = indptr[:-1][linked]  # reduceat needs nonempty, in-range segments
-    # bytes per 64-source word: the gathered neighbour rows plus the unpacked bits
-    block = max(1, _BFS_BLOCK_BYTES // (8 * indices.size + 64 * n))
+    # each isolated node gets the one neighbour n, the sentinel row
+    isolated = np.flatnonzero(g.degrees == 0)
+    indices = np.insert(g.indices, g.indptr[isolated], n)
+    starts = g.indptr[:-1] + isolated.searchsorted(np.arange(n))
+    dist = np.empty((n, n), dtype=np.int16)
+    # bytes per 64-source word: the gathered neighbour rows, then the unpacked
+    # bits of a plane and their int16 shift
+    block = max(1, _BFS_BLOCK_BYTES // (8 * indices.size + 192 * n))
     for s0 in range(0, n, 64 * block):
         s1 = min(n, s0 + 64 * block)
-        src = np.arange(s0, s1)
-        frontier = np.zeros((n, (s1 - s0 + 63) // 64), dtype="<u8")
+        count, src = s1 - s0, np.arange(s0, s1)
+        frontier = np.zeros((n + 1, (count + 63) // 64), dtype="<u8")  # row n stays 0
         frontier[src, (src - s0) // 64] = np.uint64(1) << ((src - s0) % 64).astype(np.uint64)
-        reached = frontier.copy()
+        new, unreached = frontier[:n], ~frontier[:n]
+        gathered = np.empty((indices.size, frontier.shape[1]), dtype="<u8")
+        planes: list[np.ndarray] = []
+        level = 0
         while True:
-            gathered = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
-            frontier = np.zeros_like(reached)
-            frontier[linked] = gathered & ~reached[linked]
-            if not frontier.any():
+            # indices are in range; "clip" lets take write to its out unbuffered
+            np.take(frontier, indices, axis=0, out=gathered, mode="clip")
+            np.bitwise_or.reduceat(gathered, starts, axis=0, out=new)
+            new &= unreached
+            if not new.any():
                 break
-            dist[:, s0:s1] += _unpack_bits(~reached, s1 - s0)
-            reached |= frontier
-        dist[:, s0:s1][_unpack_bits(~reached, s1 - s0).view(bool)] = UNREACHABLE
+            level += 1
+            unreached ^= new
+            if level == 1 << len(planes):
+                planes.append(np.zeros_like(new))
+            for b, plane in enumerate(planes):
+                if level >> b & 1:
+                    plane |= new
+        out, shifted = dist[:, s0:s1], np.empty((n, count), dtype=np.int16)
+        out[...] = 0
+        for b, plane in enumerate(planes):
+            out += np.left_shift(_unpack_bits(plane, count), b, out=shifted, dtype=np.int16)
+        lost = _unpack_bits(unreached, count).view(bool)
+        if lost.any():
+            out[lost] = UNREACHABLE
     return dist
 
 
@@ -234,11 +250,19 @@ def _unpack_bits(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=count, bitorder="little")
 
 
-def connected_pairs(dist: np.ndarray) -> np.ndarray:
-    """Unordered node pairs (i<j) at finite positive hop distance, as a (P, 2) array."""
-    iu, ju = np.triu_indices(dist.shape[0], k=1)
-    mask = dist[iu, ju] != UNREACHABLE
-    return np.column_stack([iu[mask], ju[mask]]).astype(np.int64)
+def connected_pairs(dist: np.ndarray, connected: np.ndarray | None = None) -> np.ndarray:
+    """Unordered node pairs (i<j) at finite positive hop distance, as a (P, 2)
+    int64 array in row-major order, built in one pass over the upper triangle
+    of ``connected``, the (n, n) mask of reachable pairs (by default
+    ``dist != UNREACHABLE``): column 0 repeats each row by its count, column 1
+    is the flat index less the row's offset."""
+    n = dist.shape[0]
+    upper = np.triu(dist != UNREACHABLE if connected is None else connected, 1)
+    counts = np.count_nonzero(upper, axis=1)
+    pairs = np.empty((int(counts.sum()), 2), dtype=np.int64)
+    pairs[:, 0] = np.repeat(np.arange(n), counts)
+    np.subtract(np.flatnonzero(upper), np.repeat(np.arange(0, n * n, n), counts), out=pairs[:, 1])
+    return pairs
 
 
 def triangle_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -327,6 +327,8 @@ def annular_volume(alpha: float, hyperbolic_dim: int, center_r: float, rho: floa
 
     Outer integral by adaptive Simpson at absolute tolerance ``tol``; the
     hyperbolic ball volume reduces to the closed form (sinh(2a)/2 - a)/2.
+    Raises OverflowError when the volume, or a sum of its quadrature, leaves
+    the float range.
     """
     if hyperbolic_dim != 3:
         raise ValueError("volume formula is only available for a 3-dimensional hyperbolic factor")
@@ -350,7 +352,12 @@ def annular_volume(alpha: float, hyperbolic_dim: int, center_r: float, rho: floa
     # large balls exceed double precision at a fixed 1e-8, so the tolerance is
     # absolute for O(1) volumes and relative beyond that
     coarse = abs(_adaptive_simpson(integrand, lo, hi, tol=1.0, max_depth=6))
-    return omega2 * omega2 * _adaptive_simpson(integrand, lo, hi, tol * max(1.0, coarse))
+    volume = math.inf
+    if math.isfinite(coarse):  # an inf or nan sum would never meet the tolerance
+        volume = omega2 * omega2 * _adaptive_simpson(integrand, lo, hi, tol * max(1.0, coarse))
+    if not math.isfinite(volume):  # a finite integral can still overflow here
+        raise OverflowError(f"annular volume at rho={rho!r} exceeds the float range")
+    return volume
 
 
 # ---------------------------------------------------------------------------

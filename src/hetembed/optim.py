@@ -183,7 +183,8 @@ class DistanceTarget:
 
     @classmethod
     def from_hops(cls, dist: np.ndarray) -> "DistanceTarget":
-        return cls(hops=dist, connected=dist > 0, pairs=connected_pairs(dist),
+        connected = dist > 0
+        return cls(hops=dist, connected=connected, pairs=connected_pairs(dist, connected),
                    workspace=_Workspace(dist.shape[0]))
 
     def mask(self, pairs: np.ndarray) -> np.ndarray:

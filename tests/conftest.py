@@ -242,6 +242,40 @@ def save_edge_list_reference(g: Graph) -> str:
     return "".join(lines)
 
 
+def connected_pairs_reference(dist: np.ndarray) -> np.ndarray:
+    """The (P, 2) int64 pair list from the full upper-triangle index arrays,
+    masked by reachability."""
+    iu, ju = np.triu_indices(dist.shape[0], k=1)
+    mask = dist[iu, ju] != UNREACHABLE
+    return np.column_stack([iu[mask], ju[mask]]).astype(np.int64)
+
+
+def embedding_to_json_reference(emb) -> str:
+    """Format 1 text as one dict payload through ``json.dumps(indent=1)``."""
+    import json
+
+    from hetembed.fileio import FORMAT_VERSION
+
+    shift = None
+    if emb.shift_constants is not None:
+        s = emb.shift_constants
+        shift = {"min_forman": s.min_forman, "delta_hat": s.delta_hat, "lambda": s.lam,
+                 "r_h": s.r_h}
+    payload = {
+        "format_version": FORMAT_VERSION,
+        "manifold": emb.spec.to_string(),
+        "shift_constants": shift,
+        "config_digest": emb.config_digest,
+        "seed": emb.seed,
+        "epochs": emb.epochs,
+        "nodes": [
+            {"id": i, "blocks": [b[i].tolist() for b in emb.blocks]}
+            for i in range(emb.n)
+        ],
+    }
+    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+
+
 def load_edge_list_reference(source) -> Graph:
     """The edge-list parse by a per-line loop: an id dict in first-appearance
     order and a set of edge tuples, duplicates and self-loops counted as met;

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetembed.cli import main
 from hetembed.fileio import (
@@ -15,10 +16,16 @@ from hetembed.fileio import (
 from hetembed.graph import load_edge_list, save_edge_list
 from hetembed.manifold import parse_manifold
 from hetembed.metrics import EvalReport
-from hetembed.optim import Embedding, TrainConfig, train
+from hetembed.optim import Embedding, ShiftConstants, TrainConfig, train
 from hetembed.randgraph import SampleConfig, generate_heterogeneous
 
+from conftest import embedding_to_json_reference
 from synthetic import cycle_tree, path_graph, random_connected_graph
+
+# coordinates whose shortest repr is easy to get wrong: signed zero, a
+# subnormal, exponent forms and integers held as floats
+AWKWARD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e22, 2.0**53, 3.0, -7.0,
+                  0.1, 1 / 3, 1.7976931348623157e308]
 
 
 @pytest.fixture
@@ -95,6 +102,54 @@ class TestEmbeddingFile:
             assert np.array_equal(a, b)
         assert emb2.spec == emb.spec
         assert emb2.shift_constants == emb.shift_constants
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_writer_bytes_match_json_dumps(self, data):
+        flat = data.draw(st.lists(st.sampled_from(["e1", "e3", "s1", "s2", "h2", "h5(l=0.5)"]),
+                                  max_size=3))
+        rot = data.draw(st.sampled_from([None, "rot(a=auto)", "rot(a=0.7,l=0.5)"]))
+        if rot is None and not flat:
+            rot = "rot(a=auto)"
+        if rot is not None:
+            flat.insert(data.draw(st.integers(0, len(flat))), rot)
+        spec = parse_manifold(",".join(flat))
+        n = data.draw(st.sampled_from([1, 2, 131]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        blocks = [rng.normal(scale=10.0 ** rng.integers(-8, 9), size=(n, f.block_dim))
+                  for f in spec.factors]
+        whole = rng.random(n) < 0.5  # rows of integers held as floats
+        blocks[-1][whole] = np.round(blocks[-1][whole])
+        for _ in range(data.draw(st.integers(0, 12))):
+            k = data.draw(st.integers(0, len(blocks) - 1))
+            i = data.draw(st.integers(0, n - 1))
+            j = data.draw(st.integers(0, blocks[k].shape[1] - 1))
+            blocks[k][i, j] = data.draw(st.sampled_from(AWKWARD_FLOATS)
+                                        | st.floats(allow_nan=False, allow_infinity=False))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        shift = data.draw(st.none() | st.builds(ShiftConstants, min_forman=finite,
+                                                delta_hat=finite, lam=finite, r_h=finite))
+        emb = Embedding(spec=spec, blocks=blocks, shift_constants=shift,
+                        seed=data.draw(st.integers(0, 2**63)),
+                        epochs=data.draw(st.integers(0, 10**6)),
+                        config_digest=data.draw(st.text(max_size=12)))
+        assert embedding_to_json(emb) == embedding_to_json_reference(emb)
+
+    def test_writer_reads_back_its_own_bytes(self):
+        g = random_connected_graph(12, 0.3, seed=5)
+        cfg = TrainConfig(tau=0.4, epochs=10, seed=3, learning_rate=0.02)
+        emb, _ = train(g, parse_manifold("s2,h2,e1,rot(a=auto,l=0.5)"), cfg)
+        text = embedding_to_json(emb)
+        assert text == embedding_to_json_reference(emb)
+        assert embedding_to_json(embedding_from_json(text)) == text
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_writer_names_the_non_finite_coordinate(self, value):
+        blocks = [np.zeros((4, 2)), np.zeros((4, 3))]
+        blocks[1][2, 1] = value
+        emb = Embedding(spec=parse_manifold("e2,s2"), blocks=blocks)
+        with pytest.raises(ValueError, match="factor s2 at node 2"):
+            embedding_to_json(emb)
 
     def test_manifold_string_reparses_identical(self):
         g = path_graph(4)
@@ -397,6 +452,21 @@ class TestCliCommands:
         lines = out.read_text().splitlines()
         g = load_edge_list(open(graph_file).read())
         assert len(lines) == g.n + 1
+
+    def test_volume_rho_past_the_float_range_exit_1(self, tmp_path, graph_file, capsys):
+        emb_path = tmp_path / "emb.json"
+        assert run_cli("embed", graph_file, "-m", "h3,rot(a=auto)", "--tau", "0.3",
+                       "--epochs", "10", "--out", str(emb_path)) == 0
+        out = tmp_path / "vol.csv"
+        capsys.readouterr()
+        assert run_cli("volume", graph_file, str(emb_path), "--rho", "400",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --rho: ") and "Traceback" not in err
+        assert not out.exists()
+        assert run_cli("volume", graph_file, str(emb_path), "--rho", "50",
+                       "--out", str(out)) == 0
+        assert out.exists()
 
     def test_volume_wrong_manifold_exit_1(self, tmp_path, graph_file):
         emb_path = tmp_path / "emb.json"

@@ -9,6 +9,7 @@ from hetembed.graph import (
     UNREACHABLE,
     _forman_entries,
     bfs_apsp,
+    connected_pairs,
     forman,
     forman_dirichlet_energy,
     from_edges,
@@ -19,6 +20,7 @@ from hetembed.graph import (
 )
 
 from conftest import (
+    connected_pairs_reference,
     edge_set,
     floyd_warshall,
     forman_reference,
@@ -224,6 +226,31 @@ class TestBfsApsp:
         assert g.neighbors(75).size == 0 and g.neighbors(149).size == 0
         assert_csr(g)
         assert np.array_equal(bfs_apsp(g), floyd_warshall(g))
+
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 26])
+    def test_long_path_uses_high_bit_planes(self, monkeypatch, block_bytes):
+        # levels past 255 set plane bit 8, whose shift needs int16
+        import hetembed.graph as graph
+
+        monkeypatch.setattr(graph, "_BFS_BLOCK_BYTES", block_bytes)
+        g = path_graph(300)
+        d = bfs_apsp(g)
+        assert d.dtype == np.int16 and d[0, 299] == 299
+        assert np.array_equal(d, floyd_warshall(g))
+
+
+class TestConnectedPairs:
+    @pytest.mark.parametrize("g", [
+        path_graph(2), complete_graph(5), gnp_graph(70, 0.08, seed=4),
+        from_edges(9, [(0, 1), (2, 3), (3, 4), (6, 8)]),  # isolated 5 and 7
+        from_edges(3, []),
+    ], ids=["p2", "k5", "gnp70", "disconnected", "edgeless"])
+    def test_matches_triu_index_construction(self, g):
+        dist = bfs_apsp(g)
+        want = connected_pairs_reference(dist)
+        for got in (connected_pairs(dist), connected_pairs(dist, dist > 0)):
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestEquality:

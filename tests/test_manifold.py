@@ -536,6 +536,19 @@ class TestAnnularVolume:
             got = annular_volume(alpha, 3, r_i, rho)
             assert got == pytest.approx(oracle, rel=0.01)
 
+    def test_volume_past_the_float_range_raises(self, monkeypatch):
+        import hetembed.manifold as manifold
+
+        assert math.isfinite(annular_volume(1.0, 3, 0.0, 350.0))
+        # 400: sinh(2a) overflows; 355: the coarse Simpson sum does
+        for rho in (400.0, 355.0):
+            with pytest.raises(OverflowError):
+                annular_volume(1.0, 3, 0.0, rho)
+        # a finite integral that overflows once multiplied by omega2**2
+        monkeypatch.setattr(manifold, "_adaptive_simpson", lambda *args, **kwargs: 1e307)
+        with pytest.raises(OverflowError):
+            annular_volume(1.0, 3, 0.0, 1.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             annular_volume(1.0, 3, 1.0, 0.0)
