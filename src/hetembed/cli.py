@@ -10,6 +10,7 @@ differently for another thread count and round its last bits apart).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -248,9 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing fills a fresh namespace each
+    time and changes nothing in the parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NumericAbortError as exc:

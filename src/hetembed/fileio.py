@@ -7,13 +7,12 @@ Python's shortest-repr decimals (up to 17 significant digits).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .manifold import check_point, parse_manifold
+from .manifold import MAX_COORDINATE, check_point, parse_manifold
 from .optim import Embedding, ShiftConstants, TrainConfig, TrainHistory
 from .randgraph import GraphStats, SampleConfig
 
@@ -73,14 +72,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite(value) -> bool:
-    """Whether a JSON value is a number that converts to a finite float."""
+def _is_bounded(value) -> bool:
+    """Whether a JSON value is a number of at most ``MAX_COORDINATE`` in magnitude,
+    the bound :func:`check_point` puts on coordinates."""
     if not (_is_int(value) or isinstance(value, float)):
         return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+    return abs(value) <= MAX_COORDINATE  # False for NaN
 
 
 def embedding_from_json(text: str) -> Embedding:
@@ -120,9 +117,9 @@ def embedding_from_json(text: str) -> Embedding:
     shift = payload.get("shift_constants")
     if shift is not None:
         keys = {"min_forman": "min_forman", "delta_hat": "delta_hat", "lam": "lambda", "r_h": "r_h"}
-        if not (isinstance(shift, dict) and all(_is_finite(shift.get(key)) for key in keys.values())):
+        if not (isinstance(shift, dict) and all(_is_bounded(shift.get(key)) for key in keys.values())):
             raise ValueError(f"embedding 'shift_constants' must map {sorted(keys.values())} "
-                             "to finite numbers")
+                             f"to finite numbers of at most {MAX_COORDINATE:g} in magnitude")
         shift = ShiftConstants(**{field: float(shift[key]) for field, key in keys.items()})
     seed, epochs = payload.get("seed", 0), payload.get("epochs", 0)
     if not (_is_int(seed) and _is_int(epochs)):

@@ -299,7 +299,10 @@ def alpha_from_range(max_f: float, min_f: float, delta: float, ell_plus: float) 
 
 
 def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      tol: float, max_depth: int = 30) -> float:
+                      tol: float, max_depth: int = 30, min_depth: int = 0) -> float:
+    """Adaptive Simpson at absolute tolerance ``tol``. No panel is accepted above
+    ``min_depth`` halvings: a narrow peak that every sample of a coarser panel
+    misses would pass its error test."""
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
@@ -309,7 +312,8 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         flm, frm = f(lm), f(rm)
         left = simpson(x0, x1, f0, flm, f1)
         right = simpson(x1, x2, f1, frm, f2)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+        settled = max_depth - depth >= min_depth and abs(left + right - whole) <= 15.0 * tol
+        if depth <= 0 or settled:
             return left + right + (left + right - whole) / 15.0
         return rec(x0, x1, f0, flm, f1, left, 0.5 * tol, depth - 1) + rec(
             x1, x2, f1, frm, f2, right, 0.5 * tol, depth - 1
@@ -320,15 +324,20 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     return rec(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, max_depth)
 
 
+# the fine pass of annular_volume halves every panel at least this often; the
+# peak of its integrand narrows to about sqrt(rho) wide near rho = 350
+_MIN_DEPTH = 6
+
+
 def annular_volume(alpha: float, hyperbolic_dim: int, center_r: float, rho: float,
                    tol: float = 1e-8) -> float:
     """Volume of the annular region of radius rho around a point with radial
     coordinate ``center_r`` in H^3 x R.
 
-    Outer integral by adaptive Simpson at absolute tolerance ``tol``; the
-    hyperbolic ball volume reduces to the closed form (sinh(2a)/2 - a)/2.
-    Raises OverflowError when the volume, or a sum of its quadrature, leaves
-    the float range.
+    Outer integral by adaptive Simpson at absolute tolerance ``tol``, with
+    every panel halved at least ``_MIN_DEPTH`` times; the hyperbolic ball
+    volume reduces to the closed form (sinh(2a)/2 - a)/2. Raises
+    OverflowError when the volume leaves the float range.
     """
     if hyperbolic_dim != 3:
         raise ValueError("volume formula is only available for a 3-dimensional hyperbolic factor")
@@ -337,13 +346,24 @@ def annular_volume(alpha: float, hyperbolic_dim: int, center_r: float, rho: floa
     if center_r < 0:
         raise ValueError("center_r must be nonnegative")
     omega2 = 4.0 * math.pi
+    # the integrand peaks near sinh(2 rho) phi^2 / 4, past the float range from
+    # rho ~ 354 while the volume need not be (phi is small for a small alpha).
+    # So it is integrated times 2^-shift, the tolerances alike, with sinh(2a)
+    # from exp(2a - shift ln 2) where it would overflow, and scaled back last
+    top = 2.0 * rho / math.log(2.0) + 2.0 * math.log2(max(center_r + rho, 1.0))
+    shift = min(max(math.ceil(top) - 1000, 0), 1000)
+    scale = math.ldexp(1.0, -shift)
 
     def integrand(r: float) -> float:
         t2 = rho * rho - (r - center_r) ** 2
         if t2 <= 0.0:
             return 0.0
         a = math.sqrt(t2)
-        inner = (math.sinh(2.0 * a) / 2.0 - a) / 2.0
+        if 2.0 * a < 709.0:
+            sinh = math.sinh(2.0 * a) * scale
+        else:  # sinh(2a) = exp(2a) / 2 to double precision here
+            sinh = math.exp(2.0 * a - shift * math.log(2.0)) / 2.0
+        inner = (sinh / 2.0 - a * scale) / 2.0
         phi = alpha * math.atan(r / alpha)
         return inner * phi * phi
 
@@ -351,13 +371,14 @@ def annular_volume(alpha: float, hyperbolic_dim: int, center_r: float, rho: floa
     hi = center_r + rho
     # large balls exceed double precision at a fixed 1e-8, so the tolerance is
     # absolute for O(1) volumes and relative beyond that
-    coarse = abs(_adaptive_simpson(integrand, lo, hi, tol=1.0, max_depth=6))
+    coarse = abs(_adaptive_simpson(integrand, lo, hi, tol=scale, max_depth=6))
     volume = math.inf
     if math.isfinite(coarse):  # an inf or nan sum would never meet the tolerance
-        volume = omega2 * omega2 * _adaptive_simpson(integrand, lo, hi, tol * max(1.0, coarse))
-    if not math.isfinite(volume):  # a finite integral can still overflow here
-        raise OverflowError(f"annular volume at rho={rho!r} exceeds the float range")
-    return volume
+        volume = omega2 * omega2 * _adaptive_simpson(integrand, lo, hi, tol * max(scale, coarse),
+                                                     min_depth=_MIN_DEPTH)
+    if math.isfinite(volume) and math.frexp(volume)[1] + shift <= 1024:  # below 2^1024
+        return math.ldexp(volume, shift)
+    raise OverflowError(f"annular volume at rho={rho!r} exceeds the float range")
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +405,23 @@ def _check_blocks(spec: ManifoldSpec, blocks: Sequence[np.ndarray], what: str) -
     return out
 
 
+# check_point's bound on coordinates, which the embedding reader also puts on
+# the shift constants: squares and products of such numbers, summed over a
+# factor's coordinates, stay far inside the float range (a hyperboloid point
+# this far out lies about 230 from the pole)
+MAX_COORDINATE = 1e100
+
+
 def check_point(spec: ManifoldSpec, blocks: Sequence[np.ndarray], atol: float = 1e-7) -> None:
-    """Validate finite coordinates and constraint-surface membership of every block."""
+    """Validate finite coordinates of at most ``MAX_COORDINATE`` in magnitude and
+    constraint-surface membership of every block."""
     blocks = _check_blocks(spec, blocks, "point")
     for f, b in zip(spec.factors, blocks):
         # every comparison below is false for NaN, so it would pass them
         if not np.isfinite(b).all():
             raise ValueError(f"factor {f.to_string()} has non-finite coordinates")
+        if (np.abs(b) > MAX_COORDINATE).any():
+            raise ValueError(f"factor {f.to_string()} has coordinates beyond {MAX_COORDINATE:g}")
         if f.sign:
             # measuring w(x,x) - 1 is conditioned by |x|^2, so scale the tolerance
             scale = np.maximum((b * b).sum(axis=-1), 1.0)
@@ -522,14 +553,20 @@ _TILE = 192
 class _Workspace:
     """The tiles of the all-pairs passes over n points and their buffers. The
     row ranges split 0..n evenly into the fewest tiles of at most ``_TILE``
-    rows. ``view`` gives a C-contiguous buffer by name, allocated at its first
-    use with room for the largest tile and reused after."""
+    rows; ``starts`` and ``widths`` give their first rows and lengths,
+    ``tile_of`` each row's tile, and ``side`` the longest length. ``view``
+    gives a C-contiguous buffer by name, allocated at its first use with room
+    for a (side, side) block and reused after."""
 
     def __init__(self, n: int):
         k = max(-(-n // _TILE), 1)
         edges = [n * t // k for t in range(k + 1)]
         self.tiles = [slice(a, b) for a, b in zip(edges, edges[1:])]
-        self._size = (-(-n // k)) ** 2
+        self.starts = np.array(edges[:-1], dtype=np.int64)
+        self.widths = np.diff(edges)
+        self.tile_of = np.repeat(np.arange(k), self.widths)
+        self.side = -(-n // k)
+        self._size = self.side**2
         self._flat: dict = {}
 
     def upper(self):
@@ -553,12 +590,13 @@ def _tile_operand(factor: Factor, x: np.ndarray) -> np.ndarray:
     return _neg_space(x.copy()) if factor.sign < 0 else x
 
 
-def _sq_tile(factor: Factor, x: np.ndarray, op: np.ndarray, rows: slice, cols: slice,
+def _sq_tile(factor: Factor, x: np.ndarray, op: np.ndarray, rows, cols: slice,
              out: np.ndarray, scratch, dw: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-    """Unit-scale squared distances between the rows ``rows`` and ``cols`` of x,
-    into ``out``; ``op`` is :func:`_tile_operand` of x and ``scratch(name)``
-    gives a spare buffer of out's shape by name. With ``dw`` = (dsq, bad) on a
-    quadric, also d(sq)/dw and the branch-point mask, by :func:`_quadric_sq_dw`.
+    """Unit-scale squared distances between the rows ``rows`` (a slice or an
+    index array) and ``cols`` of x, into ``out``; ``op`` is :func:`_tile_operand`
+    of x and ``scratch(name)`` gives a spare buffer of out's shape by name.
+    With ``dw`` = (dsq, bad) on a quadric, also d(sq)/dw and the branch-point
+    mask, by :func:`_quadric_sq_dw`.
     A flat factor sums squared differences column by column, with the bits of
     :func:`factor_sq_distance`; a quadric takes one Gram matmul and one arccos
     or arccosh."""
@@ -576,7 +614,7 @@ def _sq_tile(factor: Factor, x: np.ndarray, op: np.ndarray, rows: slice, cols: s
 
 
 def _product_sq_tile(spec: ManifoldSpec, blocks: Sequence[np.ndarray],
-                     ops: Sequence[np.ndarray], rows: slice, cols: slice, out: np.ndarray,
+                     ops: Sequence[np.ndarray], rows, cols: slice, out: np.ndarray,
                      scratch, dws: Sequence | None = None) -> np.ndarray:
     """Squared product distances between the rows ``rows`` and ``cols`` of the
     points, into ``out``: each factor's unit-scale tile (the first in out, the

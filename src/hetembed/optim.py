@@ -30,6 +30,8 @@ from .manifold import (
 
 # default pair-batch size for graphs too large for full-batch steps
 _BIG_GRAPH_BATCH = 200_000
+# minibatch training logs the distance loss over all pairs on every this-many-th epoch
+_FULL_LOSS_EVERY = 10
 
 
 class NumericAbortError(RuntimeError):
@@ -133,7 +135,9 @@ class Embedding:
 class GradientResult:
     blocks: list[np.ndarray]
     skipped_pairs: int = 0
-    loss_distance: float = 0.0  # over all connected pairs, where it was taken
+    # the losses where it was taken: distance over its pairs, curvature over all nodes
+    loss_distance: float = 0.0
+    loss_curvature: float = 0.0
 
 
 @dataclass
@@ -187,67 +191,94 @@ class DistanceTarget:
         return cls(hops=dist, connected=connected, pairs=connected_pairs(dist, connected),
                    workspace=_Workspace(dist.shape[0]))
 
-    def mask(self, pairs: np.ndarray) -> np.ndarray:
-        """(n, n) mask of a (P, 2) pair array: the connected mask itself for
-        ``self.pairs``, else a new symmetric mask of distinct connected pairs."""
-        if pairs is self.pairs:
-            return self.connected
-        pi, pj = pairs[:, 0], pairs[:, 1]
-        if not self.connected[pi, pj].all():
-            raise ValueError("pairs must be distinct and graph-connected")
-        mask = np.zeros_like(self.connected)
-        mask[pi, pj] = mask[pj, pi] = True
-        if np.count_nonzero(mask) != 2 * pairs.shape[0]:
-            raise ValueError("pairs must not repeat or mirror a pair")
-        return mask
+    def anchor_pairs(self, anchors: np.ndarray) -> np.ndarray:
+        """The minibatch of the sorted node array ``anchors``: every connected
+        pair with an end among them, as a (B, 2) array with an anchor first, in
+        row-major order. A pair with both ends among them is listed once, from
+        its smaller end."""
+        rows = self.connected[anchors]
+        rows[:, anchors] = np.triu(rows[:, anchors], 1)
+        at, cols = np.nonzero(rows)
+        return np.column_stack([anchors[at], cols])
 
 
-def _pair_pass(emb: Embedding, target: DistanceTarget, mask: np.ndarray, grad: bool):
-    """One walk over the upper-triangle tiles (rows I <= columns J) of the pair
-    matrix, in the target's buffers.
+def _batch_blocks(target: DistanceTarget, pairs) -> list:
+    """The blocks that walk a (B, 2) pair list other than ``target.pairs``.
 
-    Per tile: the squared product distances, the deviation d_M^2 / d_G^2 - 1 of
-    the connected pairs (0 elsewhere) and its absolute sum, which a diagonal
-    tile holds twice. Without ``grad`` that sum is over the pairs of ``mask``,
-    and the pass returns it. With ``grad`` it is over all connected pairs, and
-    the weights sign(dev) / d_G^2 on ``mask`` give each factor's ambient
+    The distinct first entries are the anchor rows, in chunks of at most
+    ``side`` rows; the columns go in the tiles. Each block that holds a pair
+    is (anchor rows, column slice, shape, (cells, d_G^2)): the flat cells of
+    its pairs in the block, in list order, and their squared hop distances.
+    Raises ValueError for a self, unreachable, repeated or mirrored pair."""
+    pairs = np.asarray(pairs)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("pairs must be a (B, 2) array of node indices")
+    ws, n = target.workspace, target.hops.shape[0]
+    first, second = pairs.T
+    hops = target.hops[first, second]
+    if hops.min(initial=1) < 1:
+        raise ValueError("pairs must be distinct and graph-connected")
+    key = np.minimum(first, second) * n + np.maximum(first, second)
+    key.sort()
+    if (key[1:] == key[:-1]).any():
+        raise ValueError("pairs must not repeat or mirror a pair")
+    d_g2 = np.square(hops, dtype=np.float64)
+    held = np.bincount(first, minlength=n) > 0
+    anchors = np.flatnonzero(held)
+    rank = np.cumsum(held)[first] - 1
+    tile = ws.tile_of[second]
+    chunk, row = np.divmod(rank, ws.side)
+    block = chunk * len(ws.tiles) + tile
+    cells = row * ws.widths[tile] + (second - ws.starts[tile])
+    order = np.argsort(block, kind="stable")
+    cells, d_g2 = cells[order], d_g2[order]
+    counts = np.bincount(block)
+    ends = np.cumsum(counts)
+    out = []
+    for b in np.flatnonzero(counts):
+        c, t = divmod(int(b), len(ws.tiles))
+        rows, cols = anchors[c * ws.side:(c + 1) * ws.side], ws.tiles[t]
+        span = slice(ends[b] - counts[b], ends[b])
+        out.append((rows, cols, (rows.size, cols.stop - cols.start), (cells[span], d_g2[span])))
+    return out
+
+
+def _pair_pass(emb: Embedding, target: DistanceTarget, pairs, grad: bool):
+    """One walk over the pairs of ``pairs``, in the target's buffers.
+
+    ``target.pairs`` itself walks the upper-triangle tiles (rows I <= columns
+    J) of the pair matrix; any other list walks the blocks of its anchor rows
+    (:func:`_batch_blocks`). Per tile or block: the squared product distances,
+    and the deviations d_M^2 / d_G^2 - 1 of its pairs, whose absolute values
+    sum to the loss (a diagonal tile holds each pair twice). With ``grad`` the
+    weights sign(dev) / d_G^2 of those pairs give each factor's ambient
     derivatives: row i gets d/dx_i of sum_j weight_ij * lambda^2 * sq(x_i, x_j),
-    as ``T @ x[J]`` onto rows I and ``T.T @ x[I]`` onto rows J of an off-diagonal
-    tile. Quadric pairs at the branch point (coincident, or antipodal on the
-    sphere) have a 0/0 derivative and contribute 0; those in ``mask`` are
+    as ``T @ x[J]`` onto the rows and ``T.T @ x[I]`` onto the columns, except
+    on a diagonal tile. Quadric pairs at the branch point (coincident, or
+    antipodal on the sphere) have a 0/0 derivative and contribute 0; they are
     counted. Returns (loss, skipped pairs, ambient derivatives).
     """
     spec, blocks, ws = emb.spec, emb.blocks, target.workspace
+    if pairs is target.pairs:
+        walk = [(rows, cols, shape, None) for rows, cols, shape in ws.upper()]
+    else:
+        walk = _batch_blocks(target, pairs)
     ops = [_tile_operand(f, x) for f, x in zip(spec.factors, blocks)]
     # -0.0 is the additive identity: a row block's first tile keeps its bits
     ambient = [np.full_like(x, -0.0) for x in blocks] if grad else None
-    batch = mask is not target.connected
     loss, skipped = 0.0, 0
-    for rows, cols, shape in ws.upper():
-        diag = rows == cols
+    for rows, cols, shape, cells in walk:
         dws = [(ws.view(("dsq", k), shape), ws.view(("bad", k), shape, bool)) if f.sign else None
                for k, f in enumerate(spec.factors)] if grad else None
         dev = _product_sq_tile(spec, blocks, ops, rows, cols, ws.view("dev", shape),
                                lambda name: ws.view(name, shape), dws)
-        off = np.logical_not(target.connected[rows, cols], out=ws.view("off", shape, bool))
-        d_g2 = np.square(target.hops[rows, cols], dtype=np.float64, out=ws.view("d_g2", shape))
-        d_g2[off] = 1.0
-        dev /= d_g2
-        dev[off] = 1.0
-        dev -= 1.0
+        tile_pass = _connected_tile if cells is None else _batch_cells
+        part, base, count = tile_pass(target, dev, rows, cols, cells, dws, ws)
+        loss += part
         if grad:
-            base = np.sign(dev, out=ws.view("base", shape))
-            base /= d_g2  # 0 off the connected pairs
-            if batch:
-                base *= mask[rows, cols]
-        np.abs(dev, out=dev)
-        if batch and not grad:
-            dev *= mask[rows, cols]
-        part = float(dev.sum())
-        loss += part / 2.0 if diag else part
-        if grad:
-            skipped += _tile_gradient(spec, blocks, ambient, dws, base, mask, rows, cols,
-                                      diag, ws)
+            skipped += count
+            _tile_gradient(spec, blocks, ambient, dws, base, rows, cols,
+                           cells is None and rows == cols, ws)
     if grad:
         for f, amb in zip(spec.factors, ambient):
             if f.sign < 0:
@@ -255,10 +286,52 @@ def _pair_pass(emb: Embedding, target: DistanceTarget, mask: np.ndarray, grad: b
     return loss, skipped, ambient
 
 
-def _tile_gradient(spec, blocks, ambient, dws, base, mask, rows, cols, diag, ws) -> int:
-    """Adds one tile's terms to every factor's ambient derivatives, and returns
-    the singular pairs of ``mask`` it holds (see :func:`_pair_pass`)."""
-    skipped = 0
+def _connected_tile(target, dev, rows, cols, cells, dws, ws):
+    """An upper tile of all connected pairs, with ``dev`` holding its squared
+    distances and ``dws`` the quadrics' (dsq, bad) buffers, None without a
+    gradient: (its loss, its weight tile or None, its singular pairs). A
+    diagonal tile holds each pair twice."""
+    diag = rows == cols
+    off = np.logical_not(target.connected[rows, cols], out=ws.view("off", dev.shape, bool))
+    d_g2 = np.square(target.hops[rows, cols], dtype=np.float64, out=ws.view("d_g2", dev.shape))
+    d_g2[off] = 1.0
+    dev /= d_g2
+    dev[off] = 1.0
+    dev -= 1.0
+    base, count = None, 0
+    if dws is not None:
+        base = np.sign(dev, out=ws.view("base", dev.shape))
+        base /= d_g2  # 0 off the connected pairs
+        on = np.logical_not(off, out=off)
+        for _, bad in filter(None, dws):
+            singular = int(np.count_nonzero(np.logical_and(bad, on, out=bad)))
+            count += singular // 2 if diag else singular
+    np.abs(dev, out=dev)
+    part = float(dev.sum())
+    return part / 2.0 if diag else part, base, count
+
+
+def _batch_cells(target, dev, rows, cols, cells, dws, ws):
+    """A block of a pair list, with ``dev`` holding its squared distances,
+    ``cells`` = (the flat cells of its pairs, their d_G^2) and ``dws`` as for
+    :func:`_connected_tile`: (its loss, its weight tile or None, its singular
+    pairs)."""
+    at, d_g2 = cells
+    pair_dev = dev.ravel()[at]
+    pair_dev /= d_g2
+    pair_dev -= 1.0
+    base, count = None, 0
+    if dws is not None:
+        base = ws.view("base", dev.shape)
+        base.fill(0.0)
+        base.ravel()[at] = np.sign(pair_dev) / d_g2
+        count = sum(int(np.count_nonzero(bad.ravel()[at])) for _, bad in filter(None, dws))
+    return float(np.abs(pair_dev).sum()), base, count
+
+
+def _tile_gradient(spec, blocks, ambient, dws, base, rows, cols, diag, ws) -> None:
+    """Adds one tile's or block's terms to every factor's ambient derivatives
+    (see :func:`_pair_pass`)."""
     for f, x, amb, dw in zip(spec.factors, blocks, ambient, dws):
         lam2 = f.lam**2
         weight = base if lam2 == 1.0 else np.multiply(base, lam2, out=ws.view("weight", base.shape))
@@ -267,19 +340,15 @@ def _tile_gradient(spec, blocks, ambient, dws, base, mask, rows, cols, diag, ws)
             if not diag:
                 amb[cols] += 2.0 * (weight.sum(axis=0)[:, None] * x[cols] - weight.T @ x[rows])
             continue
-        dsq, bad = dw
-        tile = np.multiply(dsq, weight, out=dsq)
+        tile = np.multiply(dw[0], weight, out=dw[0])
         amb[rows] += tile @ x[cols]
         if not diag:
             amb[cols] += tile.T @ x[rows]
-        count = int(np.count_nonzero(np.logical_and(bad, mask[rows, cols], out=bad)))
-        skipped += count // 2 if diag else count  # a diagonal tile holds each pair twice
-    return skipped
 
 
 def loss_distance(emb: Embedding, target: DistanceTarget, pairs: np.ndarray) -> float:
     """Relative squared-distance distortion summed over the given pairs."""
-    return _pair_pass(emb, target, target.mask(pairs), grad=False)[0]
+    return _pair_pass(emb, target, pairs, grad=False)[0]
 
 
 def _curvature_residuals(emb: Embedding, f_signal, cfg: TrainConfig):
@@ -316,26 +385,29 @@ def loss_total(emb: Embedding, target: DistanceTarget, f_signal, cfg: TrainConfi
 def gradients(emb: Embedding, target: DistanceTarget, f_signal, cfg: TrainConfig,
               pairs: np.ndarray) -> GradientResult:
     """Analytic Riemannian gradients of the total loss over ``pairs`` at the
-    current state, and the distance loss over all connected pairs there.
+    current state, and the losses there: distance over ``pairs``, curvature
+    over all nodes.
 
-    One walk over the upper-triangle tiles of the pair matrix (:func:`_pair_pass`):
-    the weights of the connected pairs, times the 0/1 mask of ``pairs`` unless
-    they are ``target.pairs``, give each factor's ambient coordinate
-    derivatives, which are mapped through the inverse metric + tangent
-    projection. Pairs whose space-form distance derivative is numerically
-    singular (coincident points, antipodal sphere points) are dropped, and
-    those inside ``pairs`` are counted.
+    One walk over the pairs (:func:`_pair_pass`): the upper-triangle tiles
+    for ``target.pairs``, else the blocks of the list's anchor rows. The
+    weights give each factor's ambient coordinate derivatives, which are
+    mapped through the inverse metric + tangent projection. Pairs whose
+    space-form distance derivative is numerically singular (coincident
+    points, antipodal sphere points) are dropped and counted.
     """
-    loss_d, skipped, ambient = _pair_pass(emb, target, target.mask(pairs), grad=True)
+    loss_d, skipped, ambient = _pair_pass(emb, target, pairs, grad=True)
 
+    loss_c = 0.0
     if cfg.tau > 0:
         res, weights, rot = _curvature_residuals(emb, f_signal, cfg)
+        loss_c = float((res**2 / weights).sum())  # loss_curvature's expression
         r = emb.radii()
         d_lc = -2.0 * res * rotsym_curvature_derivative(rot.alpha, r) / weights
         ambient[emb.spec.rotsym_index][:, 0] += cfg.tau * d_lc
 
     grads = riemannian_gradient(emb.spec, emb.blocks, ambient)
-    return GradientResult(blocks=grads, skipped_pairs=skipped, loss_distance=loss_d)
+    return GradientResult(blocks=grads, skipped_pairs=skipped, loss_distance=loss_d,
+                          loss_curvature=loss_c)
 
 
 def rsgd_step(emb: Embedding, grads: GradientResult | Sequence[np.ndarray], lr: float) -> Embedding:
@@ -416,7 +488,14 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
     emb.shift_constants = shift
     cfg_run = replace(cfg, tau=tau)
 
-    batch_size = _resolve_batch(cfg.batch_pairs, all_pairs.shape[0], g.n)
+    n_pairs = all_pairs.shape[0]
+    batch_size = _resolve_batch(cfg.batch_pairs, n_pairs, g.n)
+    # a minibatch is every connected pair with an end among k random anchor
+    # nodes, k the batch size over n - 1 rounded up; the draws take only the
+    # c nodes that have a pair. k < c, since the batch is below P <= c(c - 1) / 2
+    candidates = np.flatnonzero(target.connected.any(axis=1))
+    n_anchors = -(-batch_size // (g.n - 1))
+    minibatch = batch_size < n_pairs
     batch_rng = np.random.default_rng((cfg.seed, 0xBA7C4))
     # piecewise-constant decay; the late x0.01 tail damps the oscillation of
     # the nonsmooth distance loss around its optimum
@@ -424,13 +503,15 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
     decay2 = int(math.floor(0.9 * cfg.epochs))
 
     def draw_batch() -> np.ndarray:
-        if batch_size == all_pairs.shape[0]:
+        if not minibatch:
             return all_pairs
-        idx = batch_rng.choice(all_pairs.shape[0], size=batch_size, replace=False)
-        return all_pairs[np.sort(idx)]
+        return target.anchor_pairs(np.sort(batch_rng.choice(candidates, size=n_anchors,
+                                                            replace=False)))
 
-    # the loss after each step is read from the next epoch's gradient, taken
-    # right after the step on the next batch; the last epoch has none
+    # the losses after each step are read from the next epoch's gradient,
+    # taken right after the step on the next batch; a minibatch's distance
+    # loss is scaled to all pairs, except on every _FULL_LOSS_EVERY-th epoch,
+    # which takes it over all pairs. The last epoch has no next gradient.
     history = TrainHistory()
     t0 = time.perf_counter()
     ahead = gradients(emb, target, f_signal, cfg_run, draw_batch())
@@ -440,11 +521,16 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
         try:  # rsgd_step raises TangencyError for a step too long for the tangent space
             emb = rsgd_step(emb, grad, lr)
             if epoch + 1 < cfg.epochs:
-                ahead = gradients(emb, target, f_signal, cfg_run, draw_batch())
-                l_d = ahead.loss_distance
+                batch = draw_batch()
+                ahead = gradients(emb, target, f_signal, cfg_run, batch)
+                l_d, l_c = ahead.loss_distance, ahead.loss_curvature
+                if minibatch and (epoch + 1) % _FULL_LOSS_EVERY:
+                    l_d = l_d * n_pairs / batch.shape[0]
+                elif minibatch:
+                    l_d = loss_distance(emb, target, all_pairs)
             else:
                 l_d = loss_distance(emb, target, all_pairs)
-            l_c = loss_curvature(emb, f_signal, cfg_run) if tau > 0 else 0.0
+                l_c = loss_curvature(emb, f_signal, cfg_run) if tau > 0 else 0.0
             if not (np.isfinite(l_d) and np.isfinite(l_c)):
                 raise FloatingPointError("non-finite loss")
         except (TangencyError, FloatingPointError) as exc:

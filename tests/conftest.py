@@ -528,9 +528,22 @@ def gradients_reference(emb, dist: np.ndarray, f_signal, cfg, pairs: np.ndarray)
                           skipped_pairs=skipped, loss_distance=float(np.abs(dev).sum()))
 
 
+def anchor_batch_reference(dist: np.ndarray, anchors) -> np.ndarray:
+    """Every connected pair with an end in ``anchors``, anchor first, by a loop
+    over the sorted anchors and then the columns; a pair with both ends among
+    them is listed once, from its smaller end."""
+    chosen = set(int(a) for a in anchors)
+    listed = [(a, j) for a in sorted(chosen) for j in range(dist.shape[0])
+              if dist[a, j] > 0 and not (j in chosen and j < a)]
+    return np.array(listed, dtype=np.int64).reshape(-1, 2)
+
+
 def train_reference(g: Graph, spec, cfg):
-    """The training loop with the loss taken after every step by its own
-    ``loss_distance`` call: gradients, step, loss, every epoch.
+    """The training loop with every loss taken after its step by its own
+    ``loss_distance`` / ``loss_curvature`` call: gradients, step, loss, every
+    epoch. The minibatches are drawn up front (the draws read no state). A
+    minibatch run logs the next epoch's batch loss scaled by P / B, and the
+    loss over all pairs on every 10th epoch and the last.
 
     Returns (embedding blocks, loss_d list, loss_c list).
     """
@@ -571,18 +584,25 @@ def train_reference(g: Graph, spec, cfg):
     emb = initialize(spec_resolved, g, replace(cfg, radial_init=radial_init))
     emb.shift_constants = shift
     cfg_run = replace(cfg, tau=tau)
-    batch_size = _resolve_batch(cfg.batch_pairs, all_pairs.shape[0], g.n)
+    n_pairs = all_pairs.shape[0]
+    batch_size = _resolve_batch(cfg.batch_pairs, n_pairs, g.n)
     batch_rng = np.random.default_rng((cfg.seed, 0xBA7C4))
+    candidates = np.array([i for i in range(g.n) if (target.hops[i] > 0).any()])
+    k = math.ceil(batch_size / (g.n - 1))
+    minibatch = batch_size < n_pairs
+    batches = [anchor_batch_reference(target.hops, batch_rng.choice(candidates, size=k,
+                                                                     replace=False))
+               if minibatch else all_pairs for _ in range(cfg.epochs)]
     decay1, decay2 = int(math.floor(0.8 * cfg.epochs)), int(math.floor(0.9 * cfg.epochs))
     loss_d, loss_c = [], []
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * (0.01 if epoch >= decay2 else 0.1 if epoch >= decay1 else 1.0)
-        batch = all_pairs
-        if batch_size != all_pairs.shape[0]:
-            idx = batch_rng.choice(all_pairs.shape[0], size=batch_size, replace=False)
-            batch = all_pairs[np.sort(idx)]
-        emb = rsgd_step(emb, gradients(emb, target, f_signal, cfg_run, batch), lr)
-        loss_d.append(loss_distance(emb, target, all_pairs))
+        emb = rsgd_step(emb, gradients(emb, target, f_signal, cfg_run, batches[epoch]), lr)
+        if minibatch and (epoch + 1) % 10 and epoch + 1 < cfg.epochs:
+            nxt = batches[epoch + 1]
+            loss_d.append(loss_distance(emb, target, nxt) * n_pairs / nxt.shape[0])
+        else:
+            loss_d.append(loss_distance(emb, target, all_pairs))
         loss_c.append(loss_curvature(emb, f_signal, cfg_run) if tau > 0 else 0.0)
     return emb.blocks, loss_d, loss_c
 

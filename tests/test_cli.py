@@ -1,9 +1,13 @@
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hetembed.cli import main
 from hetembed.fileio import (
@@ -450,7 +454,7 @@ class TestCliCommands:
         assert run_cli("volume", graph_file, str(emb_path), "--rho", "4",
                        "--out", str(out)) == 0
         lines = out.read_text().splitlines()
-        g = load_edge_list(open(graph_file).read())
+        g = load_edge_list(Path(graph_file).read_text())
         assert len(lines) == g.n + 1
 
     def test_volume_rho_past_the_float_range_exit_1(self, tmp_path, graph_file, capsys):
@@ -505,3 +509,138 @@ class TestCliCommands:
         empty = tmp_path / "empty.edges"
         empty.write_text("# nothing here\n")
         assert run_cli("stats", str(empty)) == 1
+
+
+def test_parser_built_once_keeps_each_commands_defaults(tmp_path, graph_file, monkeypatch):
+    import hetembed.cli as cli
+
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    emb = tmp_path / "emb.json"
+    assert run_cli("embed", graph_file, "-m", "h3,rot(a=auto)", "--tau", "0.3",
+                   "--epochs", "6", "--out", str(emb)) == 0
+    outputs = []
+    for flags in ([], ["--gamma", "4", "--normalized-forman"], [], ["--rho", "0.5", "--seed", "3"],
+                  []):
+        command = "reconstruct" if "--rho" in flags or len(outputs) == 4 else "eval"
+        out = tmp_path / f"out{len(outputs)}.json"
+        assert run_cli(command, graph_file, str(emb), *flags, "--out", str(out)) == 0
+        outputs.append(json.loads(out.read_text()))
+    assert builds == [1]
+    # a call without flags reads the defaults, whatever ran before it
+    assert outputs[0] == outputs[2] != outputs[1]
+    assert outputs[3]["rho"] == 0.5 and outputs[4]["rho"] != 0.5
+    cli._parser.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# mutated inputs: eval and reconstruct exit 0 or 1, never with a traceback, and
+# every JSON they write parses without NaN or Infinity
+
+_REPLACEMENTS = [None, True, "x", "", "1.0", 0, -1, 2**70, 0.5, -0.0, 5e-324, 1e200, 1e308,
+                 -1e308, math.nan, math.inf, -math.inf, [], [0.0], [[]], {}, {"a": 1}]
+_TOKENS = ["nan", "inf", "-1", "-0", "x", "1e3", "0x1", "99999999999999999999", "0.5", "",
+           "3 4 5", "7 7"]
+
+
+def _json_path(node, selectors) -> tuple:
+    """The path ``selectors`` pick in a JSON tree: each is a key or an index as
+    given, or an int taken modulo the number of children; it stops at a leaf."""
+    path = []
+    for sel in selectors:
+        if not (isinstance(node, (dict, list)) and node):
+            break
+        if isinstance(node, dict):
+            key = sel if isinstance(sel, str) else list(node)[sel % len(node)]
+        else:
+            key = sel % len(node)
+        path.append(key)
+        node = node[key]
+    return tuple(path)
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs():
+    g = random_connected_graph(10, 0.3, seed=3)
+    emb, _ = train(g, parse_manifold("h2,e1,rot(a=auto)"),
+                   TrainConfig(tau=0.5, epochs=5, seed=2, learning_rate=0.02))
+    text = io.StringIO()
+    save_edge_list(g, text)
+    return json.loads(embedding_to_json(emb)), text.getvalue().splitlines()
+
+
+def _mutate_embedding(payload, path, op, value):
+    value = copy.deepcopy(value)  # the replacement list is shared by every example
+    if not path:
+        return value if op == "set" else []
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "set":
+        parent[key] = value
+    elif op == "delete":
+        del parent[key]
+    elif isinstance(parent, list):  # "repeat" a list entry
+        parent.append(copy.deepcopy(parent[key]))
+    return payload
+
+
+def _mutate_edges(lines, index, op, token):
+    lines = list(lines)
+    i = index % len(lines)
+    if op == "set":
+        parts = lines[i].split()
+        parts[index % len(parts)] = token
+        lines[i] = " ".join(parts)
+    elif op == "delete":
+        del lines[i]
+    else:
+        lines.append(token if " " in token else f"{index % 16} {token}")
+    return lines
+
+
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+_MUTATIONS = st.lists(st.tuples(st.just("embedding"), st.lists(st.integers(0, 50), max_size=5),
+                                st.sampled_from(["set", "delete", "repeat"]),
+                                st.sampled_from(_REPLACEMENTS))
+                      | st.tuples(st.just("edges"), st.integers(0, 200),
+                                  st.sampled_from(["set", "delete", "add"]),
+                                  st.sampled_from(_TOKENS)),
+                      min_size=1, max_size=2)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=_MUTATIONS)
+# each found a numpy overflow warning: a hyperboloid |x|^2, squared Euclidean and radial
+# distances, the radial curvature and the mean curvature distortion overflowed
+@example(mutations=[("embedding", ["nodes", 1, "blocks", 0, 0], "set", 1e308)])
+@example(mutations=[("embedding", ["nodes", 1, "blocks", 1, 0], "set", 1e308)])
+@example(mutations=[("embedding", ["nodes", 1, "blocks", 2, 0], "set", 1e308)])
+@example(mutations=[("embedding", ["shift_constants", "min_forman"], "set", 1e308)])
+def test_mutated_inputs_exit_0_or_1_with_strict_json(mutation_inputs, mutations):
+    payload, lines = copy.deepcopy(mutation_inputs[0]), mutation_inputs[1]
+    for target, where, op, value in mutations:
+        if target == "embedding":
+            payload = _mutate_embedding(payload, _json_path(payload, where), op, value)
+        else:
+            lines = _mutate_edges(lines, where, op, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, emb, out = (str(Path(tmp) / name) for name in ("g.edges", "e.json", "out.json"))
+        Path(graph).write_text("\n".join(lines) + "\n")
+        Path(emb).write_text(json.dumps(payload))
+        for argv in (["eval", graph, emb], ["reconstruct", graph, emb, "--correct", "--triangles"]):
+            Path(out).unlink(missing_ok=True)
+            code = exit_code([*argv, "--out", out])
+            assert code in (0, 1)
+            if code == 0:
+                _strict_json(Path(out).read_text())

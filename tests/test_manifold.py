@@ -540,14 +540,37 @@ class TestAnnularVolume:
         import hetembed.manifold as manifold
 
         assert math.isfinite(annular_volume(1.0, 3, 0.0, 350.0))
-        # 400: sinh(2a) overflows; 355: the coarse Simpson sum does
-        for rho in (400.0, 355.0):
+        # about e^(2 rho + 6.4) at alpha 1 and center 0: past 1.8e308 from rho 351.7
+        for rho in (400.0, 355.0, 352.0):
             with pytest.raises(OverflowError):
                 annular_volume(1.0, 3, 0.0, rho)
         # a finite integral that overflows once multiplied by omega2**2
         monkeypatch.setattr(manifold, "_adaptive_simpson", lambda *args, **kwargs: 1e307)
         with pytest.raises(OverflowError):
             annular_volume(1.0, 3, 0.0, 1.0)
+
+    @pytest.mark.parametrize("alpha, r_i, rho", [
+        (1.0, 0.0, 290.0),   # the first samples of [0, rho] miss the peak near r = 0
+        (1.0, 0.0, 350.0),
+        (0.3, 40.0, 300.0),
+        (0.001, 0.0, 357.0),  # sinh(2a) overflows, the volume (about 3e307) does not
+    ])
+    def test_large_balls_against_dense_quadrature_oracle(self, alpha, r_i, rho):
+        # the oracle integrates exp(-2 rho) times the integrand on two fixed
+        # grids, the first one fine where the profile turns over for small alpha
+        def scaled(r):
+            t2 = rho**2 - (r - r_i) ** 2
+            if t2 <= 0:
+                return 0.0
+            a = math.sqrt(t2)
+            inner = ((math.sinh(2 * a) / 2 - a) / 2 * math.exp(-2 * rho) if a < 300
+                     else math.exp(2 * a - 2 * rho) / 8)
+            return inner * (alpha * math.atan(r / alpha)) ** 2
+        lo, hi = max(r_i - rho, 0.0), r_i + rho
+        oracle = (4 * math.pi) ** 2 * (simpson_grid(scaled, lo, lo + 1.0, 20000)
+                                       + simpson_grid(scaled, lo + 1.0, hi, 100000))
+        got = annular_volume(alpha, 3, r_i, rho)
+        assert math.log(got) - 2 * rho == pytest.approx(math.log(oracle), abs=1e-6)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import inspect
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,8 +31,9 @@ from hetembed.optim import (
     train,
 )
 
-from conftest import (gradients_reference, graph_sq_distances, initialize_blocks_reference,
-                      mink_inner, pair_sq_distances, tangent_basis, train_reference)
+from conftest import (anchor_batch_reference, gradients_reference, graph_sq_distances,
+                      initialize_blocks_reference, mink_inner, pair_sq_distances, tangent_basis,
+                      train_reference)
 from synthetic import complete_graph, path_graph, random_connected_graph
 
 
@@ -275,10 +278,8 @@ class TestGradients:
         assert kink_margin(emb, dist, pairs)
         n = directional_fd_check(emb, target, forman(g), cfg, pairs)
         assert n == g.n * (2 + 2 + 1)
-        # all pairs take the connected mask itself; a strict subset, a new 0/1 mask
+        # all pairs walk the upper tiles; a strict subset, its anchor-row blocks
         subset = pairs[::3]
-        assert target.mask(pairs) is target.connected
-        assert target.mask(subset) is not target.connected
         assert directional_fd_check(emb, target, forman(g), cfg, subset) == n
 
     def test_dense_route_matches_gathered_pairs(self):
@@ -301,7 +302,7 @@ class TestGradients:
                 assert_blocks_close(dense, gathered)
 
     def test_masked_batch_matches_gathered_pairs(self, rng):
-        # a batch is a 0/1 mask on the all-pairs weights; oracle: gathered rows
+        # a batch walks the blocks of its anchor rows; oracle: gathered rows
         for spec_text, g in gradient_cases():
             dist = bfs_apsp(g)
             target = DistanceTarget.from_hops(dist)
@@ -315,6 +316,7 @@ class TestGradients:
                 want = gradients_reference(emb, dist, f, cfg, batch)
                 assert got.skipped_pairs == want.skipped_pairs == 0
                 assert_blocks_close(got, want)
+                assert got.loss_distance == pytest.approx(want.loss_distance, rel=1e-12)
                 assert loss_distance(emb, target, batch) == pytest.approx(
                     want.loss_distance, rel=1e-12)
 
@@ -322,21 +324,8 @@ class TestGradients:
         # n = 400 takes three or more tile rows; coincident hyperboloid and
         # antipodal sphere pairs sit inside a diagonal tile, in off-diagonal
         # tiles, and on the two sides of each tile boundary
-        g = random_connected_graph(400, 0.01, seed=41)
-        dist = bfs_apsp(g)
-        target = DistanceTarget.from_hops(dist)
-        tiles = target.workspace.tiles
-        assert len(tiles) >= 3 and tiles[-1].stop == 400
-        cut1, cut2 = tiles[1].start, tiles[2].start
-        cfg = TrainConfig(tau=0.5, seed=8, epochs=1)
-        emb = make_embedding("h2,s2,e2,rot(a=1.0,l=0.5)", g, cfg)
-        f = forman(g, cfg.gamma)
-        coincident = [(20, 40), (5, cut2 + 30), (cut1 - 1, cut1)]
-        antipodal = [(50, 60), (10, cut1 + 60), (cut2 - 1, cut2)]
-        for i, j in coincident:
-            emb.blocks[0][j] = emb.blocks[0][i]
-        for i, j in antipodal:
-            emb.blocks[1][j] = -emb.blocks[1][i]
+        _, dist, target, cfg, emb, f, singular = mixed_singular_case(rng)
+        coincident, antipodal = singular[:3], singular[3:]
         n_pairs = target.pairs.shape[0]
         sample = target.pairs[np.sort(rng.choice(n_pairs, size=2000, replace=False))]
         with_singular = np.unique(np.vstack([sample, coincident, antipodal[1:]]), axis=0)
@@ -347,12 +336,9 @@ class TestGradients:
             if singular is not None:
                 assert got.skipped_pairs == singular
             assert_blocks_close(got, want)
+            assert got.loss_distance == pytest.approx(want.loss_distance, rel=1e-12)
             assert loss_distance(emb, target, batch) == pytest.approx(
                 want.loss_distance, rel=1e-12)
-        assert got.loss_distance == pytest.approx(
-            loss_distance(emb, target, target.pairs), rel=1e-12)
-        full = gradients_reference(emb, dist, f, cfg, target.pairs)
-        assert got.loss_distance == pytest.approx(full.loss_distance, rel=1e-12)
 
     def test_singular_pairs_counted_inside_the_batch_only(self):
         # path 0-1-2-3 with node 0 on node 1 and node 2 on node 3
@@ -434,18 +420,137 @@ class TestGradients:
         assert np.abs(dense.blocks[0][:3]).max() > 0.1
 
     def test_carries_the_distance_loss_of_its_pairs(self):
-        # every gradient carries the loss over all connected pairs at its point,
-        # the loss train logs; a batch changes the gradient, not that loss
+        # every gradient carries the distance loss over its own pairs and the
+        # curvature loss at its point, the losses train logs
         g = random_connected_graph(14, 0.25, seed=27)
         target = DistanceTarget.from_hops(bfs_apsp(g))
         cfg = TrainConfig(tau=0.4, seed=6, epochs=1)
         emb = make_embedding("e3,s2,h2,rot(a=1.0,l=0.5)", g, cfg)
         f = forman(g, cfg.gamma)
         subset = target.pairs[::4].copy()
-        whole = loss_distance(emb, target, target.pairs)
-        assert loss_distance(emb, target, subset) < whole
-        for batch in (target.pairs, subset):
-            assert gradients(emb, target, f, cfg, batch).loss_distance == whole
+        anchors = target.anchor_pairs(np.array([2, 9]))
+        assert loss_distance(emb, target, subset) < loss_distance(emb, target, target.pairs)
+        for batch in (target.pairs, subset, anchors):
+            got = gradients(emb, target, f, cfg, batch)
+            assert got.loss_distance == loss_distance(emb, target, batch)
+            assert got.loss_curvature == loss_curvature(emb, f, cfg)
+        assert gradients(emb, target, None, replace(cfg, tau=0.0), subset).loss_curvature == 0.0
+
+
+def mixed_singular_case(rng):
+    """n = 400 (three tile rows) on h2,s2,e2,rot with coincident hyperboloid and
+    antipodal sphere pairs inside and across tiles; returns (graph, dist,
+    target, cfg, embedding, Forman signal, the singular pairs)."""
+    g = random_connected_graph(400, 0.01, seed=41)
+    dist = bfs_apsp(g)
+    target = DistanceTarget.from_hops(dist)
+    tiles = target.workspace.tiles
+    assert len(tiles) >= 3 and tiles[-1].stop == 400
+    cut1, cut2 = tiles[1].start, tiles[2].start
+    cfg = TrainConfig(tau=0.5, seed=8, epochs=1)
+    emb = make_embedding("h2,s2,e2,rot(a=1.0,l=0.5)", g, cfg)
+    coincident = [(20, 40), (5, cut2 + 30), (cut1 - 1, cut1)]
+    antipodal = [(50, 60), (10, cut1 + 60), (cut2 - 1, cut2)]
+    for i, j in coincident:
+        emb.blocks[0][j] = emb.blocks[0][i]
+    for i, j in antipodal:
+        emb.blocks[1][j] = -emb.blocks[1][i]
+    return g, dist, target, cfg, emb, forman(g, cfg.gamma), coincident + antipodal
+
+
+class TestAnchorBatches:
+    """A minibatch is every connected pair with an end among some anchor rows;
+    gradients walks any pair list by the blocks of its first entries."""
+
+    def assert_matches_reference(self, emb, target, dist, f, cfg, batch):
+        got = gradients(emb, target, f, cfg, batch)
+        want = gradients_reference(emb, dist, f, cfg, batch)
+        assert got.skipped_pairs == want.skipped_pairs
+        assert_blocks_close(got, want)
+        assert got.loss_distance == pytest.approx(want.loss_distance, rel=1e-12)
+        assert loss_distance(emb, target, batch) == got.loss_distance
+        return got
+
+    def test_anchor_pairs_match_loop(self):
+        g = from_edges(16, [(i, j) for i, j in random_connected_graph(9, 0.3, seed=23).edges()]
+                       + [(10, 11), (11, 12), (12, 13), (13, 14)])  # nodes 9 and 15 isolated
+        target = DistanceTarget.from_hops(bfs_apsp(g))
+        for anchors in ([0], [3, 4, 5], [9], [9, 15], [10, 12, 14], [0, 9, 11, 14, 15],
+                        list(range(16))):
+            got = target.anchor_pairs(np.array(anchors))
+            want = anchor_batch_reference(target.hops, anchors)
+            assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        assert target.anchor_pairs(np.arange(16)).tobytes() == target.pairs.tobytes()
+
+    def test_gradients_match_gathered_pairs(self, rng):
+        for spec_text, g in gradient_cases():
+            # node n is isolated: an anchor with no pairs
+            g = from_edges(g.n + 1, [tuple(e) for e in g.edges()])
+            dist = bfs_apsp(g)
+            target = DistanceTarget.from_hops(dist)
+            cfg = TrainConfig(tau=0.5 if "rot" in spec_text else 0.0, seed=7, epochs=1)
+            emb = make_embedding(spec_text, g, cfg)
+            f = forman(g, cfg.gamma) if cfg.tau > 0 else None
+            n = g.n
+            anchor_sets = [[0], [n - 1], [0, 1, 2], [1, n - 1], [n - 3, n - 2, n - 1]]
+            anchor_sets += [sorted(rng.choice(n, size=k, replace=False)) for k in (2, 4, n // 2)]
+            for anchors in anchor_sets:
+                batch = target.anchor_pairs(np.array(anchors))  # [n - 1] lists no pair
+                self.assert_matches_reference(emb, target, dist, f, cfg, batch)
+
+    def test_arbitrary_lists_match_gathered_pairs(self, rng):
+        # any orientation and order; the rows are the distinct first entries
+        for spec_text, g in gradient_cases():
+            dist = bfs_apsp(g)
+            target = DistanceTarget.from_hops(dist)
+            cfg = TrainConfig(tau=0.0, seed=9, epochs=1)
+            emb = make_embedding(spec_text, g, cfg)
+            n_pairs = target.pairs.shape[0]
+            for size in (1, 5, n_pairs // 3, n_pairs):
+                batch = target.pairs[rng.choice(n_pairs, size=size, replace=False)]
+                flip = rng.random(size) < 0.5
+                batch[flip] = batch[flip][:, ::-1]
+                got = self.assert_matches_reference(emb, target, dist, None, cfg, batch)
+                if size == n_pairs:  # all pairs as a new list, not target.pairs itself
+                    whole = gradients(emb, target, None, cfg, target.pairs)
+                    assert got.loss_distance == pytest.approx(whole.loss_distance, rel=1e-12)
+                    assert_blocks_close(got, whole)
+
+    def test_row_chunks(self, rng):
+        # 200 anchors take two row chunks at n = 400
+        g = random_connected_graph(400, 0.01, seed=41)
+        dist = bfs_apsp(g)
+        target = DistanceTarget.from_hops(dist)
+        assert target.workspace.side < 200
+        cfg = TrainConfig(tau=0.5, seed=8, epochs=1)
+        emb = make_embedding("h2,s2,e2,rot(a=1.0,l=0.5)", g, cfg)
+        batch = target.anchor_pairs(np.sort(rng.choice(400, size=200, replace=False)))
+        self.assert_matches_reference(emb, target, dist, forman(g, cfg.gamma), cfg, batch)
+
+    def test_singular_pairs_counted_once(self, rng):
+        # singular pairs inside the anchor set, across it and outside it
+        _, dist, target, cfg, emb, f, singular = mixed_singular_case(rng)
+        ends = sorted({i for pair in singular for i in pair})
+        for anchors, count in ((ends, 6), (ends[::2], 6), ([5, 20, 50], 3), ([100], 0)):
+            batch = target.anchor_pairs(np.array(anchors))
+            got = self.assert_matches_reference(emb, target, dist, f, cfg, batch)
+            assert got.skipped_pairs == count
+
+    def test_batch_gradient_allocates_less_than_an_n_by_n_bool(self):
+        g = random_connected_graph(400, 0.01, seed=41)
+        target = DistanceTarget.from_hops(bfs_apsp(g))
+        cfg = TrainConfig(tau=0.5, seed=8, epochs=1)
+        emb = make_embedding("h2,s2,e2,rot(a=1.0,l=0.5)", g, cfg)
+        f = forman(g, cfg.gamma)
+        batch = target.anchor_pairs(np.array([3, 150, 299]))
+        gradients(emb, target, f, cfg, batch)  # the workspace allocates its buffers once
+        tracemalloc.start()
+        try:
+            gradients(emb, target, f, cfg, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 400
 
 
 class TestRsgdStep:
@@ -592,7 +697,18 @@ class TestTrainLoopOrder:
     ], ids=["twin", "mixed", "batch100"])
     def test_matches_reference_loop_bitwise(self, spec_text, overrides, epochs):
         g = random_connected_graph(30, 0.12, seed=41)
-        cfg = TrainConfig(**{**self.TWIN, **overrides, "epochs": epochs})
+        self.assert_matches_reference(g, spec_text, TrainConfig(**{**self.TWIN, **overrides,
+                                                                   "epochs": epochs}))
+
+    def test_minibatches_draw_only_nodes_with_pairs(self):
+        g = random_connected_graph(30, 0.12, seed=41)
+        g = from_edges(34, [tuple(e) for e in g.edges()])  # nodes 30..33 have no pairs
+        cfg = TrainConfig(**{**self.TWIN, "batch_pairs": 100, "radial_init": "auto",
+                             "epochs": 12})
+        self.assert_matches_reference(g, "h5,h5,rot(a=auto)", cfg)
+
+    @staticmethod
+    def assert_matches_reference(g, spec_text, cfg):
         emb, hist = train(g, parse_manifold(spec_text), cfg)
         blocks, loss_d, loss_c = train_reference(g, parse_manifold(spec_text), cfg)
         assert hist.loss_d == loss_d and hist.loss_c == loss_c
