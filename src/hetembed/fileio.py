@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,21 @@ def embedding_to_json(emb: Embedding) -> str:
     rows = np.hstack([np.arange(emb.n, dtype=np.float64)[:, None], *emb.blocks])
     nodes = ",\n".join([node] * emb.n) % tuple(rows.ravel().tolist())
     return text[:-len("[]\n}")] + "[\n" + nodes + "\n ]\n}\n"
+
+
+def reconstruction_to_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=1, allow_nan=False) + "\\n"`` byte for byte,
+    for a payload whose top-level "edges" value is a list of integer pairs,
+    built without Python's pure-Python encoder for the edges: the payload is
+    dumped with an empty edge list, and the edges are one ``%d`` format of one
+    template per edge, spliced in at the top-level key."""
+    edges = payload["edges"]
+    text = json.dumps({**payload, "edges": []}, indent=1, allow_nan=False) + "\n"
+    if not edges:
+        return text
+    body = ",\n".join(["  [\n   %d,\n   %d\n  ]"] * len(edges)) % tuple(chain.from_iterable(edges))
+    # one space of indent marks the top-level key; deeper keys have more
+    return text.replace('\n "edges": []', '\n "edges": [\n' + body + "\n ]", 1)
 
 
 def write_embedding(emb: Embedding, path: str | Path) -> None:

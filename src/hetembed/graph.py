@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable
 
 import numpy as np
@@ -11,6 +12,8 @@ UNREACHABLE = -1
 MAX_DENSE_NODES = 20000
 # bound on the per-level temporaries of bfs_apsp
 _BFS_BLOCK_BYTES = 1 << 26
+# edge-list lines tokenized at once
+_PARSE_BLOCK = 1024
 
 
 class EdgeListParseError(ValueError):
@@ -136,17 +139,20 @@ def load_edge_list(source: str | bytes | IO) -> Graph:
         raw = source.read()
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
 
+    lines = text.splitlines()
+    comments = "#" in text or "%" in text
     labels: list[int] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens or tokens[0][0] in "#%":
-            continue
-        if len(tokens) != 2:
-            raise EdgeListParseError(line_no, line, f"expected 2 integer tokens, got {len(tokens)}")
-        try:
-            labels += int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListParseError(line_no, line, "non-integer token") from None
+    try:
+        # blocks of lines bound the token lists held at once
+        for start in range(0, len(lines), _PARSE_BLOCK):
+            split = list(map(str.split, lines[start:start + _PARSE_BLOCK]))
+            if comments:
+                split = [tokens for tokens in split if tokens and tokens[0][0] not in "#%"]
+            if not set(map(len, split)) <= {0, 2}:  # 0: a blank line
+                raise ValueError
+            labels += map(int, chain.from_iterable(split))
+    except ValueError:
+        raise _first_bad_line(lines) from None
 
     try:
         values = np.array(labels, dtype=np.int64)
@@ -170,6 +176,22 @@ def load_edge_list(source: str | bytes | IO) -> Graph:
     return g
 
 
+def _first_bad_line(lines: list[str]) -> EdgeListParseError:
+    """The error for the first line that is neither blank, a comment nor two
+    integer tokens."""
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0][0] in "#%":
+            continue
+        if len(tokens) != 2:
+            return EdgeListParseError(line_no, line, f"expected 2 integer tokens, got {len(tokens)}")
+        try:
+            int(tokens[0]), int(tokens[1])
+        except ValueError:
+            return EdgeListParseError(line_no, line, "non-integer token")
+    raise AssertionError("every line parses")
+
+
 def save_edge_list(g: Graph, out: IO[str] | None = None) -> str:
     """Serialize to the edge-list format; returns the text (also written to ``out``).
 
@@ -183,7 +205,7 @@ def save_edge_list(g: Graph, out: IO[str] | None = None) -> str:
     # ids reload unchanged when every node appears, each before any larger id
     witness = ids.size != g.n or bool((np.diff(first) < 0).any())
     preamble = "".join(f"{v} {v}\n" for v in range(g.n)) if witness else ""
-    text = preamble + "".join(f"{i} {j}\n" for i, j in edges.tolist())
+    text = preamble + "%d %d\n" * len(edges) % tuple(edges.ravel().tolist())
     if out is not None:
         out.write(text)
     return text
@@ -273,9 +295,7 @@ def triangle_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     triangle at i is seen by two of its edges.
     """
     edges = g.edges()
-    bits = g.adjacency_bits()
-    edge_counts = np.bitwise_count(bits[edges[:, 0]] & bits[edges[:, 1]]).sum(
-        axis=1, dtype=np.int64)
+    edge_counts = _common_neighbours(g.adjacency_bits(), edges[:, 0], edges[:, 1])
     node_counts = np.zeros(g.n, dtype=np.int64)
     np.add.at(node_counts, edges, edge_counts[:, None])
     # each triangle at a node is counted once per incident edge pair
@@ -323,7 +343,8 @@ def forman(g: Graph, gamma: float = 1.0, normalize_by_max_degree: bool = False) 
     deg = g.degrees
     rows, cols = g.entries()
     entry_values, node_values = _forman_entries(
-        deg, g.adjacency_bits(), rows, cols, gamma, normalize_by_max_degree)
+        deg, _common_neighbours(g.adjacency_bits(), rows, cols), rows, cols, gamma,
+        normalize_by_max_degree)
     return FormanSignal(
         edge_values=entry_values[rows < cols],  # the rows of g.edges()
         node_values=node_values,
@@ -332,16 +353,26 @@ def forman(g: Graph, gamma: float = 1.0, normalize_by_max_degree: bool = False) 
     )
 
 
-def _forman_entries(deg: np.ndarray, bits: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+def _common_neighbours(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """|adj(rows[k]) ∩ adj(cols[k])| for every k, as int64, from the packed
+    adjacency rows ``bits`` (as :meth:`Graph.adjacency_bits`). For an edge
+    (i, j) this is its triangle count."""
+    both = np.take(bits, rows, axis=0)
+    both &= np.take(bits, cols, axis=0)
+    # each word counts at most 64, so the float64 product adds them exactly,
+    # and faster than an integer sum along the short axis
+    return (np.bitwise_count(both) @ np.ones(bits.shape[1])).astype(np.int64)
+
+
+def _forman_entries(deg: np.ndarray, tri: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                     gamma: float, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Forman value of every adjacency entry (rows[k], cols[k]) and the node values.
 
-    ``deg`` and ``bits`` (packed adjacency rows, as :meth:`Graph.adjacency_bits`)
-    describe the whole graph; the entries list whole rows, each in column
-    order. A node value is its entries' sum, in entry order, over its degree;
-    nodes whose row is not listed read 0.
+    ``deg`` holds the degrees of the whole graph and ``tri[k]`` the entry's
+    triangle count (:func:`_common_neighbours`); the entries list whole rows,
+    each in column order. A node value is its entries' sum, in entry order,
+    over its degree; nodes whose row is not listed read 0.
     """
-    tri = np.bitwise_count(bits[rows] & bits[cols]).sum(axis=1, dtype=np.int64)
     values = 4.0 - deg[rows] - deg[cols] + 3.0 * gamma * tri
     if normalize:
         values /= np.maximum(deg[rows], deg[cols])

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _forman_entries, forman, from_mask, triangle_counts
+from .graph import Graph, _common_neighbours, _forman_entries, from_mask, triangle_counts
 
 
 @dataclass
@@ -52,8 +52,14 @@ def nn_graph(sq: np.ndarray, rho: float) -> Graph:
 def edge_mismatch(a: Graph, b: Graph) -> int:
     """Size of the symmetric difference of the edge sets."""
     n = max(a.n, b.n)
-    # edge (i, j) as the key i * n + j
-    return int(np.setxor1d(a.edges() @ [n, 1], b.edges() @ [n, 1]).size)
+    return int(np.setxor1d(_edge_keys(a, n), _edge_keys(b, n), assume_unique=True).size)
+
+
+def _edge_keys(g: Graph, n: int) -> np.ndarray:
+    """The key i * n + j of every edge (i, j), i < j, of ``g``."""
+    rows, cols = g.entries()
+    upper = rows < cols
+    return rows[upper] * n + cols[upper]
 
 
 def tune_threshold(sq: np.ndarray, g_true: Graph, val_fraction: float = 0.10,
@@ -156,20 +162,32 @@ def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: f
 
     A candidate at node i moves only the Forman values of i, of its old and
     new neighbours and of the neighbours of its toggled partners; only those
-    are recomputed, on an adjacency mask, degrees and packed rows that are
-    edited in place.
+    are recomputed, on an adjacency mask, degrees, packed rows and
+    per-node neighbour lists that are edited in place (the lists on
+    acceptance only). An (n, n) table holds the common-neighbour count of
+    every adjacency entry; a toggle of (i, j) changes only the counts of the
+    entries with an end in S = {i} ∪ partners, so only those are recounted,
+    and the cells rewritten in the rows and columns S are restored on
+    rejection.
     """
     if not (0.0 < percentile < 100.0):
         raise ValueError("percentile must be in (0, 100)")
     if step <= 0:
         raise ValueError("step must be positive")
-    f_now = forman(a_rho, gamma).node_values
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    n = a_rho.n
+    adj, deg, bits = a_rho.adjacency_mask(), a_rho.degrees, a_rho.adjacency_bits()
+    rows, cols = a_rho.entries()
+    tri = _common_neighbours(bits, rows, cols)
+    common = _common_table(n, rows, cols, tri)
+    _, f_now = _forman_entries(deg, tri, rows, cols, gamma)
     err = np.abs(proxy - f_now)
     err_total = float(err.sum())
     cutoff = float(np.percentile(err, percentile))
     worklist = [i for i in np.argsort(-err, kind="stable") if err[i] > cutoff]
 
-    adj, deg, bits = a_rho.adjacency_mask(), a_rho.degrees, a_rho.adjacency_bits()
+    nbrs = [a_rho.neighbors(j) for j in range(n)]  # sorted neighbours in the current graph
     changed = False
     log: list[tuple[int, str, bool]] = []
     for i in worklist:
@@ -184,17 +202,33 @@ def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: f
             radius = max(rho - step, 0.0)
         row = np.sqrt(sq[i]) <= radius
         row[i] = False
-        partners = np.setxor1d(np.flatnonzero(row), np.flatnonzero(adj[i]), assume_unique=True)
+        partners = np.flatnonzero(row != adj[i])
         if partners.size == 0:
             log.append((int(i), action, False))
             continue
         _toggle_edges(adj, deg, bits, i, partners)
-        # nodes whose degree, neighbours' degrees or edge triangles moved
-        moved = adj[i] | adj[partners].any(axis=0)
-        moved[partners] = moved[i] = True
-        moved = np.flatnonzero(moved)
-        rows, cols = np.divmod(np.flatnonzero(adj[moved]), a_rho.n)
-        _, f_moved = _forman_entries(deg, bits, moved[rows], cols, gamma)
+        # the ends S of the toggled edges first, then the other nodes whose
+        # neighbours' degrees or edge triangles moved: the neighbours of S
+        ends = np.append(partners, i)
+        others = adj[i] | adj[partners].any(axis=0)
+        others[ends] = False
+        others = np.flatnonzero(others)
+        moved = np.concatenate([ends, others])
+        # every entry of the moved rows, row by row in column order: the rows
+        # of S from the mask, the others' unchanged rows from the lists
+        ends_flat = np.flatnonzero(adj[ends])
+        rows = np.repeat(moved, deg[moved])
+        cols = np.concatenate([ends_flat % n, *[nbrs[j] for j in others.tolist()]])
+        flat = rows * n + cols
+        # only the counts of entries with an end in S moved: the rows of S
+        # and their mirror cells
+        k = ends_flat.size
+        cells, mirror = flat[:k], cols[:k] * n + rows[:k]
+        saved = np.take(common, cells)
+        counts = _common_neighbours(bits, rows[:k], cols[:k])
+        np.put(common, cells, counts)
+        np.put(common, mirror, counts)
+        _, f_moved = _forman_entries(deg, np.take(common, flat), rows, cols, gamma)
         f_old = f_now[moved]
         f_now[moved] = f_moved[moved]
         cand_total = float(np.abs(proxy - f_now).sum())
@@ -202,13 +236,27 @@ def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: f
         log.append((int(i), action, accept))
         if accept:
             err_total, changed = cand_total, True
+            for j in ends.tolist():
+                nbrs[j] = np.flatnonzero(adj[j])
         else:
             _toggle_edges(adj, deg, bits, i, partners)
+            np.put(common, cells, saved)
+            np.put(common, mirror, saved)
             f_now[moved] = f_old
 
     current = from_mask(adj) if changed else a_rho
     mismatch = edge_mismatch(current, g_true) if g_true is not None else None
     return ReconstructionResult(rho=rho, graph=current, mismatch=mismatch, correction_log=log)
+
+
+def _common_table(n: int, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(n, n) table with ``counts[k]`` at (rows[k], cols[k]) and 0 elsewhere.
+
+    A common-neighbour count is at most n - 2, so int16 holds it up to
+    n = 32,769, past ``MAX_DENSE_NODES``; a larger n takes int32."""
+    table = np.zeros((n, n), dtype=np.int16 if n - 2 <= np.iinfo(np.int16).max else np.int32)
+    table[rows, cols] = counts
+    return table
 
 
 def _toggle_edges(adj: np.ndarray, deg: np.ndarray, bits: np.ndarray, i: int,
@@ -220,6 +268,6 @@ def _toggle_edges(adj: np.ndarray, deg: np.ndarray, bits: np.ndarray, i: int,
     delta = np.where(adj[i, partners], 1, -1)
     deg[partners] += delta
     deg[i] += delta.sum()
-    np.bitwise_xor.at(bits[i], partners // 64,
-                      np.uint64(1) << (partners % 64).astype(np.uint64))
+    # row i packed again: byte k of a little-endian word row holds columns 8k..8k+7
+    bits.view(np.uint8)[i, :(adj.shape[0] + 7) // 8] = np.packbits(adj[i], bitorder="little")
     bits[partners, i // 64] ^= np.uint64(1) << np.uint64(i % 64)

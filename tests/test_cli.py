@@ -2,6 +2,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,10 +18,12 @@ from hetembed.fileio import (
     embedding_from_json,
     embedding_to_json,
     parse_config_text,
+    reconstruction_to_json,
     write_embedding,
 )
 from hetembed.graph import load_edge_list, save_edge_list
-from hetembed.manifold import parse_manifold
+import hetembed
+from hetembed.manifold import _TILE, parse_manifold
 from hetembed.metrics import EvalReport
 from hetembed.optim import Embedding, ShiftConstants, TrainConfig, train
 from hetembed.randgraph import SampleConfig, generate_heterogeneous
@@ -243,6 +248,39 @@ class TestEmbeddingFile:
         assert exit_code(["reconstruct", graph_file, str(emb_path), "--rho", "inf",
                           "--out", str(out)]) == 1
         assert "error: " in capsys.readouterr().err and not out.exists()
+
+
+class TestReconstructionFile:
+    @staticmethod
+    def _payload(edges, mismatch, triangles):
+        payload = {"rho": 1 / 3, "edges": edges, "mismatch": mismatch,
+                   "correction_log": [{"node": 4, "action": "densify", "accepted": True},
+                                      {"node": 0, "action": "sparsify", "accepted": False}],
+                   "mismatch_baseline": 7}
+        if triangles:
+            payload["triangles"] = {"ad_nn": 0.25, "ad_curvature": 1e-17, "gamma": 4.0}
+        return payload
+
+    @pytest.mark.parametrize("edges", [[], [[0, 1]], [[0, 3], [1, 2], [2, 10**12]]])
+    @pytest.mark.parametrize("mismatch", [None, 0, 12])
+    @pytest.mark.parametrize("triangles", [False, True])
+    def test_writer_bytes_match_json_dumps(self, edges, mismatch, triangles):
+        payload = self._payload(edges, mismatch, triangles)
+        text = reconstruction_to_json(payload)
+        assert text == json.dumps(payload, indent=1, allow_nan=False) + "\n"
+        assert payload["edges"] is edges  # the payload is not edited
+
+    def test_writer_bytes_of_a_correction_result(self):
+        # a nested "edges" key with an empty list, even ahead of the top-level
+        # one, is not the splice point
+        g = random_connected_graph(40, 0.2, seed=3)
+        payload = {"before": {"edges": []}, **self._payload(g.edges().tolist(), 5, True)}
+        assert (reconstruction_to_json(payload)
+                == json.dumps(payload, indent=1, allow_nan=False) + "\n")
+
+    def test_writer_rejects_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            reconstruction_to_json({**self._payload([[0, 1]], 0, False), "rho": math.nan})
 
 
 class TestConfigFiles:
@@ -509,6 +547,27 @@ class TestCliCommands:
         empty = tmp_path / "empty.edges"
         empty.write_text("# nothing here\n")
         assert run_cli("stats", str(empty)) == 1
+
+
+def test_embedding_bytes_equal_under_one_and_two_blas_threads(tmp_path):
+    # two row tiles: the Gram products and the tile sums of the loss and
+    # gradient run on blocks of a matrix that BLAS could split by thread
+    g = random_connected_graph(_TILE + 8, 0.02, seed=4)
+    graph = tmp_path / "g.edges"
+    with open(graph, "w") as fh:
+        save_edge_list(g, fh)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(hetembed.__file__).parents[1])}
+        out = tmp_path / f"emb{threads}.json"
+        subprocess.run([sys.executable, "-m", "hetembed.cli", "embed", str(graph),
+                        "-m", "h2,h2,rot(a=auto)", "--epochs", "6", "--learning-rate", "0.001",
+                        "--seed", "3", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_parser_built_once_keeps_each_commands_defaults(tmp_path, graph_file, monkeypatch):

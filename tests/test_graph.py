@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hetembed.graph import (
     EdgeListParseError,
     UNREACHABLE,
+    _common_neighbours,
     _forman_entries,
     bfs_apsp,
     connected_pairs,
@@ -142,6 +143,21 @@ class TestLoadEdgeList:
         assert g.meta == g_ref.meta
         assert list(g.meta["id_map"].items()) == list(g_ref.meta["id_map"].items())
         assert_csr(g)
+
+    def test_lines_past_one_parse_block(self):
+        # 3,321 lines, 700 of them blank: the parser tokenizes four blocks of lines
+        g = gnp_graph(80, 0.8, seed=3)
+        text = "# header\n" + save_edge_list(g).replace("\n", "\n\n", 700)
+        parsed, ref = load_edge_list(text), load_edge_list_reference(text)
+        assert parsed == ref and parsed.meta == ref.meta and edge_set(parsed) == edge_set(g)
+        lines = text.count("\n")
+        for bad in ("4 x\n", "4\n", "% 1\n5 6 7\n"):
+            with pytest.raises(EdgeListParseError) as exc:
+                load_edge_list(text + bad)
+            assert exc.value.line_no == lines + bad.count("\n")
+            with pytest.raises(EdgeListParseError) as ref_exc:
+                load_edge_list_reference(text + bad)
+            assert str(exc.value) == str(ref_exc.value)
 
     def test_bytes_input(self):
         g = load_edge_list(b"0 1\n")
@@ -374,7 +390,8 @@ class TestForman:
             rows, cols = g.entries()
             for gamma in (0.3, 0.7, 1.0, 4.0):
                 edge_ref, node_ref = forman_reference(g, gamma, normalize)
-                values, nodes = _forman_entries(deg, bits, rows, cols, gamma, normalize)
+                tri = _common_neighbours(bits, rows, cols)
+                values, nodes = _forman_entries(deg, tri, rows, cols, gamma, normalize)
                 assert values[rows < cols].tobytes() == edge_ref.tobytes()
                 assert nodes.tobytes() == node_ref.tobytes()
                 f = forman(g, gamma=gamma, normalize_by_max_degree=normalize)
@@ -384,7 +401,7 @@ class TestForman:
                     subset = np.sort(rng.choice(g.n, size=int(rng.integers(1, g.n)),
                                                 replace=False))
                     listed = np.isin(rows, subset)
-                    _, nodes = _forman_entries(deg, bits, rows[listed], cols[listed], gamma,
+                    _, nodes = _forman_entries(deg, tri[listed], rows[listed], cols[listed], gamma,
                                                normalize)
                     assert nodes[subset].tobytes() == node_ref[subset].tobytes()
 

@@ -12,6 +12,7 @@ from hetembed.manifold import (
 )
 from hetembed.metrics import reconstructed_forman
 from hetembed.optim import Embedding, ShiftConstants, TrainConfig, initialize
+from hetembed import reconstruct
 from hetembed.reconstruct import (
     curvature_correction,
     edge_mismatch,
@@ -323,3 +324,34 @@ class TestCurvatureCorrection:
         result, kinds = self._against_reference(emb, a_rho, g_true, 0.7, step=1e-9)
         assert kinds and set(kinds) == {"unchanged"}
         assert result.graph is a_rho
+
+    @pytest.mark.parametrize("gamma", [1.0, 4.0, 0.3])
+    def test_dense_graph_matches_reference(self, gamma):
+        # about a fifth of all pairs are edges; a candidate toggles edges whose
+        # ends share many neighbours, and each rejection restores the table
+        emb, a_rho, g_true = self._random_case(3, 60, gamma, rho=1.2)
+        result, kinds = self._against_reference(emb, a_rho, g_true, gamma, rho=1.2,
+                                                percentile=50.0)
+        assert a_rho.num_edges > 0.18 * 60 * 59 / 2
+        assert kinds.count("accepted") >= 3 and kinds.count("rejected") >= 3
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.3])
+    def test_table_holds_the_triangles_of_the_returned_graph(self, gamma, monkeypatch):
+        tables, build = [], reconstruct._common_table
+
+        def spy(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(reconstruct, "_common_table", spy)
+        emb, a_rho, g_true = self._random_case(3, 60, gamma, rho=1.2)
+        result = curvature_correction(reconstructed_forman(emb), a_rho, sq_distances(emb),
+                                      rho=1.2, step=0.3, percentile=50.0, gamma=gamma)
+        assert any(ok for _, _, ok in result.correction_log)
+        assert not all(ok for _, _, ok in result.correction_log)
+        (table,) = tables
+        assert table.dtype == np.int16
+        edges = result.graph.edges()
+        counts, _ = triangle_counts(result.graph)
+        assert np.array_equal(table[edges[:, 0], edges[:, 1]], counts)
+        assert np.array_equal(table[edges[:, 1], edges[:, 0]], counts)
