@@ -88,11 +88,12 @@ def _pack_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _from_keys(n: int, keys: np.ndarray) -> Graph:
-    """Build a Graph on n nodes from the distinct int64 keys i * n + j of its
-    edges (i < j), in any order: both directions sorted, rows bounded by search."""
+    """Build a Graph on n nodes from the int64 keys i * n + j (i < j) of its edges, in any
+    order and with repeats: both directions sorted, repeats dropped, rows bounded by search."""
     rows, cols = np.divmod(keys, n)
     both = np.concatenate([keys, cols * n + rows])
     both.sort()
+    both = both[np.diff(both, prepend=-1) != 0]
     rows, cols = np.divmod(both, n)
     return Graph(n=n, indptr=np.searchsorted(rows, np.arange(n + 1)), indices=cols)
 
@@ -109,7 +110,7 @@ def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Graph:
     if bad.any():
         i, j = ends[np.argmax(bad)].tolist()
         raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-    return _from_keys(n, np.unique(lo * n + hi))
+    return _from_keys(n, lo * n + hi)
 
 
 def from_mask(mask: np.ndarray) -> Graph:
@@ -272,14 +273,13 @@ def _unpack_bits(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=count, bitorder="little")
 
 
-def connected_pairs(dist: np.ndarray, connected: np.ndarray | None = None) -> np.ndarray:
+def connected_pairs(dist: np.ndarray) -> np.ndarray:
     """Unordered node pairs (i<j) at finite positive hop distance, as a (P, 2)
     int64 array in row-major order, built in one pass over the upper triangle
-    of ``connected``, the (n, n) mask of reachable pairs (by default
-    ``dist != UNREACHABLE``): column 0 repeats each row by its count, column 1
-    is the flat index less the row's offset."""
+    of ``dist != UNREACHABLE``: column 0 repeats each row by its count, column
+    1 is the flat index less the row's offset."""
     n = dist.shape[0]
-    upper = np.triu(dist != UNREACHABLE if connected is None else connected, 1)
+    upper = np.triu(dist != UNREACHABLE, 1)
     counts = np.count_nonzero(upper, axis=1)
     pairs = np.empty((int(counts.sum()), 2), dtype=np.int64)
     pairs[:, 0] = np.repeat(np.arange(n), counts)

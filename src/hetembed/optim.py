@@ -176,79 +176,68 @@ def initialize(spec: ManifoldSpec, g: Graph, cfg: TrainConfig) -> Embedding:
 @dataclass(frozen=True, eq=False)
 class DistanceTarget:
     """The graph distances one :func:`train` call fits, built once from the hop
-    matrix: the (n, n) hop matrix itself, whose squares each tile reads as
-    d_G^2, the mask of connected pairs, those pairs in :func:`connected_pairs`
-    order, and the tile buffers of the passes over them."""
+    matrix: the (n, n) hop matrix itself, whose positive cells are the connected
+    pairs and whose squares each tile reads as d_G^2, those pairs in
+    :func:`connected_pairs` order, and the tile buffers of the passes over them."""
 
     hops: np.ndarray
-    connected: np.ndarray
     pairs: np.ndarray
     workspace: _Workspace = field(repr=False)
 
     @classmethod
     def from_hops(cls, dist: np.ndarray) -> "DistanceTarget":
-        connected = dist > 0
-        return cls(hops=dist, connected=connected, pairs=connected_pairs(dist, connected),
-                   workspace=_Workspace(dist.shape[0]))
+        return cls(hops=dist, pairs=connected_pairs(dist), workspace=_Workspace(dist.shape[0]))
 
     def anchor_pairs(self, anchors: np.ndarray) -> np.ndarray:
         """The minibatch of the sorted node array ``anchors``: every connected
         pair with an end among them, as a (B, 2) array with an anchor first, in
         row-major order. A pair with both ends among them is listed once, from
         its smaller end."""
-        rows = self.connected[anchors]
+        rows = self.hops[anchors] > 0
         rows[:, anchors] = np.triu(rows[:, anchors], 1)
         at, cols = np.nonzero(rows)
         return np.column_stack([anchors[at], cols])
 
 
-def _batch_blocks(target: DistanceTarget, pairs) -> list:
+def _batch_blocks(target: DistanceTarget, pairs):
     """The blocks that walk a (B, 2) pair list other than ``target.pairs``.
 
-    The distinct first entries are the anchor rows, in chunks of at most
-    ``side`` rows; the columns go in the tiles. Each block that holds a pair
-    is (anchor rows, column slice, shape, (cells, d_G^2)): the flat cells of
-    its pairs in the block, in list order, and their squared hop distances.
-    Raises ValueError for a self, unreachable, repeated or mirrored pair."""
+    The distinct first entries are the anchor rows; the list is scattered
+    once into an (anchors, n) bool that is False on its pairs. Yields each
+    block of at most ``side`` anchor rows by one column tile that holds a
+    pair as (anchor rows, column slice, shape, its slice of that bool).
+    Raises ValueError for a non-integer list, an index outside 0..n-1, or a
+    self, unreachable, repeated or mirrored pair."""
     pairs = np.asarray(pairs)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("pairs must be a (B, 2) array of node indices")
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.issubdtype(pairs.dtype, np.integer):
+        raise ValueError("pairs must be a (B, 2) integer array of node indices")
     ws, n = target.workspace, target.hops.shape[0]
-    first, second = pairs.T
-    hops = target.hops[first, second]
-    if hops.min(initial=1) < 1:
+    if pairs.min(initial=0) < 0 or pairs.max(initial=0) >= n:
+        raise ValueError(f"pairs must hold node indices in 0..{n - 1}")
+    first, second = pairs.astype(np.int64, copy=False).T
+    if target.hops[first, second].min(initial=1) < 1:
         raise ValueError("pairs must be distinct and graph-connected")
     key = np.minimum(first, second) * n + np.maximum(first, second)
     key.sort()
     if (key[1:] == key[:-1]).any():
         raise ValueError("pairs must not repeat or mirror a pair")
-    d_g2 = np.square(hops, dtype=np.float64)
-    held = np.bincount(first, minlength=n) > 0
-    anchors = np.flatnonzero(held)
-    rank = np.cumsum(held)[first] - 1
-    tile = ws.tile_of[second]
-    chunk, row = np.divmod(rank, ws.side)
-    block = chunk * len(ws.tiles) + tile
-    cells = row * ws.widths[tile] + (second - ws.starts[tile])
-    order = np.argsort(block, kind="stable")
-    cells, d_g2 = cells[order], d_g2[order]
-    counts = np.bincount(block)
-    ends = np.cumsum(counts)
-    out = []
-    for b in np.flatnonzero(counts):
-        c, t = divmod(int(b), len(ws.tiles))
-        rows, cols = anchors[c * ws.side:(c + 1) * ws.side], ws.tiles[t]
-        span = slice(ends[b] - counts[b], ends[b])
-        out.append((rows, cols, (rows.size, cols.stop - cols.start), (cells[span], d_g2[span])))
-    return out
+    anchors = np.flatnonzero(np.bincount(first, minlength=n))
+    off = np.ones((anchors.size, n), dtype=bool)
+    off[np.searchsorted(anchors, first), second] = False
+    for top in range(0, anchors.size, ws.side):
+        for cols in ws.tiles:
+            block = off[top:top + ws.side, cols]
+            if not block.all():
+                yield anchors[top:top + ws.side], cols, block.shape, block
 
 
 def _pair_pass(emb: Embedding, target: DistanceTarget, pairs, grad: bool):
     """One walk over the pairs of ``pairs``, in the target's buffers.
 
     ``target.pairs`` itself walks the upper-triangle tiles (rows I <= columns
-    J) of the pair matrix; any other list walks the blocks of its anchor rows
-    (:func:`_batch_blocks`). Per tile or block: the squared product distances,
+    J) of the pair matrix, each masked where its hop distance is below 1;
+    any other list walks the blocks of its anchor rows (:func:`_batch_blocks`).
+    Per tile or block (:func:`_masked_tile`): the squared product distances,
     and the deviations d_M^2 / d_G^2 - 1 of its pairs, whose absolute values
     sum to the loss (a diagonal tile holds each pair twice). With ``grad`` the
     weights sign(dev) / d_G^2 of those pairs give each factor's ambient
@@ -260,25 +249,26 @@ def _pair_pass(emb: Embedding, target: DistanceTarget, pairs, grad: bool):
     """
     spec, blocks, ws = emb.spec, emb.blocks, target.workspace
     if pairs is target.pairs:
-        walk = [(rows, cols, shape, None) for rows, cols, shape in ws.upper()]
+        walk = ((rows, cols, shape, np.less(target.hops[rows, cols], 1,
+                                            out=ws.view("off", shape, bool)))
+                for rows, cols, shape in ws.upper())
     else:
         walk = _batch_blocks(target, pairs)
     ops = [_tile_operand(f, x) for f, x in zip(spec.factors, blocks)]
     # -0.0 is the additive identity: a row block's first tile keeps its bits
     ambient = [np.full_like(x, -0.0) for x in blocks] if grad else None
     loss, skipped = 0.0, 0
-    for rows, cols, shape, cells in walk:
+    for rows, cols, shape, off in walk:
         dws = [(ws.view(("dsq", k), shape), ws.view(("bad", k), shape, bool)) if f.sign else None
                for k, f in enumerate(spec.factors)] if grad else None
         dev = _product_sq_tile(spec, blocks, ops, rows, cols, ws.view("dev", shape),
                                lambda name: ws.view(name, shape), dws)
-        tile_pass = _connected_tile if cells is None else _batch_cells
-        part, base, count = tile_pass(target, dev, rows, cols, cells, dws, ws)
+        diag = rows is cols  # an upper walk's diagonal tile has one slice for both
+        part, base, count = _masked_tile(target, dev, rows, cols, off, dws, ws, diag)
         loss += part
         if grad:
             skipped += count
-            _tile_gradient(spec, blocks, ambient, dws, base, rows, cols,
-                           cells is None and rows == cols, ws)
+            _tile_gradient(spec, blocks, ambient, dws, base, rows, cols, diag, ws)
     if grad:
         for f, amb in zip(spec.factors, ambient):
             if f.sign < 0:
@@ -286,13 +276,11 @@ def _pair_pass(emb: Embedding, target: DistanceTarget, pairs, grad: bool):
     return loss, skipped, ambient
 
 
-def _connected_tile(target, dev, rows, cols, cells, dws, ws):
-    """An upper tile of all connected pairs, with ``dev`` holding its squared
-    distances and ``dws`` the quadrics' (dsq, bad) buffers, None without a
-    gradient: (its loss, its weight tile or None, its singular pairs). A
-    diagonal tile holds each pair twice."""
-    diag = rows == cols
-    off = np.logical_not(target.connected[rows, cols], out=ws.view("off", dev.shape, bool))
+def _masked_tile(target, dev, rows, cols, off, dws, ws, diag):
+    """A tile or block with ``dev`` holding its squared distances, ``off`` its
+    cells that hold no pair of the pass (overwritten) and ``dws`` the quadrics'
+    (dsq, bad) buffers, None without a gradient: (its loss, its weight tile or
+    None, its singular pairs). A diagonal tile holds each pair twice."""
     d_g2 = np.square(target.hops[rows, cols], dtype=np.float64, out=ws.view("d_g2", dev.shape))
     d_g2[off] = 1.0
     dev /= d_g2
@@ -301,32 +289,13 @@ def _connected_tile(target, dev, rows, cols, cells, dws, ws):
     base, count = None, 0
     if dws is not None:
         base = np.sign(dev, out=ws.view("base", dev.shape))
-        base /= d_g2  # 0 off the connected pairs
+        base /= d_g2  # 0 off the pairs
         on = np.logical_not(off, out=off)
         for _, bad in filter(None, dws):
             singular = int(np.count_nonzero(np.logical_and(bad, on, out=bad)))
             count += singular // 2 if diag else singular
-    np.abs(dev, out=dev)
-    part = float(dev.sum())
+    part = float(np.abs(dev, out=dev).sum())
     return part / 2.0 if diag else part, base, count
-
-
-def _batch_cells(target, dev, rows, cols, cells, dws, ws):
-    """A block of a pair list, with ``dev`` holding its squared distances,
-    ``cells`` = (the flat cells of its pairs, their d_G^2) and ``dws`` as for
-    :func:`_connected_tile`: (its loss, its weight tile or None, its singular
-    pairs)."""
-    at, d_g2 = cells
-    pair_dev = dev.ravel()[at]
-    pair_dev /= d_g2
-    pair_dev -= 1.0
-    base, count = None, 0
-    if dws is not None:
-        base = ws.view("base", dev.shape)
-        base.fill(0.0)
-        base.ravel()[at] = np.sign(pair_dev) / d_g2
-        count = sum(int(np.count_nonzero(bad.ravel()[at])) for _, bad in filter(None, dws))
-    return float(np.abs(pair_dev).sum()), base, count
 
 
 def _tile_gradient(spec, blocks, ambient, dws, base, rows, cols, diag, ws) -> None:
@@ -491,9 +460,9 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
     n_pairs = all_pairs.shape[0]
     batch_size = _resolve_batch(cfg.batch_pairs, n_pairs, g.n)
     # a minibatch is every connected pair with an end among k random anchor
-    # nodes, k the batch size over n - 1 rounded up; the draws take only the
-    # c nodes that have a pair. k < c, since the batch is below P <= c(c - 1) / 2
-    candidates = np.flatnonzero(target.connected.any(axis=1))
+    # nodes, k the batch size over n - 1 rounded up, drawn from the c nodes with
+    # an edge (those with a pair). k < c, since the batch is below P <= c(c - 1) / 2
+    candidates = np.flatnonzero(g.degrees)
     n_anchors = -(-batch_size // (g.n - 1))
     minibatch = batch_size < n_pairs
     batch_rng = np.random.default_rng((cfg.seed, 0xBA7C4))

@@ -78,18 +78,14 @@ def tune_threshold(sq: np.ndarray, g_true: Graph, val_fraction: float = 0.10,
     k = max(1, int(round(val_fraction * n)))
     val = np.sort(rng.choice(n, size=k, replace=False))
 
-    adj = g_true.adjacency_mask()
-
-    # every (validation node, other node) entry; a pair with both ends in the
-    # sample is counted once from each of its rows
-    vi = np.repeat(val, n)
-    vj = np.tile(np.arange(n), k)
-    keep = vi != vj
-    vi, vj = vi[keep], vj[keep]
-    if vi.size == 0:
+    # every (validation node, other node) entry of the sample rows, in row-major
+    # order; a pair with both ends in the sample is counted once from each row
+    keep = np.ones((k, n), dtype=bool)
+    keep[np.arange(k), val] = False
+    if not keep.any():
         raise ValueError("the validation sample has no node pairs")
-    dists = np.sqrt(sq[vi, vj])
-    is_edge = adj[vi, vj]
+    dists = np.sqrt(sq[val][keep])
+    is_edge = g_true.adjacency_mask()[val][keep]
 
     # only the edge count before each run of equal distances is read, so the
     # order inside a run does not matter

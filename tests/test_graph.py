@@ -264,9 +264,9 @@ class TestConnectedPairs:
     def test_matches_triu_index_construction(self, g):
         dist = bfs_apsp(g)
         want = connected_pairs_reference(dist)
-        for got in (connected_pairs(dist), connected_pairs(dist, dist > 0)):
-            assert got.dtype == np.int64 and got.flags.c_contiguous
-            assert got.shape == want.shape and np.array_equal(got, want)
+        got = connected_pairs(dist)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestEquality:
@@ -300,6 +300,17 @@ class TestFromMask:
         assert np.array_equal(g.indices, expected.indices)
         assert_csr(g)
         assert np.array_equal(from_mask(g.adjacency_mask()).edges(), g.edges())
+
+    def test_from_edges_with_repeats_matches_mask(self, rng):
+        # repeated, mirrored and self-loop edges: the CSR arrays of the mask's
+        # distinct keys, built without dropping repeats
+        ends = rng.integers(0, 30, size=(200, 2))
+        mask = np.zeros((30, 30), dtype=bool)
+        mask[ends[:, 0], ends[:, 1]] = mask[ends[:, 1], ends[:, 0]] = True
+        g, expected = from_edges(30, ends), from_mask(mask)
+        assert np.array_equal(g.indptr, expected.indptr)
+        assert np.array_equal(g.indices, expected.indices)
+        assert_csr(g)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

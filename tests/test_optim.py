@@ -356,8 +356,10 @@ class TestGradients:
             assert got.skipped_pairs == want.skipped_pairs == singular
             assert np.allclose(got.blocks[0], want.blocks[0], rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("bad", [[[1, 1]], [[0, 3]], [[0, 1], [0, 1]], [[0, 1], [1, 0]]],
-                             ids=["self", "unreachable", "repeated", "mirrored"])
+    @pytest.mark.parametrize("bad", [[[1, 1]], [[0, 3]], [[0, 1], [0, 1]], [[0, 1], [1, 0]],
+                                     [[0, -2]], [[0, 4]], [[0.0, 2.0]]],
+                             ids=["self", "unreachable", "repeated", "mirrored",
+                                  "negative", "out_of_range", "non_integer"])
     def test_pair_validation(self, bad):
         g = from_edges(4, [(0, 1), (1, 2)])  # node 3 is isolated
         target = DistanceTarget.from_hops(bfs_apsp(g))
@@ -551,6 +553,24 @@ class TestAnchorBatches:
         finally:
             tracemalloc.stop()
         assert peak < 400 * 400
+
+    def test_batch_gradient_memory_per_pair(self, rng):
+        # the list's checks and its (k, n) bool take about 27 bytes a pair here (B = 58,170);
+        # the bound leaves room for numpy's temporaries, not for per-pair sort keys
+        g = random_connected_graph(1000, 0.004, seed=41)
+        target = DistanceTarget.from_hops(bfs_apsp(g))
+        cfg = TrainConfig(tau=0.5, seed=8, epochs=1)
+        emb = make_embedding("h2,s2,e2,rot(a=1.0,l=0.5)", g, cfg)
+        f = forman(g, cfg.gamma)
+        batch = target.anchor_pairs(np.sort(rng.choice(1000, size=60, replace=False)))
+        gradients(emb, target, f, cfg, batch)  # the workspace allocates its buffers once
+        tracemalloc.start()
+        try:
+            gradients(emb, target, f, cfg, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * batch.shape[0]
 
 
 class TestRsgdStep:

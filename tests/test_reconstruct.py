@@ -143,6 +143,11 @@ class TestTuneThreshold:
         with pytest.raises(ValueError):
             tune_threshold(sq_distances(line_embedding([0, 1, 2, 3])), g, val_fraction=0.0)
 
+    def test_single_node_has_no_pairs(self):
+        # the sample's own cell is not a pair
+        with pytest.raises(ValueError, match="no node pairs"):
+            tune_threshold(np.zeros((1, 1)), from_edges(1, []))
+
 
 def rot_embedding_for(g, radii, shift, alpha=1.0):
     spec = resolve_spec(parse_manifold("e1,rot(a=%r)" % alpha))
