@@ -112,12 +112,12 @@ def _cmd_reconstruct(args) -> int:
     payload["mismatch_baseline"] = baseline
 
     if args.triangles:
-        est = recon.estimate_triangles(proxy, result.graph, gamma=args.gamma)
+        est = recon.estimate_triangles(proxy, result.graph, gamma=args.forman_gamma)
         _, true_counts = triangle_counts(g)
         payload["triangles"] = {
             "ad_nn": metrics.avg_triangle_distortion(true_counts, est.nn_baseline),
             "ad_curvature": metrics.avg_triangle_distortion(true_counts, est.clamped),
-            "gamma": args.gamma,
+            "gamma": args.forman_gamma,
         }
     text = fileio.reconstruction_to_json(payload)
     if args.out:
@@ -221,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--correct", action="store_true", help="run curvature correction")
     p.add_argument("--percentile", type=_finite_float, default=90.0)
     p.add_argument("--step", type=_finite_float, help="correction step (default 0.1*rho)")
-    p.add_argument("--forman-gamma", dest="forman_gamma", type=_finite_float, default=1.0)
+    p.add_argument("--forman-gamma", dest="forman_gamma", type=_finite_float, default=1.0,
+                   help="the training gamma, read by the correction and the triangle estimate")
     p.add_argument("--triangles", action="store_true", help="estimate triangle counts")
-    p.add_argument("--gamma", type=_finite_float, default=4.0, help="triangle weighting")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_reconstruct)
 

@@ -68,12 +68,6 @@ class Graph:
         """(row, column) arrays of every adjacency entry, in CSR order."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees), self.indices
 
-    def adjacency_mask(self) -> np.ndarray:
-        """(n, n) boolean adjacency matrix; :func:`from_mask` inverts it."""
-        mask = np.zeros((self.n, self.n), dtype=bool)
-        mask[self.entries()] = True
-        return mask
-
     def adjacency_bits(self) -> np.ndarray:
         """Adjacency rows packed into uint64 words, for fast set intersection."""
         return _pack_rows(self.n, *self.entries())

@@ -553,18 +553,14 @@ _TILE = 192
 class _Workspace:
     """The tiles of the all-pairs passes over n points and their buffers. The
     row ranges split 0..n evenly into the fewest tiles of at most ``_TILE``
-    rows; ``starts`` and ``widths`` give their first rows and lengths,
-    ``tile_of`` each row's tile, and ``side`` the longest length. ``view``
-    gives a C-contiguous buffer by name, allocated at its first use with room
-    for a (side, side) block and reused after."""
+    rows; ``side`` is the longest length. ``view`` gives a C-contiguous
+    buffer by name, allocated at its first use with room for a (side, side)
+    block and reused after."""
 
     def __init__(self, n: int):
         k = max(-(-n // _TILE), 1)
         edges = [n * t // k for t in range(k + 1)]
         self.tiles = [slice(a, b) for a, b in zip(edges, edges[1:])]
-        self.starts = np.array(edges[:-1], dtype=np.int64)
-        self.widths = np.diff(edges)
-        self.tile_of = np.repeat(np.arange(k), self.widths)
         self.side = -(-n // k)
         self._size = self.side**2
         self._flat: dict = {}

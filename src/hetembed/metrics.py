@@ -26,13 +26,13 @@ class EvalReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def avg_distance_distortion(sq: np.ndarray, dist: np.ndarray, connected: np.ndarray) -> float:
+def avg_distance_distortion(sq: np.ndarray, dist: np.ndarray) -> float:
     """Mean relative distance distortion |1 - d_M/d_G| over connected pairs.
 
-    ``sq`` is the embedding's :func:`pairwise_sq_distances` matrix, ``dist``
-    the graph's :func:`bfs_apsp` hop matrix and ``connected`` the mask of its
-    connected pairs above the diagonal, ``np.triu(dist != UNREACHABLE, 1)``.
+    ``sq`` is the embedding's :func:`pairwise_sq_distances` matrix and
+    ``dist`` the graph's :func:`bfs_apsp` hop matrix.
     """
+    connected = np.triu(dist != UNREACHABLE, 1)
     if not connected.any():
         raise ValueError("graph has no connected pairs")
     # boolean indexing reads in connected_pairs' row-major order
@@ -160,8 +160,7 @@ def volume_match(emb: Embedding, g: Graph, rho: float) -> tuple[np.ndarray, np.n
 def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal) -> EvalReport:
     """Assemble the full metric report for one embedding."""
     dist = bfs_apsp(g)
-    connected = np.triu(dist != UNREACHABLE, 1)
-    n_pairs = int(np.count_nonzero(connected))
+    n_pairs = int(np.count_nonzero(dist > 0)) // 2
     notes = []
     total_pairs = g.n * (g.n - 1) // 2
     if n_pairs < total_pairs:
@@ -177,7 +176,7 @@ def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal) -> EvalReport:
         notes.append("forman signal normalized by max endpoint degree")
     sq = pairwise_sq_distances(emb.spec, emb.blocks)
     return EvalReport(
-        ad_d=avg_distance_distortion(sq, dist, connected),
+        ad_d=avg_distance_distortion(sq, dist),
         map=mean_average_precision(sq, g),
         ad_c=ad_c,
         forman_variance=forman_variance(f_signal),

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _common_neighbours, _forman_entries, from_mask, triangle_counts
+from .graph import Graph, _common_neighbours, _forman_entries, _unpack_bits, from_mask, triangle_counts
 
 
 @dataclass
@@ -85,7 +85,10 @@ def tune_threshold(sq: np.ndarray, g_true: Graph, val_fraction: float = 0.10,
     if not keep.any():
         raise ValueError("the validation sample has no node pairs")
     dists = np.sqrt(sq[val][keep])
-    is_edge = g_true.adjacency_mask()[val][keep]
+    is_edge = np.zeros((k, n), dtype=bool)
+    is_edge[np.repeat(np.arange(k), g_true.degrees[val]),
+            np.concatenate([g_true.neighbors(v) for v in val.tolist()])] = True
+    is_edge = is_edge[keep]
 
     # only the edge count before each run of equal distances is read, so the
     # order inside a run does not matter
@@ -158,13 +161,14 @@ def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: f
 
     A candidate at node i moves only the Forman values of i, of its old and
     new neighbours and of the neighbours of its toggled partners; only those
-    are recomputed, on an adjacency mask, degrees, packed rows and
-    per-node neighbour lists that are edited in place (the lists on
-    acceptance only). An (n, n) table holds the common-neighbour count of
-    every adjacency entry; a toggle of (i, j) changes only the counts of the
-    entries with an end in S = {i} ∪ partners, so only those are recounted,
-    and the cells rewritten in the rows and columns S are restored on
-    rejection.
+    are recomputed. The state is the degrees and packed rows, edited in
+    place, an (n, n) table holding the common-neighbour count of every
+    adjacency entry, and per-node neighbour lists. A toggle of (i, j) changes
+    only the rows of i and j, so only the rows of S = {i} ∪ partners are
+    unpacked, only the table cells with an end in S are recounted (and
+    restored on rejection), and only the lists of S are renewed (on
+    acceptance). The lists stay sorted and current, so the repaired graph is
+    their CSR.
     """
     if not (0.0 < percentile < 100.0):
         raise ValueError("percentile must be in (0, 100)")
@@ -173,7 +177,7 @@ def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: f
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     n = a_rho.n
-    adj, deg, bits = a_rho.adjacency_mask(), a_rho.degrees, a_rho.adjacency_bits()
+    deg, bits = a_rho.degrees, a_rho.adjacency_bits()
     rows, cols = a_rho.entries()
     tri = _common_neighbours(bits, rows, cols)
     common = _common_table(n, rows, cols, tri)
@@ -198,21 +202,23 @@ def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: f
             radius = max(rho - step, 0.0)
         row = np.sqrt(sq[i]) <= radius
         row[i] = False
-        partners = np.flatnonzero(row != adj[i])
+        old = _unpack_bits(bits[i:i + 1], n)[0].view(bool)
+        partners = np.flatnonzero(row != old)
         if partners.size == 0:
             log.append((int(i), action, False))
             continue
-        _toggle_edges(adj, deg, bits, i, partners)
+        _toggle_edges(deg, bits, i, partners, row)
         # the ends S of the toggled edges first, then the other nodes whose
         # neighbours' degrees or edge triangles moved: the neighbours of S
         ends = np.append(partners, i)
-        others = adj[i] | adj[partners].any(axis=0)
+        ends_adj = _unpack_bits(bits[ends], n).view(bool)
+        others = ends_adj.any(axis=0)
         others[ends] = False
         others = np.flatnonzero(others)
         moved = np.concatenate([ends, others])
         # every entry of the moved rows, row by row in column order: the rows
-        # of S from the mask, the others' unchanged rows from the lists
-        ends_flat = np.flatnonzero(adj[ends])
+        # of S unpacked, the others' unchanged rows from the lists
+        ends_flat = np.flatnonzero(ends_adj)
         rows = np.repeat(moved, deg[moved])
         cols = np.concatenate([ends_flat % n, *[nbrs[j] for j in others.tolist()]])
         flat = rows * n + cols
@@ -232,15 +238,18 @@ def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: f
         log.append((int(i), action, accept))
         if accept:
             err_total, changed = cand_total, True
-            for j in ends.tolist():
-                nbrs[j] = np.flatnonzero(adj[j])
+            for j, adj_j in zip(ends.tolist(), ends_adj):
+                nbrs[j] = np.flatnonzero(adj_j)
         else:
-            _toggle_edges(adj, deg, bits, i, partners)
+            _toggle_edges(deg, bits, i, partners, old)
             np.put(common, cells, saved)
             np.put(common, mirror, saved)
             f_now[moved] = f_old
 
-    current = from_mask(adj) if changed else a_rho
+    current = a_rho
+    if changed:  # the lists' lengths are the degrees
+        current = Graph(n=n, indptr=np.concatenate([[0], np.cumsum(deg)]),
+                        indices=np.concatenate(nbrs))
     mismatch = edge_mismatch(current, g_true) if g_true is not None else None
     return ReconstructionResult(rho=rho, graph=current, mismatch=mismatch, correction_log=log)
 
@@ -255,15 +264,14 @@ def _common_table(n: int, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray
     return table
 
 
-def _toggle_edges(adj: np.ndarray, deg: np.ndarray, bits: np.ndarray, i: int,
-                  partners: np.ndarray) -> None:
-    """Flips the edges (i, j), j in ``partners``, in place in the adjacency
-    mask, the degrees and the packed rows; a second call undoes the first."""
-    adj[i, partners] ^= True
-    adj[partners, i] = adj[i, partners]
-    delta = np.where(adj[i, partners], 1, -1)
+def _toggle_edges(deg: np.ndarray, bits: np.ndarray, i: int, partners: np.ndarray,
+                  row: np.ndarray) -> None:
+    """Flips the edges (i, j), j in ``partners``, in place in the degrees and
+    the packed rows; ``row`` is row i's (n,) bool adjacency after the flip.
+    Called again with row i's old adjacency, it undoes the first call."""
+    delta = np.where(row[partners], 1, -1)
     deg[partners] += delta
     deg[i] += delta.sum()
     # row i packed again: byte k of a little-endian word row holds columns 8k..8k+7
-    bits.view(np.uint8)[i, :(adj.shape[0] + 7) // 8] = np.packbits(adj[i], bitorder="little")
+    bits.view(np.uint8)[i, :(row.size + 7) // 8] = np.packbits(row, bitorder="little")
     bits[partners, i // 64] ^= np.uint64(1) << np.uint64(i % 64)

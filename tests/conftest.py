@@ -48,8 +48,7 @@ def distance_distortion(emb, g: Graph) -> float:
     from hetembed.graph import bfs_apsp
     from hetembed.metrics import avg_distance_distortion
 
-    dist = bfs_apsp(g)
-    return avg_distance_distortion(sq_distances(emb), dist, np.triu(dist != UNREACHABLE, 1))
+    return avg_distance_distortion(sq_distances(emb), bfs_apsp(g))
 
 
 def floyd_warshall(g: Graph) -> np.ndarray:
@@ -342,7 +341,8 @@ def tune_threshold_reference(emb, g_true: Graph, val_fraction: float = 0.10,
     k = max(1, int(round(val_fraction * n)))
     val = np.sort(rng.choice(n, size=k, replace=False))
     dm = np.sqrt(pairwise_sq_distances(emb.spec, emb.blocks))
-    adj = g_true.adjacency_mask()
+    adj = np.zeros((n, n), dtype=bool)
+    adj[g_true.entries()] = True
     vi = np.repeat(val, n)
     vj = np.tile(np.arange(n), k)
     keep = vi != vj

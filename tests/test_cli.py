@@ -18,13 +18,15 @@ from hetembed.fileio import (
     embedding_from_json,
     embedding_to_json,
     parse_config_text,
+    read_embedding,
     reconstruction_to_json,
     write_embedding,
 )
-from hetembed.graph import load_edge_list, save_edge_list
+from hetembed.graph import load_edge_list, save_edge_list, triangle_counts
 import hetembed
-from hetembed.manifold import _TILE, parse_manifold
-from hetembed.metrics import EvalReport
+from hetembed import reconstruct as recon
+from hetembed.manifold import _TILE, pairwise_sq_distances, parse_manifold
+from hetembed.metrics import EvalReport, avg_triangle_distortion, reconstructed_forman
 from hetembed.optim import Embedding, ShiftConstants, TrainConfig, train
 from hetembed.randgraph import SampleConfig, generate_heterogeneous
 
@@ -76,9 +78,8 @@ def test_usage_error_exit_1(argv, capsys):
 @pytest.mark.parametrize("command, flag, value", [
     ("eval", "--gamma", "nan"), ("reconstruct", "--rho", "inf"), ("reconstruct", "--step", "nan"),
     ("reconstruct", "--forman-gamma", "inf"), ("reconstruct", "--val-fraction", "nan"),
-    ("reconstruct", "--percentile", "-inf"), ("reconstruct", "--gamma", "nan"),
-    ("volume", "--rho", "inf"), ("stats", "--clique-budget", "nan"),
-    ("generate", "--clique-budget", "inf"),
+    ("reconstruct", "--percentile", "-inf"), ("volume", "--rho", "inf"),
+    ("stats", "--clique-budget", "nan"), ("generate", "--clique-budget", "inf"),
 ])
 def test_non_finite_float_flag_is_a_usage_error(command, flag, value, tmp_path, graph_file, capsys):
     emb = tmp_path / "emb.json"
@@ -411,6 +412,37 @@ class TestCliCommands:
         payload = json.loads(out.read_text())
         assert {"rho", "edges", "mismatch", "correction_log", "triangles"} <= set(payload)
         assert payload["triangles"]["ad_nn"] >= 0.0
+
+    def test_reconstruct_reads_one_gamma_for_correction_and_triangles(self, tmp_path, capsys):
+        # the curvature proxy sits on one Forman scale, so the correction and
+        # the triangle estimate both read it at --forman-gamma
+        rng = np.random.default_rng(3)
+        emb = Embedding(spec=parse_manifold("e2,rot(a=1.0)"),
+                        blocks=[rng.uniform(0, 3, (40, 2)), rng.uniform(0.05, 2.0, (40, 1))])
+        g_cloud = recon.nn_graph(pairwise_sq_distances(emb.spec, emb.blocks), 0.8)
+        emb.shift_constants = ShiftConstants(min_forman=-2.0, delta_hat=1.0, lam=1.0, r_h=0.0)
+        graph, emb_path, out = tmp_path / "g.edges", tmp_path / "emb.json", tmp_path / "rec.json"
+        graph.write_text(save_edge_list(g_cloud))
+        write_embedding(emb, emb_path)
+        argv = ["reconstruct", str(graph), str(emb_path), "--correct", "--triangles",
+                "--out", str(out)]
+        assert exit_code(argv + ["--gamma", "2"]) == 1
+        assert "unrecognized arguments: --gamma" in capsys.readouterr().err
+        assert run_cli(*argv, "--forman-gamma", "2") == 0
+        payload = json.loads(out.read_text())
+
+        g, emb = load_edge_list(graph.read_bytes()), read_embedding(emb_path)
+        sq, proxy = pairwise_sq_distances(emb.spec, emb.blocks), reconstructed_forman(emb)
+        rho = recon.tune_threshold(sq, g)
+        result = recon.curvature_correction(proxy, recon.nn_graph(sq, rho), sq, rho,
+                                            step=0.1 * rho, gamma=2.0)
+        _, true_counts = triangle_counts(g)
+        ad = {gamma: avg_triangle_distortion(
+            true_counts, recon.estimate_triangles(proxy, result.graph, gamma).clamped)
+            for gamma in (2.0, 4.0)}
+        assert payload["edges"] == result.graph.edges().tolist()
+        assert payload["triangles"]["gamma"] == 2.0
+        assert payload["triangles"]["ad_curvature"] == ad[2.0] != ad[4.0]
 
     def test_reconstruct_one_node_exit_1(self, tmp_path, capsys):
         # a one-node graph leaves the threshold search no validation pair

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -287,6 +288,8 @@ class TestCurvatureCorrection:
                                       g_true=g_true)
         assert result.correction_log == log
         assert [tuple(e) for e in result.graph.edges().tolist()] == edges
+        # the graph built from the neighbour lists is a valid CSR
+        assert result.graph == from_edges(a_rho.n, result.graph.edges())
         assert result.mismatch == mismatch
         # the accept decisions compare sums of these node values
         assert (forman(result.graph, gamma).node_values.tobytes()
@@ -339,6 +342,26 @@ class TestCurvatureCorrection:
                                                 percentile=50.0)
         assert a_rho.num_edges > 0.18 * 60 * 59 / 2
         assert kinds.count("accepted") >= 3 and kinds.count("rejected") >= 3
+
+    def test_dense_state_is_the_table_alone(self):
+        # the (n, n) int16 table takes 2 B per node pair; the adjacency lives in
+        # packed rows and neighbour lists, with no (n, n) mask beside the table
+        n, rho = 1500, 0.2
+        emb, a_rho, _ = self._random_case(0, n, 1.0, rho=rho)
+        proxy, sq = reconstructed_forman(emb), sq_distances(emb)
+
+        def run():
+            return curvature_correction(proxy, a_rho, sq, rho=rho, step=0.3 * rho)
+
+        run()  # numpy's first calls allocate what later calls reuse
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a_rho.num_edges > n and any(ok for _, _, ok in result.correction_log)
+        assert peak < 2.8 * n * n
 
     @pytest.mark.parametrize("gamma", [1.0, 0.3])
     def test_table_holds_the_triangles_of_the_returned_graph(self, gamma, monkeypatch):
