@@ -19,21 +19,13 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import fileio, metrics, reconstruct as recon, randgraph
-from .graph import (
-    EdgeListParseError,
-    Graph,
-    forman,
-    load_edge_list,
-    save_edge_list,
-    triangle_counts,
-)
+from .graph import Graph, forman, load_edge_list, save_edge_list, triangle_counts
 from .manifold import pairwise_sq_distances, parse_manifold
 from .optim import Embedding, NumericAbortError, TrainConfig, to_flat, train
 
 
 def _load_graph(path: str) -> Graph:
-    with open(path, "rb") as fh:
-        g = load_edge_list(fh.read())
+    g = load_edge_list(Path(path).read_bytes())
     if g.n == 0:
         raise ValueError(f"graph {path!r} is empty")
     dropped = g.meta.get("duplicates_dropped", 0) + g.meta.get("self_loops_dropped", 0)
@@ -106,8 +98,9 @@ def _cmd_reconstruct(args) -> int:
     if args.correct:
         result = recon.curvature_correction(
             proxy, base, sq, rho=rho, step=args.step if args.step is not None else 0.1 * rho,
-            percentile=args.percentile, gamma=args.forman_gamma, g_true=g,
+            percentile=args.percentile, gamma=args.forman_gamma,
         )
+        result.mismatch = recon.edge_mismatch(result.graph, g)
     payload = result.to_json_dict()
     payload["mismatch_baseline"] = baseline
 
@@ -122,9 +115,8 @@ def _cmd_reconstruct(args) -> int:
     text = fileio.reconstruction_to_json(payload)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-    summary = {k: payload[k] for k in ("rho", "mismatch", "mismatch_baseline") if k in payload}
-    if "triangles" in payload:
-        summary["triangles"] = payload["triangles"]
+    summary = {k: payload[k] for k in ("rho", "mismatch", "mismatch_baseline", "triangles")
+               if k in payload}
     print(json.dumps(summary, indent=1))
     return 0
 
@@ -135,8 +127,7 @@ def _cmd_generate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k, g in enumerate(graphs):
-        with open(out_dir / f"run_{k:03d}.edges", "w", encoding="utf-8") as fh:
-            save_edge_list(g, fh)
+        (out_dir / f"run_{k:03d}.edges").write_text(save_edge_list(g), encoding="utf-8")
     fileio.write_stats_csv(stats, out_dir / "stats.csv")
     bary = randgraph.degree_barycenter([randgraph.degree_histogram(g) for g in graphs])
     fileio.write_barycenter_csv(bary, out_dir / "barycenter.csv")
@@ -265,7 +256,7 @@ def main(argv=None) -> int:
         print(f"numeric abort: {exc}", file=sys.stderr)
         print(json.dumps(exc.state, indent=1, default=str), file=sys.stderr)
         return 2
-    except (ValueError, EdgeListParseError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -20,30 +20,38 @@ from .randgraph import GraphStats, SampleConfig
 FORMAT_VERSION = 1
 
 Config = TrainConfig | SampleConfig  # the dataclasses read from flat key=value text
+# the file key of each ShiftConstants field
+_SHIFT_KEYS = {"min_forman": "min_forman", "delta_hat": "delta_hat", "lam": "lambda", "r_h": "r_h"}
+
+
+def _dump_spliced(payload: dict, key: str, item: str, count: int, values) -> str:
+    """``json.dumps(payload, indent=1, allow_nan=False) + "\\n"`` byte for byte,
+    where the top-level list ``key`` holds ``count`` items that json prints
+    as the ``%`` template ``item``, built without Python's pure-Python encoder:
+    the payload is dumped with that list empty, and one ``%`` format of
+    ``count`` copies of ``item`` with the flat tuple ``values`` is spliced in."""
+    text = json.dumps({**payload, key: []}, indent=1, allow_nan=False) + "\n"
+    if not count:
+        return text
+    body = ",\n".join([item] * count) % values
+    # one space of indent marks the top-level key; deeper keys have more
+    return text.replace(f'\n "{key}": []', f'\n "{key}": [\n{body}\n ]', 1)
 
 
 def embedding_to_json(emb: Embedding) -> str:
     """Format 1 text, byte for byte what ``json.dumps(payload, indent=1)``
     writes for the payload of header keys and a "nodes" list of
-    ``{"id": i, "blocks": [[...], ...]}`` records, built without Python's
-    pure-Python encoder: the header is dumped with an empty node list, and the
-    node records are one ``%`` format of one template per node (``%r`` is the
-    ``float.__repr__`` that json writes). A non-finite coordinate raises
-    ValueError naming its factor and node."""
+    ``{"id": i, "blocks": [[...], ...]}`` records, spliced in by
+    :func:`_dump_spliced` (``%r`` is the ``float.__repr__`` that json
+    writes). A non-finite coordinate raises ValueError naming its factor and
+    node."""
     for f, b in zip(emb.spec.factors, emb.blocks):
         bad = ~np.isfinite(b).all(axis=1)
         if bad.any():
             raise ValueError(f"embedding coordinate of factor {f.to_string()} at node "
                              f"{int(np.argmax(bad))} is not a finite number")
-    shift = None
-    if emb.shift_constants is not None:
-        s = emb.shift_constants
-        shift = {
-            "min_forman": s.min_forman,
-            "delta_hat": s.delta_hat,
-            "lambda": s.lam,
-            "r_h": s.r_h,
-        }
+    s = emb.shift_constants
+    shift = None if s is None else {key: getattr(s, name) for name, key in _SHIFT_KEYS.items()}
     head = {
         "format_version": FORMAT_VERSION,
         "manifold": emb.spec.to_string(),
@@ -51,33 +59,22 @@ def embedding_to_json(emb: Embedding) -> str:
         "config_digest": emb.config_digest,
         "seed": emb.seed,
         "epochs": emb.epochs,
-        "nodes": [],
     }
-    text = json.dumps(head, indent=1, allow_nan=False)
-    if emb.n == 0:
-        return text + "\n"
     blocks = ",\n".join("    [\n" + ",\n".join(["     %r"] * b.shape[1]) + "\n    ]"
                         for b in emb.blocks)
     node = '  {\n   "id": %d,\n   "blocks": [\n' + blocks + "\n   ]\n  }"
     # the id goes in as a float column; %d prints it as the integer it holds
     rows = np.hstack([np.arange(emb.n, dtype=np.float64)[:, None], *emb.blocks])
-    nodes = ",\n".join([node] * emb.n) % tuple(rows.ravel().tolist())
-    return text[:-len("[]\n}")] + "[\n" + nodes + "\n ]\n}\n"
+    return _dump_spliced(head, "nodes", node, emb.n, tuple(rows.ravel().tolist()))
 
 
 def reconstruction_to_json(payload: dict) -> str:
     """``json.dumps(payload, indent=1, allow_nan=False) + "\\n"`` byte for byte,
     for a payload whose top-level "edges" value is a list of integer pairs,
-    built without Python's pure-Python encoder for the edges: the payload is
-    dumped with an empty edge list, and the edges are one ``%d`` format of one
-    template per edge, spliced in at the top-level key."""
+    with the edges spliced in by :func:`_dump_spliced`."""
     edges = payload["edges"]
-    text = json.dumps({**payload, "edges": []}, indent=1, allow_nan=False) + "\n"
-    if not edges:
-        return text
-    body = ",\n".join(["  [\n   %d,\n   %d\n  ]"] * len(edges)) % tuple(chain.from_iterable(edges))
-    # one space of indent marks the top-level key; deeper keys have more
-    return text.replace('\n "edges": []', '\n "edges": [\n' + body + "\n ]", 1)
+    return _dump_spliced(payload, "edges", "  [\n   %d,\n   %d\n  ]", len(edges),
+                         tuple(chain.from_iterable(edges)))
 
 
 def write_embedding(emb: Embedding, path: str | Path) -> None:
@@ -132,11 +129,11 @@ def embedding_from_json(text: str) -> Embedding:
     check_point(spec, blocks)
     shift = payload.get("shift_constants")
     if shift is not None:
-        keys = {"min_forman": "min_forman", "delta_hat": "delta_hat", "lam": "lambda", "r_h": "r_h"}
-        if not (isinstance(shift, dict) and all(_is_bounded(shift.get(key)) for key in keys.values())):
-            raise ValueError(f"embedding 'shift_constants' must map {sorted(keys.values())} "
+        if not (isinstance(shift, dict)
+                and all(_is_bounded(shift.get(key)) for key in _SHIFT_KEYS.values())):
+            raise ValueError(f"embedding 'shift_constants' must map {sorted(_SHIFT_KEYS.values())} "
                              f"to finite numbers of at most {MAX_COORDINATE:g} in magnitude")
-        shift = ShiftConstants(**{field: float(shift[key]) for field, key in keys.items()})
+        shift = ShiftConstants(**{name: float(shift[key]) for name, key in _SHIFT_KEYS.items()})
     seed, epochs = payload.get("seed", 0), payload.get("epochs", 0)
     if not (_is_int(seed) and _is_int(epochs)):
         raise ValueError("embedding 'seed' and 'epochs' must be integers")
@@ -182,10 +179,9 @@ def _parse_value(declared: str, raw: str):
     return raw
 
 
-def config_from_mapping(values: dict[str, str], base: Config | None = None) -> Config:
-    """Overlay flat key=value strings on ``base`` (default ``TrainConfig()``) and
-    validate the result; the keys are its fields."""
-    base = base or TrainConfig()
+def config_from_mapping(values: dict[str, str], base: Config) -> Config:
+    """Overlay flat key=value strings on ``base`` and validate the result; the
+    keys are its fields."""
     declared = {f.name: f.type for f in fields(base)}
     unknown = set(values) - set(declared)
     if unknown:
@@ -201,7 +197,7 @@ def config_from_mapping(values: dict[str, str], base: Config | None = None) -> C
     return cfg
 
 
-def load_config(path: str | Path, base: Config | None = None) -> Config:
+def load_config(path: str | Path, base: Config) -> Config:
     return config_from_mapping(parse_config_text(Path(path).read_text(encoding="utf-8")), base)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -12,6 +12,8 @@ UNREACHABLE = -1
 MAX_DENSE_NODES = 20000
 # bound on the per-level temporaries of bfs_apsp
 _BFS_BLOCK_BYTES = 1 << 26
+# bound on each packed-row array _common_neighbours gathers at once
+_GATHER_BLOCK_BYTES = 1 << 20
 # edge-list lines tokenized at once
 _PARSE_BLOCK = 1024
 
@@ -116,7 +118,7 @@ def from_mask(mask: np.ndarray) -> Graph:
     return _from_keys(n, np.flatnonzero(np.triu(mask, k=1)).astype(np.int64, copy=False))
 
 
-def load_edge_list(source: str | bytes | IO) -> Graph:
+def load_edge_list(source: str | bytes) -> Graph:
     """Parse an edge list (two integer tokens per line, '#'/'%' comments).
 
     Node ids are remapped to a dense 0..n-1 range in first-appearance order.
@@ -126,14 +128,7 @@ def load_edge_list(source: str | bytes | IO) -> Graph:
     Counts of dropped duplicates/self-loops and the id map are stored in
     ``Graph.meta``.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
     lines = text.splitlines()
     comments = "#" in text or "%" in text
     labels: list[int] = []
@@ -187,8 +182,8 @@ def _first_bad_line(lines: list[str]) -> EdgeListParseError:
     raise AssertionError("every line parses")
 
 
-def save_edge_list(g: Graph, out: IO[str] | None = None) -> str:
-    """Serialize to the edge-list format; returns the text (also written to ``out``).
+def save_edge_list(g: Graph) -> str:
+    """The graph's text in the edge-list format.
 
     Reloading applies the dense first-appearance id remap, so when the plain
     edge order would permute ids (or lose isolated nodes) a preamble of
@@ -200,10 +195,7 @@ def save_edge_list(g: Graph, out: IO[str] | None = None) -> str:
     # ids reload unchanged when every node appears, each before any larger id
     witness = ids.size != g.n or bool((np.diff(first) < 0).any())
     preamble = "".join(f"{v} {v}\n" for v in range(g.n)) if witness else ""
-    text = preamble + "%d %d\n" * len(edges) % tuple(edges.ravel().tolist())
-    if out is not None:
-        out.write(text)
-    return text
+    return preamble + "%d %d\n" * len(edges) % tuple(edges.ravel().tolist())
 
 
 def bfs_apsp(g: Graph) -> np.ndarray:
@@ -350,12 +342,18 @@ def forman(g: Graph, gamma: float = 1.0, normalize_by_max_degree: bool = False) 
 def _common_neighbours(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """|adj(rows[k]) ∩ adj(cols[k])| for every k, as int64, from the packed
     adjacency rows ``bits`` (as :meth:`Graph.adjacency_bits`). For an edge
-    (i, j) this is its triangle count."""
-    both = np.take(bits, rows, axis=0)
-    both &= np.take(bits, cols, axis=0)
-    # each word counts at most 64, so the float64 product adds them exactly,
-    # and faster than an integer sum along the short axis
-    return (np.bitwise_count(both) @ np.ones(bits.shape[1])).astype(np.int64)
+    (i, j) this is its triangle count. The rows are gathered in blocks of
+    entries that bound each gathered array to ``_GATHER_BLOCK_BYTES``."""
+    counts = np.empty(rows.size, dtype=np.int64)
+    ones = np.ones(bits.shape[1])
+    block = _GATHER_BLOCK_BYTES // (8 * bits.shape[1] or 1)  # entries per block
+    for k in range(0, rows.size, block):
+        both = np.take(bits, rows[k:k + block], axis=0)
+        both &= np.take(bits, cols[k:k + block], axis=0)
+        # each word counts at most 64, so the float64 product adds them
+        # exactly, and faster than an integer sum along the short axis
+        counts[k:k + block] = np.bitwise_count(both) @ ones
+    return counts
 
 
 def _forman_entries(deg: np.ndarray, tri: np.ndarray, rows: np.ndarray, cols: np.ndarray,

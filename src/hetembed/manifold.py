@@ -19,6 +19,10 @@ import numpy as np
 
 # below this r/alpha the 0/0 forms switch to series expansions
 _SERIES_U = 1e-3
+# the bracket width at which rotsym_curvature_inverse stops, relative beyond 1
+_INVERSE_TOL = 1e-12
+# the largest |w(p, v)| / (1 + max |v|) exp_map accepts as tangent
+_TANGENCY_TOL = 1e-7
 # the curvature sign of each factor kind, the one place a kind picks its
 # kernel: 0 flat (Euclidean, the radial line), +1 sphere, -1 hyperboloid
 _SIGN = {"euclidean": 0, "rotsym": 0, "sphere": 1, "hyperbolic": -1}
@@ -256,7 +260,7 @@ def rotsym_sectional(alpha: float, r) -> tuple:
     return float(k), float(el)
 
 
-def rotsym_curvature_inverse(alpha: float, value: float, tol: float = 1e-12) -> float:
+def rotsym_curvature_inverse(alpha: float, value: float) -> float:
     """Radius r with R_a(r) = value, by bisection on the monotone profile."""
     top = 12.0 / alpha**2
     bottom = 8.0 / (math.pi**2 * alpha**2)
@@ -270,7 +274,7 @@ def rotsym_curvature_inverse(alpha: float, value: float, tol: float = 1e-12) -> 
         if hi > 1e14:
             raise ValueError("bisection bound exceeded")
     lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > _INVERSE_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if rotsym_curvature(alpha, mid) > value:
             lo = mid
@@ -327,20 +331,19 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 # the fine pass of annular_volume halves every panel at least this often; the
 # peak of its integrand narrows to about sqrt(rho) wide near rho = 350
 _MIN_DEPTH = 6
+# the quadrature tolerance of annular_volume's fine pass
+_VOLUME_TOL = 1e-8
 
 
-def annular_volume(alpha: float, hyperbolic_dim: int, center_r: float, rho: float,
-                   tol: float = 1e-8) -> float:
+def annular_volume(alpha: float, center_r: float, rho: float) -> float:
     """Volume of the annular region of radius rho around a point with radial
     coordinate ``center_r`` in H^3 x R.
 
-    Outer integral by adaptive Simpson at absolute tolerance ``tol``, with
+    Outer integral by adaptive Simpson at absolute tolerance ``_VOLUME_TOL``, with
     every panel halved at least ``_MIN_DEPTH`` times; the hyperbolic ball
     volume reduces to the closed form (sinh(2a)/2 - a)/2. Raises
     OverflowError when the volume leaves the float range.
     """
-    if hyperbolic_dim != 3:
-        raise ValueError("volume formula is only available for a 3-dimensional hyperbolic factor")
     if rho <= 0:
         raise ValueError("rho must be positive")
     if center_r < 0:
@@ -369,12 +372,13 @@ def annular_volume(alpha: float, hyperbolic_dim: int, center_r: float, rho: floa
 
     lo = max(center_r - rho, 0.0)
     hi = center_r + rho
-    # large balls exceed double precision at a fixed 1e-8, so the tolerance is
+    # large balls exceed double precision at a fixed _VOLUME_TOL, so it is
     # absolute for O(1) volumes and relative beyond that
     coarse = abs(_adaptive_simpson(integrand, lo, hi, tol=scale, max_depth=6))
     volume = math.inf
     if math.isfinite(coarse):  # an inf or nan sum would never meet the tolerance
-        volume = omega2 * omega2 * _adaptive_simpson(integrand, lo, hi, tol * max(scale, coarse),
+        volume = omega2 * omega2 * _adaptive_simpson(integrand, lo, hi,
+                                                     _VOLUME_TOL * max(scale, coarse),
                                                      min_depth=_MIN_DEPTH)
     if math.isfinite(volume) and math.frexp(volume)[1] + shift <= 1024:  # below 2^1024
         return math.ldexp(volume, shift)
@@ -410,11 +414,13 @@ def _check_blocks(spec: ManifoldSpec, blocks: Sequence[np.ndarray], what: str) -
 # factor's coordinates, stay far inside the float range (a hyperboloid point
 # this far out lies about 230 from the pole)
 MAX_COORDINATE = 1e100
+# the largest |w(x, x) - 1| / max(|x|^2, 1) check_point accepts on a quadric
+_POINT_ATOL = 1e-7
 
 
-def check_point(spec: ManifoldSpec, blocks: Sequence[np.ndarray], atol: float = 1e-7) -> None:
+def check_point(spec: ManifoldSpec, blocks: Sequence[np.ndarray]) -> None:
     """Validate finite coordinates of at most ``MAX_COORDINATE`` in magnitude and
-    constraint-surface membership of every block."""
+    constraint-surface membership of every block, to ``_POINT_ATOL``."""
     blocks = _check_blocks(spec, blocks, "point")
     for f, b in zip(spec.factors, blocks):
         # every comparison below is false for NaN, so it would pass them
@@ -426,7 +432,7 @@ def check_point(spec: ManifoldSpec, blocks: Sequence[np.ndarray], atol: float = 
             # measuring w(x,x) - 1 is conditioned by |x|^2, so scale the tolerance
             scale = np.maximum((b * b).sum(axis=-1), 1.0)
             err = (np.abs(_quadric_inner(f, b, b) - 1.0) / scale).max()
-            if err > atol or (f.sign < 0 and (b[..., -1] <= 0).any()):
+            if err > _POINT_ATOL or (f.sign < 0 and (b[..., -1] <= 0).any()):
                 raise ValueError(f"factor {f.to_string()} is off w(x,x) = 1 by {err:.3g}"
                                  + (", or has x_last <= 0" if f.sign < 0 else ""))
         elif f.kind == "rotsym" and (b < 0).any():
@@ -638,8 +644,7 @@ def distance(spec: ManifoldSpec, p: Sequence[np.ndarray], q: Sequence[np.ndarray
     return float(out) if np.ndim(out) == 0 else out
 
 
-def exp_map(spec: ManifoldSpec, p: Sequence[np.ndarray], v: Sequence[np.ndarray],
-            tangency_tol: float = 1e-7) -> list[np.ndarray]:
+def exp_map(spec: ManifoldSpec, p: Sequence[np.ndarray], v: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Factor-wise exponential map; rejects clearly non-tangent inputs."""
     p = _check_blocks(spec, p, "point")
     v = _check_blocks(spec, v, "tangent")
@@ -647,7 +652,7 @@ def exp_map(spec: ManifoldSpec, p: Sequence[np.ndarray], v: Sequence[np.ndarray]
     for f, bp, bv in zip(spec.factors, p, v):
         # a quadric's tangents at p satisfy w(p, v) = 0
         err = float(np.abs(_quadric_inner(f, bp, bv)).max()) if f.sign else 0.0
-        if err > tangency_tol * (1.0 + float(np.abs(bv).max(initial=0.0))):
+        if err > _TANGENCY_TOL * (1.0 + float(np.abs(bv).max(initial=0.0))):
             raise TangencyError(f"vector not tangent on factor {f.to_string()} (error {err:.3g})")
         out.append(factor_exp(f, bp, bv))
     return out

@@ -153,7 +153,7 @@ def volume_match(emb: Embedding, g: Graph, rho: float) -> tuple[np.ndarray, np.n
     reachable = dist != UNREACHABLE
     ball = ((dist <= rho) & reachable).sum(axis=1).astype(float)
     radii = emb.radii()
-    vols = np.array([annular_volume(rot.alpha, 3, float(r), rho) for r in radii])
+    vols = np.array([annular_volume(rot.alpha, float(r), rho) for r in radii])
     return ball / ball.max(), vols / vols.max()
 
 

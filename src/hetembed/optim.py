@@ -6,7 +6,6 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -379,14 +378,13 @@ def gradients(emb: Embedding, target: DistanceTarget, f_signal, cfg: TrainConfig
                           loss_curvature=loss_c)
 
 
-def rsgd_step(emb: Embedding, grads: GradientResult | Sequence[np.ndarray], lr: float) -> Embedding:
+def rsgd_step(emb: Embedding, grads: GradientResult, lr: float) -> Embedding:
     """Descent step: exponential map of -lr * grad on every factor.
 
     The radial factor's exponential map already applies the positive part, so
     r <- max(r - lr * dL/dr, 0).
     """
-    blocks = grads.blocks if isinstance(grads, GradientResult) else list(grads)
-    stepped = exp_map(emb.spec, emb.blocks, [-lr * gb for gb in blocks])
+    stepped = exp_map(emb.spec, emb.blocks, [-lr * gb for gb in grads.blocks])
     return replace(emb, blocks=stepped)
 
 
@@ -477,26 +475,35 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
         return target.anchor_pairs(np.sort(batch_rng.choice(candidates, size=n_anchors,
                                                             replace=False)))
 
+    def logged_losses(emb: Embedding, grad: GradientResult, batch, index: int):
+        """The losses at the index-th point, where ``grad`` was taken on ``batch``:
+        a minibatch's distance loss is scaled to all pairs, except at every
+        _FULL_LOSS_EVERY-th point, which takes it over all pairs."""
+        if minibatch and index % _FULL_LOSS_EVERY:
+            return grad.loss_distance * n_pairs / batch.shape[0], grad.loss_curvature
+        if minibatch:
+            return loss_distance(emb, target, all_pairs), grad.loss_curvature
+        return grad.loss_distance, grad.loss_curvature
+
     # the losses after each step are read from the next epoch's gradient,
-    # taken right after the step on the next batch; a minibatch's distance
-    # loss is scaled to all pairs, except on every _FULL_LOSS_EVERY-th epoch,
-    # which takes it over all pairs. The last epoch has no next gradient.
+    # taken right after the step on the next batch. The last epoch has no
+    # next gradient.
     history = TrainHistory()
     t0 = time.perf_counter()
-    ahead = gradients(emb, target, f_signal, cfg_run, draw_batch())
+    batch = draw_batch()
+    ahead = gradients(emb, target, f_signal, cfg_run, batch)
+    l_d, l_c = logged_losses(emb, ahead, batch, 0)
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * (0.01 if epoch >= decay2 else 0.1 if epoch >= decay1 else 1.0)
-        grad, ahead, l_d, l_c = ahead, None, None, None
-        try:  # rsgd_step raises TangencyError for a step too long for the tangent space
+        grad, ahead = ahead, None
+        # rsgd_step raises TangencyError for a step too long for the tangent
+        # space; l_d and l_c then still hold the losses where the step started
+        try:
             emb = rsgd_step(emb, grad, lr)
             if epoch + 1 < cfg.epochs:
                 batch = draw_batch()
                 ahead = gradients(emb, target, f_signal, cfg_run, batch)
-                l_d, l_c = ahead.loss_distance, ahead.loss_curvature
-                if minibatch and (epoch + 1) % _FULL_LOSS_EVERY:
-                    l_d = l_d * n_pairs / batch.shape[0]
-                elif minibatch:
-                    l_d = loss_distance(emb, target, all_pairs)
+                l_d, l_c = logged_losses(emb, ahead, batch, epoch + 1)
             else:
                 l_d = loss_distance(emb, target, all_pairs)
                 l_c = loss_curvature(emb, f_signal, cfg_run) if tau > 0 else 0.0

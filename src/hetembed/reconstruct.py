@@ -114,7 +114,7 @@ def tune_threshold(sq: np.ndarray, g_true: Graph, val_fraction: float = 0.10,
 
 
 def estimate_triangles_from_curvature(a_rho: Graph, node_curvature: np.ndarray,
-                                      gamma: float = 4.0) -> np.ndarray:
+                                      gamma: float) -> np.ndarray:
     """Invert the node Forman identity 6*gamma*t(i) = d(i) F(i) - sum_j (4 - d_i - d_j).
 
     ``node_curvature`` plays the role of F on the reconstructed graph; exact
@@ -129,13 +129,14 @@ def estimate_triangles_from_curvature(a_rho: Graph, node_curvature: np.ndarray,
     return est / (6.0 * gamma)
 
 
-def estimate_triangles(proxy: np.ndarray, a_rho: Graph, gamma: float = 4.0) -> TriangleEstimates:
+def estimate_triangles(proxy: np.ndarray, a_rho: Graph, gamma: float) -> TriangleEstimates:
     """Curvature-based triangle estimates on a reconstructed graph.
 
     ``proxy`` is the manifold curvature at each embedded node, shift-adjusted
     back to the Forman scale (``metrics.reconstructed_forman``); it substitutes
-    for the (unknown) true node curvature. The NN-only baseline counts
-    triangles of ``a_rho`` directly.
+    for the (unknown) true node curvature, and ``gamma`` is the Forman gamma
+    the embedding was trained at. The NN-only baseline counts triangles of
+    ``a_rho`` directly.
     """
     if a_rho.n != proxy.size:
         raise ValueError("reconstructed graph and curvature proxy node counts differ")
@@ -147,8 +148,8 @@ def estimate_triangles(proxy: np.ndarray, a_rho: Graph, gamma: float = 4.0) -> T
 
 
 def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: float,
-                         step: float, percentile: float = 90.0, gamma: float = 1.0,
-                         g_true: Graph | None = None) -> ReconstructionResult:
+                         step: float, percentile: float = 90.0,
+                         gamma: float = 1.0) -> ReconstructionResult:
     """Locally re-threshold the worst curvature-mismatch nodes, keeping only
     changes that reduce the total curvature error.
 
@@ -250,8 +251,7 @@ def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: f
     if changed:  # the lists' lengths are the degrees
         current = Graph(n=n, indptr=np.concatenate([[0], np.cumsum(deg)]),
                         indices=np.concatenate(nbrs))
-    mismatch = edge_mismatch(current, g_true) if g_true is not None else None
-    return ReconstructionResult(rho=rho, graph=current, mismatch=mismatch, correction_log=log)
+    return ReconstructionResult(rho=rho, graph=current, correction_log=log)
 
 
 def _common_table(n: int, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from hetembed import cli
 from hetembed.fileio import read_embedding
-from hetembed.graph import forman
+from hetembed.graph import forman, save_edge_list
 from hetembed.manifold import parse_manifold
 from hetembed.metrics import reconstructed_forman
 from hetembed.optim import Embedding, ShiftConstants, TrainConfig
@@ -23,6 +23,7 @@ from hetembed.randgraph import SampleConfig
 from hetembed.reconstruct import curvature_correction, nn_graph
 
 from conftest import sq_distances
+from synthetic import random_connected_graph
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 WORKLOADS = TRACER.parent / "workloads.py"
@@ -146,3 +147,32 @@ def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
     for flags, expected in ((workloads.TWIN_GENERATE, twin), (workloads.TABLE3_GENERATE, table3)):
         args = cli.build_parser().parse_args(["generate", "--mode", "heterogeneous", *flags])
         assert cli._build_config(args, SampleConfig()) == expected
+
+
+def test_one_small_cycle_calls_every_function_the_benchmark_names(tmp_path):
+    # a traced benchmark run fails when a per-layer metric of a named function
+    # reads 0; one small cycle of the benchmark's four commands calls them all
+    tracing = _load_tracer()
+    spec = json.loads((TRACER.parents[1] / "BENCHMARK.json").read_text())
+    named = {m["name"].rsplit(".", 1)[0] for m in spec["per_layer"] if m["name"].count(".") == 2}
+    graph, emb = str(tmp_path / "g.edges"), str(tmp_path / "e.json")
+    Path(graph).write_text(save_edge_list(random_connected_graph(30, 0.12, seed=41)))
+    commands = [
+        ["embed", graph, "-m", "h2,rot(a=auto)", "--tau", "0.5", "--epochs", "20", "--out", emb],
+        ["eval", graph, emb, "--out", str(tmp_path / "eval.json")],
+        ["reconstruct", graph, emb, "--correct", "--triangles",
+         "--out", str(tmp_path / "reconstruct.json")],
+        ["generate", "--mode", "heterogeneous", "--n", "40", "--tangent-radius", "1.6",
+         "--rho", "4.5", "--ell", "10.8", "--seed", "7",
+         "--out-dir", str(tmp_path / "generated")],
+    ]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    calls = tracing.aggregate(tracer.spans)
+    assert len(named) == 27
+    assert sorted(named - set(calls)) == []

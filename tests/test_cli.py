@@ -1,5 +1,4 @@
 import copy
-import io
 import json
 import math
 import os
@@ -24,10 +23,10 @@ from hetembed.fileio import (
 )
 from hetembed.graph import load_edge_list, save_edge_list, triangle_counts
 import hetembed
-from hetembed import reconstruct as recon
+from hetembed import optim, reconstruct as recon
 from hetembed.manifold import _TILE, pairwise_sq_distances, parse_manifold
 from hetembed.metrics import EvalReport, avg_triangle_distortion, reconstructed_forman
-from hetembed.optim import Embedding, ShiftConstants, TrainConfig, train
+from hetembed.optim import Embedding, ShiftConstants, TrainConfig, gradients, train
 from hetembed.randgraph import SampleConfig, generate_heterogeneous
 
 from conftest import embedding_to_json_reference
@@ -43,8 +42,7 @@ AWKWARD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e22, 2.0**53, 3.0, -7
 def graph_file(tmp_path):
     g = cycle_tree(10, 3, 2)
     path = tmp_path / "g.edges"
-    with open(path, "w") as fh:
-        save_edge_list(g, fh)
+    path.write_text(save_edge_list(g))
     return str(path)
 
 
@@ -287,14 +285,14 @@ class TestReconstructionFile:
 class TestConfigFiles:
     def test_parse_and_types(self):
         text = "# comment\ntau=0.25\nepochs=100\nbatch_pairs=all\nradial_init=0.2,0.9\n"
-        cfg = config_from_mapping(parse_config_text(text))
+        cfg = config_from_mapping(parse_config_text(text), TrainConfig())
         assert cfg.tau == 0.25 and cfg.epochs == 100
         assert cfg.batch_pairs == "all"
         assert cfg.radial_init == (0.2, 0.9)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
-            config_from_mapping({"bogus": "1"})
+            config_from_mapping({"bogus": "1"}, TrainConfig())
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):
@@ -349,15 +347,21 @@ class TestCliCommands:
                      "--out", str(tmp_path / "e.json"))
         assert rc == 2
 
-    def test_embed_divergence_exit_2(self, tmp_path, capsys):
+    def test_embed_divergence_exit_2(self, tmp_path, capsys, monkeypatch):
         # the acceptance twin's config (learning rate 0.01) on its n=400 sibling:
         # a step leaves the hyperboloid's tangent space within a few epochs
         g = generate_heterogeneous(SampleConfig(
             n=400, tangent_radius=1.6, rho=4.5, ell=10.8, alpha=1.0,
             radial_interval=(0.0, 2.0), seed=7))
         path = tmp_path / "g400.edges"
-        with open(path, "w") as fh:
-            save_edge_list(g, fh)
+        path.write_text(save_edge_list(g))
+        taken = []
+
+        def recorded(*args):
+            taken.append(gradients(*args))
+            return taken[-1]
+
+        monkeypatch.setattr(optim, "gradients", recorded)
         rc = run_cli("embed", str(path), "-m", "h5,h5,rot(a=auto)", "--tau", "1.0",
                      "--epochs", "3000", "--seed", "11", "--learning-rate", "0.01",
                      "--lambda-rot", "0.5", "--delta", "1.0", "--ell-plus", "1.0",
@@ -369,6 +373,13 @@ class TestCliCommands:
         assert '"epoch"' in err and '"learning_rate": 0.01' in err
         # where the abort lands and what it reports of that epoch's gradient
         assert '"epoch": 8' in err and '"skipped_pairs": 0' in err
+        # the losses where the failed step started: those of the gradient it
+        # took, the ninth (full batch, so unscaled)
+        state = json.loads(err[err.index("{"):])
+        assert len(taken) == 9
+        assert math.isfinite(state["loss_distance"]) and math.isfinite(state["loss_curvature"])
+        assert state["loss_distance"] == taken[8].loss_distance
+        assert state["loss_curvature"] == taken[8].loss_curvature
 
     def test_eval_report(self, tmp_path, graph_file):
         emb_path = tmp_path / "emb.json"
@@ -412,6 +423,10 @@ class TestCliCommands:
         payload = json.loads(out.read_text())
         assert {"rho", "edges", "mismatch", "correction_log", "triangles"} <= set(payload)
         assert payload["triangles"]["ad_nn"] >= 0.0
+        # the command, not the correction, counts the corrected graph's mismatch
+        g = load_edge_list(Path(graph_file).read_text())
+        true_edges = {tuple(e) for e in g.edges().tolist()}
+        assert payload["mismatch"] == len({tuple(e) for e in payload["edges"]} ^ true_edges)
 
     def test_reconstruct_reads_one_gamma_for_correction_and_triangles(self, tmp_path, capsys):
         # the curvature proxy sits on one Forman scale, so the correction and
@@ -473,6 +488,16 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("error: ") and "Unable to allocate" in err
         assert "Traceback" not in err
+
+    def test_defect_inside_a_command_propagates(self, graph_file, monkeypatch):
+        # no reader raises KeyError for bad input, so one is a defect: it must
+        # surface as a traceback, not as an input error's exit 1
+        def defect(*args, **kwargs):
+            raise KeyError("missing")
+
+        monkeypatch.setattr("hetembed.cli.randgraph.graph_stats", defect)
+        with pytest.raises(KeyError):
+            run_cli("stats", graph_file)
 
     def test_generate_outputs(self, tmp_path):
         out_dir = tmp_path / "gen"
@@ -586,8 +611,7 @@ def test_embedding_bytes_equal_under_one_and_two_blas_threads(tmp_path):
     # gradient run on blocks of a matrix that BLAS could split by thread
     g = random_connected_graph(_TILE + 8, 0.02, seed=4)
     graph = tmp_path / "g.edges"
-    with open(graph, "w") as fh:
-        save_edge_list(g, fh)
+    graph.write_text(save_edge_list(g))
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
@@ -657,9 +681,7 @@ def mutation_inputs():
     g = random_connected_graph(10, 0.3, seed=3)
     emb, _ = train(g, parse_manifold("h2,e1,rot(a=auto)"),
                    TrainConfig(tau=0.5, epochs=5, seed=2, learning_rate=0.02))
-    text = io.StringIO()
-    save_edge_list(g, text)
-    return json.loads(embedding_to_json(emb)), text.getvalue().splitlines()
+    return json.loads(embedding_to_json(emb)), save_edge_list(g).splitlines()
 
 
 def _mutate_embedding(payload, path, op, value):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hetembed.graph import (
     EdgeListParseError,
+    MAX_DENSE_NODES,
     UNREACHABLE,
     _common_neighbours,
     _forman_entries,
@@ -255,6 +257,18 @@ class TestBfsApsp:
         assert np.array_equal(d, floyd_warshall(g))
 
 
+    def test_refuses_more_than_max_dense_nodes_before_allocating(self):
+        g = from_edges(MAX_DENSE_NODES + 1, [])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n <= {MAX_DENSE_NODES}"):
+                bfs_apsp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
 class TestConnectedPairs:
     @pytest.mark.parametrize("g", [
         path_graph(2), complete_graph(5), gnp_graph(70, 0.08, seed=4),
@@ -339,6 +353,35 @@ class TestTriangles:
         for i in range(g.n):
             incident = edge[(edges == i).any(axis=1)].sum()
             assert incident == 2 * node[i]
+
+
+    @pytest.mark.parametrize("block_bytes", [24, 120, 1 << 20])
+    def test_common_neighbours_in_blocks_match_set_intersections(self, monkeypatch, block_bytes):
+        # 150 nodes take three words a row: a 24-byte budget gathers one entry
+        # at a time, and 120 bytes five, so the last block is short
+        import hetembed.graph as graph
+
+        monkeypatch.setattr(graph, "_GATHER_BLOCK_BYTES", block_bytes)
+        g = gnp_graph(150, 0.1, seed=4)
+        rows, cols = g.entries()
+        counts = _common_neighbours(g.adjacency_bits(), rows, cols)
+        assert rows.size % 5 and counts.dtype == np.int64
+        nbrs = [set(g.neighbors(i).tolist()) for i in range(g.n)]
+        assert counts.tolist() == [len(nbrs[i] & nbrs[j]) for i, j in zip(rows, cols)]
+
+    def test_common_neighbours_gathers_a_bounded_block_at_a_time(self):
+        # K400's 159,600 adjacency entries take seven words a row: gathered at
+        # once, the two row arrays alone hold 17.9 MB
+        g = complete_graph(400)
+        bits, (rows, cols) = g.adjacency_bits(), g.entries()
+        tracemalloc.start()
+        try:
+            counts = _common_neighbours(bits, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (counts == 398).all()
+        assert peak < 8e6
 
 
 class TestForman:

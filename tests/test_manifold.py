@@ -514,12 +514,12 @@ class TestAlphaFromRange:
 
 class TestAnnularVolume:
     def test_vanishes_and_monotone_in_rho(self):
-        vols = [annular_volume(1.0, 3, 1.0, rho) for rho in (1e-4, 0.1, 0.3, 0.7, 1.2)]
+        vols = [annular_volume(1.0, 1.0, rho) for rho in (1e-4, 0.1, 0.3, 0.7, 1.2)]
         assert vols[0] < 1e-10
         assert all(a < b for a, b in zip(vols, vols[1:]))
 
     def test_monotone_in_center(self):
-        vols = [annular_volume(1.0, 3, r, 0.5) for r in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        vols = [annular_volume(1.0, r, 0.5) for r in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a < b for a, b in zip(vols, vols[1:]))
 
     def test_against_dense_quadrature_oracle(self):
@@ -533,21 +533,21 @@ class TestAnnularVolume:
                 return ((math.sinh(2 * a) / 2 - a) / 2) * (alpha * math.atan(r / alpha)) ** 2
             lo, hi = max(r_i - rho, 0.0), r_i + rho
             oracle = (4 * math.pi) ** 2 * simpson_grid(integrand, lo, hi, 20000)
-            got = annular_volume(alpha, 3, r_i, rho)
+            got = annular_volume(alpha, r_i, rho)
             assert got == pytest.approx(oracle, rel=0.01)
 
     def test_volume_past_the_float_range_raises(self, monkeypatch):
         import hetembed.manifold as manifold
 
-        assert math.isfinite(annular_volume(1.0, 3, 0.0, 350.0))
+        assert math.isfinite(annular_volume(1.0, 0.0, 350.0))
         # about e^(2 rho + 6.4) at alpha 1 and center 0: past 1.8e308 from rho 351.7
         for rho in (400.0, 355.0, 352.0):
             with pytest.raises(OverflowError):
-                annular_volume(1.0, 3, 0.0, rho)
+                annular_volume(1.0, 0.0, rho)
         # a finite integral that overflows once multiplied by omega2**2
         monkeypatch.setattr(manifold, "_adaptive_simpson", lambda *args, **kwargs: 1e307)
         with pytest.raises(OverflowError):
-            annular_volume(1.0, 3, 0.0, 1.0)
+            annular_volume(1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("alpha, r_i, rho", [
         (1.0, 0.0, 290.0),   # the first samples of [0, rho] miss the peak near r = 0
@@ -569,14 +569,12 @@ class TestAnnularVolume:
         lo, hi = max(r_i - rho, 0.0), r_i + rho
         oracle = (4 * math.pi) ** 2 * (simpson_grid(scaled, lo, lo + 1.0, 20000)
                                        + simpson_grid(scaled, lo + 1.0, hi, 100000))
-        got = annular_volume(alpha, 3, r_i, rho)
+        got = annular_volume(alpha, r_i, rho)
         assert math.log(got) - 2 * rho == pytest.approx(math.log(oracle), abs=1e-6)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            annular_volume(1.0, 3, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            annular_volume(1.0, 2, 1.0, 0.5)
+            annular_volume(1.0, 1.0, 0.0)
 
 
 class TestCheckPoint:

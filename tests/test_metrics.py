@@ -264,3 +264,12 @@ class TestEvaluate:
         text = report.to_json()
         for key in ("ad_d", "map", "ad_c", "forman_variance", "n_pairs_used"):
             assert f'"{key}"' in text
+
+    def test_notes_for_disconnected_pairs_and_isolated_nodes(self):
+        # a path 0-1-2, an edge 3-4 and the isolated node 5: four of the 15
+        # node pairs are connected
+        g = from_edges(6, [(0, 1), (1, 2), (3, 4)])
+        emb = initialize(resolve_spec(parse_manifold("e2")), g, TrainConfig(seed=1, epochs=1))
+        report = evaluate(emb, g, forman(g))
+        assert report.n_pairs_used == 4
+        assert report.notes == ["excluded 11 disconnected pairs", "skipped 1 isolated nodes in mAP"]

@@ -19,6 +19,7 @@ from hetembed.manifold import (
 from hetembed.optim import (
     DistanceTarget,
     Embedding,
+    GradientResult,
     NumericAbortError,
     ShiftConstants,
     TrainConfig,
@@ -34,7 +35,7 @@ from hetembed.optim import (
 from conftest import (anchor_batch_reference, gradients_reference, graph_sq_distances,
                       initialize_blocks_reference, mink_inner, pair_sq_distances, tangent_basis,
                       train_reference)
-from synthetic import complete_graph, path_graph, random_connected_graph
+from synthetic import complete_graph, cycle_graph, path_graph, random_connected_graph
 
 
 def make_embedding(spec_text, g, cfg, rng_shift=True):
@@ -578,7 +579,7 @@ class TestRsgdStep:
         g = random_connected_graph(6, 0.4, seed=31)
         cfg = TrainConfig(seed=1, epochs=1)
         emb = make_embedding("h2,rot(a=1.0)", g, cfg)
-        zero = [np.zeros_like(b) for b in emb.blocks]
+        zero = GradientResult([np.zeros_like(b) for b in emb.blocks])
         out = rsgd_step(emb, zero, lr=0.5)
         for a, b in zip(emb.blocks, out.blocks):
             assert np.allclose(a, b, atol=1e-15)
@@ -586,7 +587,7 @@ class TestRsgdStep:
     def test_radial_positive_part(self):
         spec = resolve_spec(parse_manifold("rot(a=1.0)"))
         emb = Embedding(spec=spec, blocks=[np.array([[0.1]])])
-        out = rsgd_step(emb, [np.array([[0.5]])], lr=1.0)
+        out = rsgd_step(emb, GradientResult([np.array([[0.5]])]), lr=1.0)
         assert out.blocks[0][0, 0] == 0.0
 
     def test_constraint_preserved(self):
@@ -692,6 +693,31 @@ class TestTrain:
             target = f.node_values[i] - shift.min_forman + shift.delta_hat
             r_star = rotsym_curvature_inverse(alpha, target)
             assert emb.radii()[i] == pytest.approx(r_star, abs=5e-2)
+
+    def test_auto_radial_init_without_curvature_loss_starts_on_the_default_band(self):
+        # tau 0 gives no curvature targets to start the radii among
+        g = random_connected_graph(10, 0.3, seed=46)
+        cfg = TrainConfig(tau=0.0, epochs=3, seed=4)
+        auto, _ = train(g, parse_manifold("e2,rot(a=1.0)"), replace(cfg, radial_init="auto"))
+        fixed, _ = train(g, parse_manifold("e2,rot(a=1.0)"), replace(cfg, radial_init=(0.1, 1.0)))
+        assert all(np.array_equal(a, b) for a, b in zip(auto.blocks, fixed.blocks, strict=True))
+
+    def test_auto_radial_init_widens_a_band_of_one_target(self, monkeypatch):
+        # every node of a cycle has one Forman value, so the band of curvature
+        # targets is a single radius; the start widens it by a tenth of alpha
+        seen = []
+
+        def spy(spec, g, cfg):
+            seen.append((spec.rotsym_factor.alpha, cfg.radial_init))
+            return initialize(spec, g, cfg)
+
+        monkeypatch.setattr(optim, "initialize", spy)
+        emb, _ = train(cycle_graph(8), parse_manifold("e2,rot(a=auto)"),
+                       TrainConfig(tau=0.5, epochs=1, radial_init="auto"))
+        [(alpha, (lo, hi))] = seen
+        assert lo == rotsym_curvature_inverse(alpha, emb.shift_constants.delta_hat)
+        assert hi == lo + alpha * 0.1
+        assert 2.3 < lo < hi < 2.5
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_carries_state(self):

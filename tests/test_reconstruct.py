@@ -195,7 +195,7 @@ class TestEstimateTriangles:
 
     def test_proxy_and_graph_node_counts_must_match(self):
         with pytest.raises(ValueError):
-            estimate_triangles(np.zeros(4), path_graph(3))
+            estimate_triangles(np.zeros(4), path_graph(3), gamma=1.0)
 
     def test_negative_estimates_clamped_copy(self):
         g = path_graph(3)
@@ -224,7 +224,7 @@ class TestCurvatureCorrection:
         g, emb = self._setup()
         # reconstruction IS the true graph: proxy matches Forman, no change
         result = curvature_correction(reconstructed_forman(emb), g, sq_distances(emb), rho=1.0,
-                                      step=0.1, gamma=1.0, g_true=g)
+                                      step=0.1, gamma=1.0)
         assert all(not acc for _, _, acc in result.correction_log)
         assert edge_set(result.graph) == edge_set(g)
 
@@ -240,7 +240,7 @@ class TestCurvatureCorrection:
 
         before = total_err(broken)
         result = curvature_correction(reconstructed_forman(emb), broken, sq_distances(emb),
-                                      rho=1.0, step=0.5, gamma=1.0, g_true=g)
+                                      rho=1.0, step=0.5, gamma=1.0)
         after = total_err(result.graph)
         assert after <= before
         accepted = [e for e in result.correction_log if e[2]]
@@ -252,7 +252,7 @@ class TestCurvatureCorrection:
         edges = sorted(edge_set(g))
         broken = from_edges(g.n, edges[:-4])
         result = curvature_correction(reconstructed_forman(emb), broken, sq_distances(emb),
-                                      rho=1.0, step=0.5, gamma=1.0, g_true=g)
+                                      rho=1.0, step=0.5, gamma=1.0)
         for node, action, accepted in result.correction_log:
             assert action in ("densify", "sparsify")
             assert isinstance(accepted, bool)
@@ -260,8 +260,9 @@ class TestCurvatureCorrection:
     def test_mismatch_reported(self):
         g, emb = self._setup(seed=9)
         result = curvature_correction(reconstructed_forman(emb), g, sq_distances(emb), rho=1.0,
-                                      step=0.2, gamma=1.0, g_true=g)
-        assert result.mismatch == edge_mismatch(result.graph, g)
+                                      step=0.2, gamma=1.0)
+        # the true graph is not an input: the command line sets the mismatch
+        assert result.mismatch is None
 
     @staticmethod
     def _random_case(seed, n, gamma, rho=0.8, drop=0.2):
@@ -284,13 +285,12 @@ class TestCurvatureCorrection:
         log, edges, mismatch, kinds = curvature_correction_reference(
             emb, a_rho, rho=rho, step=step, percentile=percentile, gamma=gamma, g_true=g_true)
         result = curvature_correction(reconstructed_forman(emb), a_rho, sq_distances(emb),
-                                      rho=rho, step=step, percentile=percentile, gamma=gamma,
-                                      g_true=g_true)
+                                      rho=rho, step=step, percentile=percentile, gamma=gamma)
         assert result.correction_log == log
         assert [tuple(e) for e in result.graph.edges().tolist()] == edges
         # the graph built from the neighbour lists is a valid CSR
         assert result.graph == from_edges(a_rho.n, result.graph.edges())
-        assert result.mismatch == mismatch
+        assert edge_mismatch(result.graph, g_true) == mismatch
         # the accept decisions compare sums of these node values
         assert (forman(result.graph, gamma).node_values.tobytes()
                 == forman_reference(result.graph, gamma)[1].tobytes())
