@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .manifold import MAX_COORDINATE, check_point, parse_manifold
-from .optim import Embedding, ShiftConstants, TrainConfig, TrainHistory
+from .optim import Embedding, ShiftConstants, TrainConfig, TrainHistory, _is_int
 from .randgraph import GraphStats, SampleConfig
 
 FORMAT_VERSION = 1
@@ -79,10 +79,6 @@ def reconstruction_to_json(payload: dict) -> str:
 
 def write_embedding(emb: Embedding, path: str | Path) -> None:
     Path(path).write_text(embedding_to_json(emb), encoding="utf-8")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_bounded(value) -> bool:

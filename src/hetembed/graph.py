@@ -8,6 +8,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .manifold import _Workspace
+
 UNREACHABLE = -1
 MAX_DENSE_NODES = 20000
 # bound on the per-level temporaries of bfs_apsp
@@ -115,7 +117,32 @@ def from_mask(mask: np.ndarray) -> Graph:
     n = mask.shape[0]
     if mask.shape != (n, n):
         raise ValueError(f"mask must be square, got shape {mask.shape}")
-    return _from_keys(n, np.flatnonzero(np.triu(mask, k=1)).astype(np.int64, copy=False))
+    return _from_upper_rows(n, lambda rows: mask[rows, rows.start:].astype(bool))
+
+
+def _from_upper_rows(n: int, cells) -> Graph:
+    """Build a Graph on n nodes from the True cells of :func:`_upper_blocks`
+    of ``cells``; only the edges' keys are kept from block to block."""
+    parts = [np.empty(0, dtype=np.int64)]
+    for rows, block in _upper_blocks(n, cells):
+        i, j = np.divmod(np.flatnonzero(block), block.shape[1])
+        parts.append((i + rows.start) * n + (j + rows.start))
+    keys = np.concatenate(parts)
+    del parts  # freed before _from_keys copies the keys
+    return _from_keys(n, keys)
+
+
+def _upper_blocks(n: int, cells):
+    """The cells above the diagonal of an (n, n) bool, by row blocks of at
+    most ``_TILE`` rows. ``cells(rows)`` gives a new (rows, n - rows.start)
+    bool of the cells (i, j), j >= rows.start, of a block; it is yielded as
+    (rows, block) with its cells j <= i set False. So the True cells, block
+    after block in row-major order, are the upper triangle's in row-major
+    order."""
+    for rows in _Workspace(n).tiles:
+        block, b = cells(rows), rows.stop - rows.start
+        block[:, :b] &= np.tri(b, k=-1, dtype=bool).T
+        yield rows, block
 
 
 def load_edge_list(source: str | bytes) -> Graph:
@@ -261,16 +288,31 @@ def _unpack_bits(words: np.ndarray, count: int) -> np.ndarray:
 
 def connected_pairs(dist: np.ndarray) -> np.ndarray:
     """Unordered node pairs (i<j) at finite positive hop distance, as a (P, 2)
-    int64 array in row-major order, built in one pass over the upper triangle
-    of ``dist != UNREACHABLE``: column 0 repeats each row by its count, column
-    1 is the flat index less the row's offset."""
-    n = dist.shape[0]
-    upper = np.triu(dist != UNREACHABLE, 1)
-    counts = np.count_nonzero(upper, axis=1)
-    pairs = np.empty((int(counts.sum()), 2), dtype=np.int64)
-    pairs[:, 0] = np.repeat(np.arange(n), counts)
-    np.subtract(np.flatnonzero(upper), np.repeat(np.arange(0, n * n, n), counts), out=pairs[:, 1])
+    int64 array in row-major order. The list is allocated once and filled one
+    row block of :func:`_upper_connected` at a time."""
+    counts = [np.count_nonzero(block) for _, block in _upper_connected(dist)]
+    pairs = np.empty((sum(counts), 2), dtype=np.int64)
+    end = 0
+    for (rows, block), count in zip(_upper_connected(dist), counts):
+        part = pairs[end:end + count]
+        flat = np.flatnonzero(block)
+        np.floor_divide(flat, block.shape[1], out=part[:, 0])
+        np.remainder(flat, block.shape[1], out=part[:, 1])
+        part += rows.start
+        del flat  # freed before the next block's is taken
+        end += count
     return pairs
+
+
+def _connected_pair_count(dist: np.ndarray) -> int:
+    """The number of rows of :func:`connected_pairs`, counted without the list."""
+    return sum(int(np.count_nonzero(block)) for _, block in _upper_connected(dist))
+
+
+def _upper_connected(dist: np.ndarray):
+    """:func:`_upper_blocks` of the finite cells of the hop matrix ``dist``:
+    their True cells are the connected pairs, in :func:`connected_pairs` order."""
+    return _upper_blocks(dist.shape[0], lambda rows: dist[rows, rows.start:] != UNREACHABLE)
 
 
 def triangle_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +366,7 @@ def forman(g: Graph, gamma: float = 1.0, normalize_by_max_degree: bool = False) 
     graphs whose raw values are dominated by hubs). Each node sums its edge
     values in adjacency order.
     """
-    if gamma <= 0:
+    if not (gamma > 0):
         raise ValueError("gamma must be positive")
     deg = g.degrees
     rows, cols = g.entries()

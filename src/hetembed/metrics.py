@@ -8,7 +8,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import UNREACHABLE, FormanSignal, Graph, bfs_apsp
+from .graph import (UNREACHABLE, FormanSignal, Graph, _connected_pair_count, _upper_connected,
+                    bfs_apsp)
 from .manifold import _Workspace, annular_volume, pairwise_sq_distances, rotsym_curvature
 from .optim import Embedding
 
@@ -30,16 +31,22 @@ def avg_distance_distortion(sq: np.ndarray, dist: np.ndarray) -> float:
     """Mean relative distance distortion |1 - d_M/d_G| over connected pairs.
 
     ``sq`` is the embedding's :func:`pairwise_sq_distances` matrix and
-    ``dist`` the graph's :func:`bfs_apsp` hop matrix.
+    ``dist`` the graph's :func:`bfs_apsp` hop matrix. One float64 per pair,
+    in ``connected_pairs`` order, is written a row block at a time, and one
+    mean is taken over them all.
     """
-    connected = np.triu(dist != UNREACHABLE, 1)
-    if not connected.any():
+    dev = np.empty(_connected_pair_count(dist))
+    if not dev.size:
         raise ValueError("graph has no connected pairs")
-    # boolean indexing reads in connected_pairs' row-major order
-    dev = np.sqrt(sq[connected])
-    dev /= dist[connected].astype(np.float64)
-    np.subtract(1.0, dev, out=dev)
-    return float(np.abs(dev, out=dev).mean())
+    end = 0
+    for rows, block in _upper_connected(dist):
+        part = dev[end:end + np.count_nonzero(block)]
+        end += part.size
+        np.sqrt(sq[rows, rows.start:][block], out=part)
+        part /= dist[rows, rows.start:][block]
+        np.subtract(1.0, part, out=part)
+        np.abs(part, out=part)
+    return float(dev.mean())
 
 
 def mean_average_precision(sq: np.ndarray, g: Graph) -> float:
@@ -146,12 +153,14 @@ def volume_match(emb: Embedding, g: Graph, rho: float) -> tuple[np.ndarray, np.n
     dims = [f.dim for f in emb.spec.factors]
     if kinds != ["hyperbolic", "rotsym"] or dims[0] != 3:
         raise ValueError("volume matching needs the hyperbolic(3) x rotsym layout")
-    if rho <= 0:
+    if not (rho > 0):
         raise ValueError("rho must be positive")
     rot = emb.spec.rotsym_factor
     dist = bfs_apsp(g)
-    reachable = dist != UNREACHABLE
-    ball = ((dist <= rho) & reachable).sum(axis=1).astype(float)
+    ball = np.empty(g.n)
+    for rows in _Workspace(g.n).tiles:
+        block = dist[rows]
+        ball[rows] = np.count_nonzero((block <= rho) & (block != UNREACHABLE), axis=1)
     radii = emb.radii()
     vols = np.array([annular_volume(rot.alpha, float(r), rho) for r in radii])
     return ball / ball.max(), vols / vols.max()
@@ -160,7 +169,7 @@ def volume_match(emb: Embedding, g: Graph, rho: float) -> tuple[np.ndarray, np.n
 def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal) -> EvalReport:
     """Assemble the full metric report for one embedding."""
     dist = bfs_apsp(g)
-    n_pairs = int(np.count_nonzero(dist > 0)) // 2
+    n_pairs = _connected_pair_count(dist)
     notes = []
     total_pairs = g.n * (g.n - 1) // 2
     if n_pairs < total_pairs:

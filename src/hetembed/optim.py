@@ -33,6 +33,11 @@ _BIG_GRAPH_BATCH = 200_000
 _FULL_LOSS_EVERY = 10
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool, which subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class NumericAbortError(RuntimeError):
     """Training broke down numerically; carries a diagnostic state dump."""
 
@@ -70,9 +75,11 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be positive")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not (isinstance(self.batch_pairs, int) and self.batch_pairs > 0) and self.batch_pairs not in ("all", "auto"):
+        if not (_is_int(self.epochs) and self.epochs >= 1):
+            raise ValueError("epochs must be an integer >= 1")
+        if not _is_int(self.seed):
+            raise ValueError("seed must be an integer")
+        if not (_is_int(self.batch_pairs) and self.batch_pairs > 0) and self.batch_pairs not in ("all", "auto"):
             raise ValueError("batch_pairs must be a positive integer, 'all' or 'auto'")
         if self.radial_init != "auto":
             lo, hi = self.radial_init

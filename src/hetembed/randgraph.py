@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .clique import max_clique
-from .graph import Graph, from_mask, triangle_counts
+from .graph import Graph, _from_upper_rows, triangle_counts
 from .manifold import (Factor, ManifoldSpec, pairwise_sq_distances, rotsym_curvature,
                        sample_tangent_ball)
 
@@ -72,7 +72,7 @@ def generate_homogeneous(cfg: SampleConfig, seed: int | None = None) -> Graph:
     blocks = sample_points(cfg, with_radial=False, seed=seed)
     spec = ManifoldSpec((_H3,))
     sq = pairwise_sq_distances(spec, blocks)
-    return from_mask(sq <= cfg.rho**2)
+    return _from_upper_rows(cfg.n, lambda rows: sq[rows, rows.start:] <= cfg.rho**2)
 
 
 def generate_heterogeneous(cfg: SampleConfig, seed: int | None = None) -> Graph:
@@ -88,9 +88,13 @@ def generate_heterogeneous(cfg: SampleConfig, seed: int | None = None) -> Graph:
     spec = ManifoldSpec((_H3, Factor("rotsym", alpha=cfg.alpha)))
     sq = pairwise_sq_distances(spec, blocks)
     curved = rotsym_curvature(cfg.alpha, blocks[1][:, 0]) > cfg.ell
-    gate = curved[:, None] & curved[None, :]
-    mask = (sq <= 1.0) | (gate & (sq <= cfg.rho**2))
-    return from_mask(mask)
+
+    def upper(rows: slice) -> np.ndarray:
+        block = sq[rows, rows.start:]
+        gate = curved[rows, None] & curved[rows.start:]
+        return (block <= 1.0) | (gate & (block <= cfg.rho**2))
+
+    return _from_upper_rows(cfg.n, upper)
 
 
 def graph_stats(g: Graph, clique_budget: float = 10.0) -> GraphStats:

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _common_neighbours, _forman_entries, _unpack_bits, from_mask, triangle_counts
+from .graph import (Graph, _common_neighbours, _forman_entries, _from_upper_rows, _unpack_bits,
+                    triangle_counts)
 
 
 @dataclass
@@ -42,11 +43,12 @@ class ReconstructionResult:
 def nn_graph(sq: np.ndarray, rho: float) -> Graph:
     """Edges between distinct nodes at embedded distance <= rho.
 
-    ``sq`` is the embedding's (n, n) ``manifold.pairwise_sq_distances`` matrix.
+    ``sq`` is the embedding's (n, n) ``manifold.pairwise_sq_distances`` matrix;
+    it is compared a row block at a time.
     """
-    if rho <= 0:
+    if not (rho > 0):
         raise ValueError("rho must be positive")
-    return from_mask(sq <= rho * rho)
+    return _from_upper_rows(sq.shape[0], lambda rows: sq[rows, rows.start:] <= rho * rho)
 
 
 def edge_mismatch(a: Graph, b: Graph) -> int:
@@ -70,47 +72,48 @@ def tune_threshold(sq: np.ndarray, g_true: Graph, val_fraction: float = 0.10,
     sample. Candidate thresholds are midpoints between consecutive observed
     distances of sample-involved pairs; ties resolve to the smaller rho.
     ``sq`` as in :func:`nn_graph`.
+
+    The sample rows' distances are sorted once, in place, with their self
+    cells set to inf and cut off the end; the E edge distances among them
+    are sorted apart. The band that keeps the first p sorted distances keeps
+    the c(p) edge distances below the p-th, so it misses E + p - 2 c(p)
+    cells. That count grows with p wherever c stays the same, so its first
+    minimizer is the first band or one where c steps up: the first distance
+    above an edge distance, which ``searchsorted`` finds. c stays the same
+    inside a run of equal distances, so this is also the band that a sweep
+    over the distinct distances picks first.
     """
     if not (0.0 < val_fraction < 1.0):
         raise ValueError("val_fraction must be in (0, 1)")
     n = g_true.n
+    if n < 2:
+        raise ValueError("the validation sample has no node pairs")
     rng = np.random.default_rng(seed)
     k = max(1, int(round(val_fraction * n)))
     val = np.sort(rng.choice(n, size=k, replace=False))
 
-    # every (validation node, other node) entry of the sample rows, in row-major
-    # order; a pair with both ends in the sample is counted once from each row
-    keep = np.ones((k, n), dtype=bool)
-    keep[np.arange(k), val] = False
-    if not keep.any():
-        raise ValueError("the validation sample has no node pairs")
-    dists = np.sqrt(sq[val][keep])
-    is_edge = np.zeros((k, n), dtype=bool)
-    is_edge[np.repeat(np.arange(k), g_true.degrees[val]),
-            np.concatenate([g_true.neighbors(v) for v in val.tolist()])] = True
-    is_edge = is_edge[keep]
+    # every (validation node, other node) distance of the sample rows; a pair
+    # with both ends in the sample is counted once from each row. sqrt is
+    # monotone, so it commutes with the sort
+    dists = np.take(sq, val, axis=0)
+    dists[np.arange(k), val] = np.inf
+    dists = dists.ravel()
+    dists.sort()
+    dists = np.sqrt(dists[:k * (n - 1)], out=dists[:k * (n - 1)])
+    edge_dists = np.sqrt(sq[np.repeat(val, g_true.degrees[val]),
+                            np.concatenate([g_true.neighbors(v) for v in val.tolist()])])
+    edge_dists.sort()
 
-    # only the edge count before each run of equal distances is read, so the
-    # order inside a run does not matter
-    order = np.argsort(dists)
-    dists, is_edge = dists[order], is_edge[order]
-    uniq, starts = np.unique(dists, return_index=True)
-    edge_cum = np.concatenate([[0], np.cumsum(is_edge)])
-    bounds = np.concatenate([starts, [dists.size]])
-    total_edges = int(is_edge.sum())
-
-    # any rho strictly between consecutive observed distances is equivalent;
-    # band t includes the first bounds[t] distances, and argmin keeps the first
-    # (smallest-rho) minimizer
-    edges_in = edge_cum[bounds]
-    mis = (total_edges - edges_in) + (bounds - edges_in)
-    first = 1 if uniq[0] <= 0 else 0  # rho must be positive; the empty band is unreachable
-    t = first + int(np.argmin(mis[first:]))
-    if t == 0:
-        return float(uniq[0]) / 2.0
-    if t < uniq.size:
-        return float(0.5 * (uniq[t - 1] + uniq[t]))
-    return float(uniq[-1] * 1.0000001 + 1e-12)
+    # rho must be positive, so a band of zero distances alone is out
+    start = int(dists.searchsorted(0.0, side="right"))
+    steps = dists.searchsorted(edge_dists, side="right")  # where c steps up, in order
+    bands = np.concatenate([[start], steps])
+    best = int(bands[np.argmin(bands - 2 * steps.searchsorted(bands, side="right"))])
+    if best == 0:
+        return float(dists[0]) / 2.0
+    if best < dists.size:
+        return float(0.5 * (dists[best - 1] + dists[best]))
+    return float(dists[-1] * 1.0000001 + 1e-12)
 
 
 def estimate_triangles_from_curvature(a_rho: Graph, node_curvature: np.ndarray,
@@ -120,7 +123,7 @@ def estimate_triangles_from_curvature(a_rho: Graph, node_curvature: np.ndarray,
     ``node_curvature`` plays the role of F on the reconstructed graph; exact
     Forman values give back exact triangle counts.
     """
-    if gamma <= 0:
+    if not (gamma > 0):
         raise ValueError("gamma must be positive")
     deg = a_rho.degrees.astype(float)
     rows, cols = a_rho.entries()
@@ -173,9 +176,9 @@ def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: f
     """
     if not (0.0 < percentile < 100.0):
         raise ValueError("percentile must be in (0, 100)")
-    if step <= 0:
+    if not (step > 0):
         raise ValueError("step must be positive")
-    if gamma <= 0:
+    if not (gamma > 0):
         raise ValueError("gamma must be positive")
     n = a_rho.n
     deg, bits = a_rho.degrees, a_rho.adjacency_bits()

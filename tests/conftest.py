@@ -6,6 +6,8 @@ dense matrix sweeps) kept independent of the library's vectorized paths.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,35 @@ def simpson_grid(f, a: float, b: float, panels: int) -> float:
     ys = np.array([f(x) for x in xs])
     h = (b - a) / panels
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
+
+
+def three_block_case(seed: int = 0):
+    """(graph, e2 embedding) on 400 nodes, three row blocks of the all-pairs
+    passes. The graph has components of 300 and 80 nodes and 20 isolated
+    nodes, numbered in a random order. The points lie on a 20 x 20 integer
+    grid, so many coincide and many distances are equal, all exact in float64
+    (a threshold of 2.0 falls exactly on a distance)."""
+    from hetembed.graph import from_edges
+    from hetembed.optim import Embedding
+    from hetembed.manifold import parse_manifold
+    from synthetic import random_connected_graph
+
+    rng = np.random.default_rng(seed)
+    edges = np.concatenate([random_connected_graph(300, 0.01, seed).edges(),
+                            random_connected_graph(80, 0.05, seed + 1).edges() + 300])
+    g = from_edges(400, rng.permutation(400)[edges])
+    points = rng.integers(0, 20, size=(400, 2)).astype(float)
+    return g, Embedding(spec=parse_manifold("e2"), blocks=[points])
+
+
+def traced_peak(call, *args, **kwargs):
+    """(the tracemalloc peak in bytes of ``call(*args, **kwargs)``, its result)."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture
@@ -249,6 +280,15 @@ def connected_pairs_reference(dist: np.ndarray) -> np.ndarray:
     return np.column_stack([iu[mask], ju[mask]]).astype(np.int64)
 
 
+def avg_distance_distortion_reference(sq: np.ndarray, dist: np.ndarray) -> float:
+    """AD_d from whole (n, n) masks: the connected upper cells in row-major order."""
+    connected = np.triu(dist != UNREACHABLE, 1)
+    dev = np.sqrt(sq[connected])
+    dev /= dist[connected].astype(np.float64)
+    np.subtract(1.0, dev, out=dev)
+    return float(np.abs(dev, out=dev).mean())
+
+
 def embedding_to_json_reference(emb) -> str:
     """Format 1 text as one dict payload through ``json.dumps(indent=1)``."""
     import json
@@ -372,6 +412,37 @@ def tune_threshold_reference(emb, g_true: Graph, val_fraction: float = 0.10,
         if best_mis is None or mis < best_mis:
             best_mis, best_rho = mis, rho
     return best_rho
+
+
+def tune_threshold_sorted_reference(sq: np.ndarray, g_true: Graph, val_fraction: float = 0.10,
+                                    seed: int = 0) -> float:
+    """The band sweep over the distinct distances of the validation rows, from
+    one argsort of their (k, n) cells and np.unique, first minimizer kept."""
+    n = g_true.n
+    rng = np.random.default_rng(seed)
+    k = max(1, int(round(val_fraction * n)))
+    val = np.sort(rng.choice(n, size=k, replace=False))
+    keep = np.ones((k, n), dtype=bool)
+    keep[np.arange(k), val] = False
+    dists = np.sqrt(sq[val][keep])
+    is_edge = np.zeros((k, n), dtype=bool)
+    is_edge[np.repeat(np.arange(k), g_true.degrees[val]),
+            np.concatenate([g_true.neighbors(v) for v in val.tolist()])] = True
+    is_edge = is_edge[keep]
+    order = np.argsort(dists)
+    dists, is_edge = dists[order], is_edge[order]
+    uniq, starts = np.unique(dists, return_index=True)
+    edge_cum = np.concatenate([[0], np.cumsum(is_edge)])
+    bounds = np.concatenate([starts, [dists.size]])
+    edges_in = edge_cum[bounds]
+    mis = (int(is_edge.sum()) - edges_in) + (bounds - edges_in)
+    first = 1 if uniq[0] <= 0 else 0
+    t = first + int(np.argmin(mis[first:]))
+    if t == 0:
+        return float(uniq[0]) / 2.0
+    if t < uniq.size:
+        return float(0.5 * (uniq[t - 1] + uniq[t]))
+    return float(uniq[-1] * 1.0000001 + 1e-12)
 
 
 def max_clique_reference(g: Graph, time_budget: float = 10.0) -> tuple[int, bool]:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,15 @@ class TestConfigFiles:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             config_from_mapping({"bogus": "1"}, TrainConfig())
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_pairs", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.0, "3"])
+    def test_integer_fields_reject_bools_and_non_integers(self, field, value):
+        # bool subclasses int: epochs=True would train one epoch, batch_pairs=True
+        # one-pair batches
+        with pytest.raises(ValueError, match=field):
+            replace(TrainConfig(), **{field: value}).validate()
+        replace(TrainConfig(), **{field: 3}).validate()
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +28,8 @@ from conftest import (
     forman_reference,
     load_edge_list_reference,
     save_edge_list_reference,
+    three_block_case,
+    traced_peak,
 )
 from synthetic import complete_graph, cycle_graph, gnp_graph, path_graph
 
@@ -259,13 +260,12 @@ class TestBfsApsp:
 
     def test_refuses_more_than_max_dense_nodes_before_allocating(self):
         g = from_edges(MAX_DENSE_NODES + 1, [])
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ValueError, match=f"n <= {MAX_DENSE_NODES}"):
                 bfs_apsp(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak, _ = traced_peak(refused)
         assert peak < 1e6
 
 
@@ -274,13 +274,14 @@ class TestConnectedPairs:
         path_graph(2), complete_graph(5), gnp_graph(70, 0.08, seed=4),
         from_edges(9, [(0, 1), (2, 3), (3, 4), (6, 8)]),  # isolated 5 and 7
         from_edges(3, []),
-    ], ids=["p2", "k5", "gnp70", "disconnected", "edgeless"])
+        three_block_case()[0],  # two components and isolated nodes over three row blocks
+    ], ids=["p2", "k5", "gnp70", "disconnected", "edgeless", "three_blocks"])
     def test_matches_triu_index_construction(self, g):
         dist = bfs_apsp(g)
         want = connected_pairs_reference(dist)
         got = connected_pairs(dist)
         assert got.dtype == np.int64 and got.flags.c_contiguous
-        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestEquality:
@@ -316,6 +317,15 @@ class TestFromMask:
         full = np.zeros((9, 9), dtype=bool)
         full[g.entries()] = True
         assert np.array_equal(from_mask(full).edges(), g.edges())
+
+    def test_three_row_blocks_match_triu_index_construction(self, rng):
+        # 400 nodes are three row blocks; an int mask reads as its nonzero cells
+        mask = (rng.random((400, 400)) < 0.05).astype(np.int8)
+        np.fill_diagonal(mask, 1)
+        mask[:, 390:] = 0  # nodes 390.. have no edge to a larger node
+        iu, ju = np.triu_indices(400, k=1)
+        keep = mask[iu, ju] != 0
+        assert from_mask(mask) == from_edges(400, np.column_stack([iu[keep], ju[keep]]))
 
     def test_from_edges_with_repeats_matches_mask(self, rng):
         # repeated, mirrored and self-loop edges: the CSR arrays of the mask's
@@ -374,12 +384,7 @@ class TestTriangles:
         # once, the two row arrays alone hold 17.9 MB
         g = complete_graph(400)
         bits, (rows, cols) = g.adjacency_bits(), g.entries()
-        tracemalloc.start()
-        try:
-            counts = _common_neighbours(bits, rows, cols)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, counts = traced_peak(_common_neighbours, bits, rows, cols)
         assert (counts == 398).all()
         assert peak < 8e6
 
@@ -403,6 +408,10 @@ class TestForman:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             forman(path_graph(3), gamma=0.0)
+
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            forman(path_graph(3), gamma=float("nan"))
 
     def test_isolated_node_zero_and_excluded_from_range(self):
         g = from_edges(4, [(0, 1), (1, 2)])  # node 3 isolated

@@ -1,6 +1,5 @@
 import ast
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,8 @@ from hetembed.manifold import (
 )
 
 from conftest import (CONSTRAINT_TOL, mink_inner, pairwise_sq_distances_reference,
-                      quadric_sq_dw_reference, rotsym_phi, simpson_grid, tangent_basis)
+                      quadric_sq_dw_reference, rotsym_phi, simpson_grid, tangent_basis,
+                      traced_peak)
 
 
 def rotsym_curvature_oracle(alpha: float, r: float, h: float = 1e-4) -> float:
@@ -214,12 +214,7 @@ class TestPairwiseKernel:
         spec = resolve_spec(parse_manifold("h3,s2,e2,rot(a=1.0,l=0.5)"))
         n = 600
         pts = _random_points(spec, rng, n)
-        tracemalloc.start()
-        try:
-            pairwise_sq_distances(spec, pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(pairwise_sq_distances, spec, pts)
         assert peak < 1.5 * n * n * 8
 
     def test_flat_factor_exact_for_near_points_far_out(self):

@@ -1,13 +1,12 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from hetembed.graph import forman, from_edges, from_mask
+from hetembed.graph import UNREACHABLE, bfs_apsp, forman, from_edges, from_mask
 from hetembed.manifold import (pairwise_sq_distances, parse_manifold, resolve_spec,
                                rotsym_curvature_inverse, sample_tangent_ball)
 from hetembed.metrics import (
     avg_curvature_distortion,
+    avg_distance_distortion,
     avg_triangle_distortion,
     evaluate,
     forman_variance,
@@ -17,7 +16,9 @@ from hetembed.metrics import (
 )
 from hetembed.optim import Embedding, ShiftConstants, TrainConfig, initialize
 
-from conftest import distance_distortion, map_bruteforce, mean_average_precision_loop, sq_distances
+from conftest import (avg_distance_distortion_reference, connected_pairs_reference,
+                      distance_distortion, map_bruteforce, mean_average_precision_loop,
+                      sq_distances, three_block_case, traced_peak)
 from synthetic import (
     complete_graph,
     cycle_tree,
@@ -54,6 +55,22 @@ class TestAvgDistanceDistortion:
         g = from_edges(4, [(0, 1), (2, 3)])
         emb = line_embedding([0, 1, 10, 11])
         assert distance_distortion(emb, g) == 0.0
+
+    @pytest.mark.parametrize("grid", [True, False], ids=["grid", "h2"])
+    def test_three_row_blocks_bitwise_against_whole_masks(self, grid):
+        # the grid has coincident points (deviation 1) and exact distances; the
+        # h2 cloud rounds in every sqrt and division
+        g, emb = three_block_case(5)
+        if not grid:
+            emb = initialize(resolve_spec(parse_manifold("h2")), g, TrainConfig(seed=5, epochs=1))
+        sq, dist = sq_distances(emb), bfs_apsp(g)
+        got = avg_distance_distortion(sq, dist)
+        assert got.hex() == avg_distance_distortion_reference(sq, dist).hex()
+
+    def test_no_connected_pair_rejected(self):
+        g = from_edges(3, [])
+        with pytest.raises(ValueError, match="no connected pairs"):
+            avg_distance_distortion(sq_distances(line_embedding([0, 1, 2])), bfs_apsp(g))
 
 
 class TestMeanAveragePrecision:
@@ -135,12 +152,7 @@ class TestMeanAveragePrecision:
         g = random_connected_graph(n, 0.0, seed=5)
         x = rng.normal(size=(n, 3))
         sq = ((x[:, None] - x[None]) ** 2).sum(axis=-1)
-        tracemalloc.start()
-        try:
-            mean_average_precision(sq, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(mean_average_precision, sq, g)
         assert peak < sq.nbytes / 2
 
 
@@ -228,6 +240,20 @@ class TestVolumeMatch:
         with pytest.raises(ValueError):
             volume_match(emb, g, rho=1.0)
 
+    def test_three_row_blocks_count_the_reachable_ball(self, rng):
+        g, _ = three_block_case(2)
+        emb = self._embedding(g, rng.uniform(0.05, 2, size=g.n))
+        dist = bfs_apsp(g)
+        ball = ((dist <= 3.0) & (dist != UNREACHABLE)).sum(axis=1)
+        graph_norm, _ = volume_match(emb, g, rho=3.0)
+        assert np.array_equal(graph_norm, ball / ball.max())
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+    def test_rho_must_be_positive(self, rho):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="rho must be positive"):
+            volume_match(self._embedding(g, [0.5, 1.0, 1.5]), g, rho=rho)
+
     def test_volume_monotone_in_radius_coordinate(self):
         g = path_graph(4)
         emb = self._embedding(g, [0.2, 0.8, 1.5, 3.0])
@@ -273,3 +299,10 @@ class TestEvaluate:
         report = evaluate(emb, g, forman(g))
         assert report.n_pairs_used == 4
         assert report.notes == ["excluded 11 disconnected pairs", "skipped 1 isolated nodes in mAP"]
+
+    def test_three_row_blocks_count_the_connected_pairs(self):
+        g, emb = three_block_case(3)
+        dist = bfs_apsp(g)
+        report = evaluate(emb, g, forman(g))
+        assert report.n_pairs_used == connected_pairs_reference(dist).shape[0] == 300 * 299 // 2 + 80 * 79 // 2
+        assert report.ad_d == avg_distance_distortion_reference(sq_distances(emb), dist)

@@ -1,6 +1,5 @@
 import inspect
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +33,7 @@ from hetembed.optim import (
 
 from conftest import (anchor_batch_reference, gradients_reference, graph_sq_distances,
                       initialize_blocks_reference, mink_inner, pair_sq_distances, tangent_basis,
-                      train_reference)
+                      traced_peak, train_reference)
 from synthetic import complete_graph, cycle_graph, path_graph, random_connected_graph
 
 
@@ -547,12 +546,7 @@ class TestAnchorBatches:
         f = forman(g, cfg.gamma)
         batch = target.anchor_pairs(np.array([3, 150, 299]))
         gradients(emb, target, f, cfg, batch)  # the workspace allocates its buffers once
-        tracemalloc.start()
-        try:
-            gradients(emb, target, f, cfg, batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(gradients, emb, target, f, cfg, batch)
         assert peak < 400 * 400
 
     def test_batch_gradient_memory_per_pair(self, rng):
@@ -565,12 +559,7 @@ class TestAnchorBatches:
         f = forman(g, cfg.gamma)
         batch = target.anchor_pairs(np.sort(rng.choice(1000, size=60, replace=False)))
         gradients(emb, target, f, cfg, batch)  # the workspace allocates its buffers once
-        tracemalloc.start()
-        try:
-            gradients(emb, target, f, cfg, batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(gradients, emb, target, f, cfg, batch)
         assert peak < 40 * batch.shape[0]
 
 

@@ -127,6 +127,23 @@ class TestGenerators:
                 )
                 assert adj[i, j] == expected
 
+    @pytest.mark.parametrize("rho", [1.5, 2.5])
+    def test_three_row_blocks_match_the_whole_masks(self, rho):
+        # 400 nodes are three row blocks; the masks as (n, n) bools, edges by triu
+        from hetembed.manifold import Factor, ManifoldSpec, pairwise_sq_distances
+
+        h3 = Factor("hyperbolic", dim=3)
+        cfg = SampleConfig(n=400, tangent_radius=1.6, rho=rho, ell=10.8, seed=7)
+        sq = pairwise_sq_distances(ManifoldSpec((h3,)), sample_points(cfg, with_radial=False))
+        hom = sq <= rho**2
+        blocks = sample_points(cfg, with_radial=True)
+        sq = pairwise_sq_distances(ManifoldSpec((h3, Factor("rotsym", alpha=1.0))), blocks)
+        curved = rotsym_curvature(1.0, blocks[1][:, 0]) > 10.8
+        het = (sq <= 1.0) | (curved[:, None] & curved[None, :] & (sq <= rho**2))
+        for got, mask in ((generate_homogeneous(cfg), hom), (generate_heterogeneous(cfg), het)):
+            assert 0 < got.num_edges < 400 * 399 // 2
+            assert got == from_edges(400, np.column_stack(np.nonzero(np.triu(mask, 1))))
+
     def test_run_generator_derived_seeds(self):
         cfg = SampleConfig(n=40, rho=1.0, runs=3, seed=100)
         graphs, stats = run_generator("homogeneous", cfg)

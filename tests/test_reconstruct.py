@@ -1,10 +1,9 @@
-import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from hetembed.graph import forman, from_edges, triangle_counts
+from hetembed.graph import forman, from_edges, from_mask, triangle_counts
 from hetembed.manifold import (
     pairwise_sq_distances,
     parse_manifold,
@@ -24,7 +23,8 @@ from hetembed.reconstruct import (
 )
 
 from conftest import (curvature_correction_reference, edge_set, forman_reference, sq_distances,
-                      tune_threshold_reference)
+                      three_block_case, traced_peak, tune_threshold_reference,
+                      tune_threshold_sorted_reference)
 from synthetic import complete_graph, gnp_graph, path_graph, random_connected_graph
 
 
@@ -47,6 +47,22 @@ class TestNnGraph:
         emb = line_embedding([0, 1, 2, 3, 4])
         g = nn_graph(sq_distances(emb), 1.0)
         assert edge_set(g) == {(0, 1), (1, 2), (2, 3), (3, 4)}
+
+    def test_three_row_blocks_match_the_whole_mask(self):
+        # coincident points, and rho = 2 exactly at many grid distances
+        _, emb = three_block_case(1)
+        sq = sq_distances(emb)
+        for rho in (0.5, 1.0, 2.0, 4.5):
+            want = from_mask(sq <= rho * rho)
+            iu, ju = np.nonzero(np.triu(sq <= rho * rho, 1))
+            assert want == from_edges(sq.shape[0], np.column_stack([iu, ju]))
+            assert nn_graph(sq, rho) == want
+        assert nn_graph(sq, 0.5).num_edges > 0  # the coincident points
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+    def test_rho_must_be_positive(self, rho):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            nn_graph(sq_distances(line_embedding([0, 1, 2])), rho)
 
     def test_monotone_in_rho(self, rng):
         emb = line_embedding(rng.normal(0, 2, size=12))
@@ -126,6 +142,27 @@ class TestTuneThreshold:
                 assert rho.hex() == tune_threshold_reference(
                     emb, g, val_fraction=val_fraction, seed=seed).hex()
 
+    @pytest.mark.parametrize("val_fraction", [0.1, 0.5, 0.9])
+    def test_three_row_blocks_match_the_sorted_sweep(self, val_fraction):
+        # two components, isolated nodes, coincident points and long runs of
+        # equal distances; the h2 cloud has distinct distances
+        g, emb = three_block_case(4)
+        h2 = initialize(resolve_spec(parse_manifold("h2")), g, TrainConfig(seed=4, epochs=1))
+        for sq in (sq_distances(emb), sq_distances(h2)):
+            for seed in range(3):
+                rho = tune_threshold(sq, g, val_fraction=val_fraction, seed=seed)
+                assert rho.hex() == tune_threshold_sorted_reference(
+                    sq, g, val_fraction=val_fraction, seed=seed).hex()
+
+    def test_first_and_last_bands_match_the_sorted_sweep(self, rng):
+        twins = np.repeat(rng.normal(0, 1, size=15), 2)
+        for g, coords in ((from_edges(30, []), rng.normal(0, 1, size=30)),
+                          (from_edges(30, []), twins), (complete_graph(30), twins),
+                          (complete_graph(30), np.zeros(30)), (path_graph(30), np.zeros(30))):
+            sq = sq_distances(line_embedding(coords))
+            assert tune_threshold(sq, g, seed=1).hex() == \
+                tune_threshold_sorted_reference(sq, g, seed=1).hex()
+
     def test_deterministic(self, rng):
         g = random_connected_graph(10, 0.3, seed=18)
         emb = line_embedding(rng.normal(0, 1, size=10))
@@ -159,6 +196,11 @@ def rot_embedding_for(g, radii, shift, alpha=1.0):
 
 
 class TestEstimateTriangles:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+    def test_gamma_must_be_positive(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            estimate_triangles_from_curvature(path_graph(3), np.zeros(3), gamma=gamma)
+
     def test_k3_exact_at_gamma4(self):
         g = complete_graph(3)
         est = estimate_triangles_from_curvature(g, np.full(3, 12.0), gamma=4.0)
@@ -219,6 +261,15 @@ class TestCurvatureCorrection:
         emb = rot_embedding_for(g, radii, shift)
         # embed the true graph structure on the euclidean line factor exactly
         return g, emb
+
+    @pytest.mark.parametrize("bad", [{"step": 0.0}, {"step": float("nan")},
+                                     {"gamma": 0.0}, {"gamma": float("nan")}],
+                             ids=["step0", "step_nan", "gamma0", "gamma_nan"])
+    def test_step_and_gamma_must_be_positive(self, bad):
+        g, emb = self._setup()
+        kwargs = {"rho": 1.0, "step": 0.5, "gamma": 1.0} | bad
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be positive"):
+            curvature_correction(reconstructed_forman(emb), g, sq_distances(emb), **kwargs)
 
     def test_consistent_graph_untouched(self):
         g, emb = self._setup()
@@ -354,12 +405,7 @@ class TestCurvatureCorrection:
             return curvature_correction(proxy, a_rho, sq, rho=rho, step=0.3 * rho)
 
         run()  # numpy's first calls allocate what later calls reuse
-        tracemalloc.start()
-        try:
-            result = run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, result = traced_peak(run)
         assert a_rho.num_edges > n and any(ok for _, _, ok in result.correction_log)
         assert peak < 2.8 * n * n
 
