@@ -75,7 +75,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_eval(args) -> int:
     g, emb = _load_graph_and_embedding(args)
-    f_signal = forman(g, args.gamma, normalize_by_max_degree=args.normalized_forman)
+    f_signal = forman(g, args.gamma)
     report = metrics.evaluate(emb, g, f_signal)
     text = report.to_json()
     if args.out:
@@ -199,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("embedding")
     p.add_argument("--gamma", type=_finite_float, default=1.0)
-    p.add_argument("--normalized-forman", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
 

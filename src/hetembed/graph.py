@@ -342,7 +342,6 @@ class FormanSignal:
 
     edge_values: np.ndarray
     node_values: np.ndarray
-    normalized: bool = False
 
     # degrees are frozen at construction so the signal stays self-contained
     _degrees: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -358,25 +357,18 @@ class FormanSignal:
         return float(self.node_values[self._degrees > 0].max())
 
 
-def forman(g: Graph, gamma: float = 1.0, normalize_by_max_degree: bool = False) -> FormanSignal:
+def forman(g: Graph, gamma: float = 1.0) -> FormanSignal:
     """Gamma-augmented Forman curvature of every edge plus its node-wise trace.
-
-    With ``normalize_by_max_degree`` each edge value is divided by the larger
-    endpoint degree before the node average (variant used for scale-free
-    graphs whose raw values are dominated by hubs). Each node sums its edge
-    values in adjacency order.
-    """
+    Each node sums its edge values in adjacency order."""
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
     deg = g.degrees
     rows, cols = g.entries()
     entry_values, node_values = _forman_entries(
-        deg, _common_neighbours(g.adjacency_bits(), rows, cols), rows, cols, gamma,
-        normalize_by_max_degree)
+        deg, _common_neighbours(g.adjacency_bits(), rows, cols), rows, cols, gamma)
     return FormanSignal(
         edge_values=entry_values[rows < cols],  # the rows of g.edges()
         node_values=node_values,
-        normalized=normalize_by_max_degree,
         _degrees=deg,
     )
 
@@ -399,7 +391,7 @@ def _common_neighbours(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> 
 
 
 def _forman_entries(deg: np.ndarray, tri: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                    gamma: float, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                    gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Forman value of every adjacency entry (rows[k], cols[k]) and the node values.
 
     ``deg`` holds the degrees of the whole graph and ``tri[k]`` the entry's
@@ -408,8 +400,6 @@ def _forman_entries(deg: np.ndarray, tri: np.ndarray, rows: np.ndarray, cols: np
     over its degree; nodes whose row is not listed read 0.
     """
     values = 4.0 - deg[rows] - deg[cols] + 3.0 * gamma * tri
-    if normalize:
-        values /= np.maximum(deg[rows], deg[cols])
     node_values = np.bincount(rows, weights=values, minlength=deg.size)
     return values, node_values / np.maximum(deg, 1)  # isolated nodes stay 0
 

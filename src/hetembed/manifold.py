@@ -498,12 +498,6 @@ def factor_rgrad(factor: Factor, p: np.ndarray, ambient: np.ndarray) -> np.ndarr
 _COINCIDENT_EPS = 1e-14
 
 
-def _neg_space(x: np.ndarray) -> np.ndarray:
-    """Negates x's space coordinates in place: -<x,y>_M = <_neg_space(x), y>."""
-    np.negative(x[..., :-1], out=x[..., :-1])
-    return x
-
-
 def _angle_from_inner(factor: Factor, w: np.ndarray) -> np.ndarray:
     """Unit-scale quadric distance from w, clamped onto its domain. Computed in
     w's memory: callers pass a fresh array or a buffer they own."""
@@ -585,52 +579,80 @@ class _Workspace:
         return flat[: shape[0] * shape[1]].reshape(shape)
 
 
-def _tile_operand(factor: Factor, x: np.ndarray) -> np.ndarray:
-    """The rows a quadric tile's Gram matmul takes, built once per pass: x with
-    its space coordinates negated on the hyperboloid, so that the matmul gives
-    w, else x itself."""
-    return _neg_space(x.copy()) if factor.sign < 0 else x
+class _TileKernel:
+    """Each factor kind's tile geometry for one pass over n points, in the
+    buffers of a :class:`_Workspace`. A flat factor sums squared differences
+    column by column, with the bits of :func:`factor_sq_distance`. A quadric
+    takes one Gram matmul of its operand, x with its space coordinates
+    negated on the hyperboloid so that the matmul gives w, and one arccos or
+    arccosh. :meth:`sq` fills a tile; with ``grad`` it keeps each quadric's
+    d(sq)/dw and branch-point mask (:func:`_quadric_sq_dw`) in ``dws``, which
+    :meth:`singular` and :meth:`add_gradient` read for that tile."""
 
+    def __init__(self, spec: ManifoldSpec, blocks: Sequence[np.ndarray], ws: _Workspace):
+        self.factors, self.blocks, self.ws = spec.factors, blocks, ws
+        self.ops = [np.concatenate([-x[:, :-1], x[:, -1:]], axis=1) if f.sign < 0 else x
+                    for f, x in zip(spec.factors, blocks)]
+        self.dws: list = []
 
-def _sq_tile(factor: Factor, x: np.ndarray, op: np.ndarray, rows, cols: slice,
-             out: np.ndarray, scratch, dw: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-    """Unit-scale squared distances between the rows ``rows`` (a slice or an
-    index array) and ``cols`` of x, into ``out``; ``op`` is :func:`_tile_operand`
-    of x and ``scratch(name)`` gives a spare buffer of out's shape by name.
-    With ``dw`` = (dsq, bad) on a quadric, also d(sq)/dw and the branch-point
-    mask, by :func:`_quadric_sq_dw`.
-    A flat factor sums squared differences column by column, with the bits of
-    :func:`factor_sq_distance`; a quadric takes one Gram matmul and one arccos
-    or arccosh."""
-    if not factor.sign:
-        np.square(np.subtract(x[rows, :1], x[cols, 0], out=out), out=out)
-        for k in range(1, x.shape[1]):
-            col = np.subtract(x[rows, k:k + 1], x[cols, k], out=scratch("col"))
-            out += np.square(col, out=col)
-        return
-    np.matmul(op[rows], x[cols].T, out=out)
-    if dw is None:
-        np.square(_angle_from_inner(factor, out), out=out)
-    else:
-        _quadric_sq_dw(factor, out, *dw)
+    def sq(self, rows, cols: slice, shape: tuple[int, int], grad: bool = False) -> np.ndarray:
+        """Squared product distances between the rows ``rows`` (a slice or an
+        index array) and ``cols`` of the points, in a tile buffer the caller
+        may overwrite: each factor's unit-scale tile times lambda^2, summed
+        from the first factor's. No factor's tile holds -0.0, so the bits are
+        those of a sum that starts from 0.0."""
+        def view(name, dtype=np.float64):
+            return self.ws.view(name, shape, dtype)
 
+        out = view("tile")
+        self.dws = [(view(("dsq", k)), view(("bad", k), bool)) if grad and f.sign else None
+                    for k, f in enumerate(self.factors)]
+        for k, (f, x, op, dw) in enumerate(zip(self.factors, self.blocks, self.ops, self.dws)):
+            sq = out if k == 0 else view("sq")
+            if not f.sign:
+                np.square(np.subtract(x[rows, :1], x[cols, 0], out=sq), out=sq)
+                for c in range(1, x.shape[1]):
+                    col = np.subtract(x[rows, c:c + 1], x[cols, c], out=view("col"))
+                    sq += np.square(col, out=col)
+            else:
+                np.matmul(op[rows], x[cols].T, out=sq)
+                if dw is None:
+                    np.square(_angle_from_inner(f, sq), out=sq)
+                else:
+                    _quadric_sq_dw(f, sq, *dw)
+            if f.lam != 1.0:
+                sq *= f.lam**2
+            if k:
+                out += sq
+        return out
 
-def _product_sq_tile(spec: ManifoldSpec, blocks: Sequence[np.ndarray],
-                     ops: Sequence[np.ndarray], rows, cols: slice, out: np.ndarray,
-                     scratch, dws: Sequence | None = None) -> np.ndarray:
-    """Squared product distances between the rows ``rows`` and ``cols`` of the
-    points, into ``out``: each factor's unit-scale tile (the first in out, the
-    rest in ``scratch("sq")``) times lambda^2, summed from the first factor's.
-    No factor's tile holds -0.0, so the bits are those of a sum that starts
-    from 0.0. ``dws`` gives each quadric's (dsq, bad) buffers for :func:`_sq_tile`."""
-    for k, (f, x, op) in enumerate(zip(spec.factors, blocks, ops)):
-        sq = out if k == 0 else scratch("sq")
-        _sq_tile(f, x, op, rows, cols, sq, scratch, None if dws is None else dws[k])
-        if f.lam != 1.0:
-            sq *= f.lam**2
-        if k:
-            out += sq
-    return out
+    def singular(self, mask: np.ndarray) -> int:
+        """The branch-point cells of the last ``grad`` tile inside the bool
+        ``mask``, summed over the quadric factors."""
+        return sum(int(np.count_nonzero(np.logical_and(dw[1], mask, out=dw[1])))
+                   for dw in self.dws if dw is not None)
+
+    def add_gradient(self, ambient: Sequence[np.ndarray], weight: np.ndarray, rows, cols: slice,
+                     diag: bool) -> None:
+        """Adds the last ``grad`` tile's terms onto every factor's ambient
+        derivatives: row i gets d/dx_i of sum_j weight_ij * lambda^2 *
+        sq(x_i, x_j), and off the diagonal column j gets d/dx_j of the same
+        sum. On a quadric that is d(sq)/dw times dw/dx_i, which is x_j on the
+        sphere and the operand's row j on the hyperboloid. Spends the tile's
+        d(sq)/dw buffers."""
+        for f, x, op, amb, dw in zip(self.factors, self.blocks, self.ops, ambient, self.dws):
+            lam2 = f.lam**2
+            w = weight if lam2 == 1.0 else np.multiply(weight, lam2,
+                                                       out=self.ws.view("weight", weight.shape))
+            if not f.sign:  # flat: d/dx_i of |x_i - x_j|^2 is 2 (x_i - x_j)
+                amb[rows] += 2.0 * (w.sum(axis=1)[:, None] * x[rows] - w @ x[cols])
+                if not diag:
+                    amb[cols] += 2.0 * (w.sum(axis=0)[:, None] * x[cols] - w.T @ x[rows])
+                continue
+            tile = np.multiply(dw[0], w, out=dw[0])
+            amb[rows] += tile @ op[cols]
+            if not diag:
+                amb[cols] += tile.T @ op[rows]
 
 
 def distance(spec: ManifoldSpec, p: Sequence[np.ndarray], q: Sequence[np.ndarray]) -> float | np.ndarray:
@@ -690,12 +712,11 @@ def pairwise_sq_distances(spec: ManifoldSpec, blocks: Sequence[np.ndarray]) -> n
     a product apart."""
     blocks = _check_blocks(spec, blocks, "points")
     n = blocks[0].shape[0]
-    ops = [_tile_operand(f, x) for f, x in zip(spec.factors, blocks)]
     ws = _Workspace(n)
+    kernel = _TileKernel(spec, blocks, ws)
     total = np.empty((n, n))
     for rows, cols, shape in ws.upper():
-        tile = _product_sq_tile(spec, blocks, ops, rows, cols, ws.view("tile", shape),
-                                lambda name: ws.view(name, shape))
+        tile = kernel.sq(rows, cols, shape)
         total[rows, cols] = tile
         if rows != cols:
             total[cols, rows] = tile.T

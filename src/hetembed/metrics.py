@@ -181,8 +181,6 @@ def evaluate(emb: Embedding, g: Graph, f_signal: FormanSignal) -> EvalReport:
     if emb.shift_constants is not None and emb.spec.rotsym_index is not None:
         ad_c = avg_curvature_distortion(emb, f_signal)
         notes.append("ad_c uses the shifted reconstruction recorded at training time")
-    if f_signal.normalized:
-        notes.append("forman signal normalized by max endpoint degree")
     sq = pairwise_sq_distances(emb.spec, emb.blocks)
     return EvalReport(
         ad_d=avg_distance_distortion(sq, dist),

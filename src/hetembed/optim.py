@@ -13,10 +13,8 @@ from .graph import Graph, bfs_apsp, connected_pairs, forman
 from .manifold import (
     ManifoldSpec,
     TangencyError,
+    _TileKernel,
     _Workspace,
-    _neg_space,
-    _product_sq_tile,
-    _tile_operand,
     alpha_from_range,
     exp_map,
     resolve_spec,
@@ -243,82 +241,43 @@ def _pair_pass(emb: Embedding, target: DistanceTarget, pairs, grad: bool):
     ``target.pairs`` itself walks the upper-triangle tiles (rows I <= columns
     J) of the pair matrix, each masked where its hop distance is below 1;
     any other list walks the blocks of its anchor rows (:func:`_batch_blocks`).
-    Per tile or block (:func:`_masked_tile`): the squared product distances,
+    Per tile or block: the squared product distances (:class:`_TileKernel`),
     and the deviations d_M^2 / d_G^2 - 1 of its pairs, whose absolute values
     sum to the loss (a diagonal tile holds each pair twice). With ``grad`` the
     weights sign(dev) / d_G^2 of those pairs give each factor's ambient
-    derivatives: row i gets d/dx_i of sum_j weight_ij * lambda^2 * sq(x_i, x_j),
-    as ``T @ x[J]`` onto the rows and ``T.T @ x[I]`` onto the columns, except
-    on a diagonal tile. Quadric pairs at the branch point (coincident, or
-    antipodal on the sphere) have a 0/0 derivative and contribute 0; they are
-    counted. Returns (loss, skipped pairs, ambient derivatives).
+    derivatives (:meth:`_TileKernel.add_gradient`). Quadric pairs at the
+    branch point (coincident, or antipodal on the sphere) have a 0/0
+    derivative and contribute 0; they are counted. Returns (loss, skipped
+    pairs, ambient derivatives).
     """
-    spec, blocks, ws = emb.spec, emb.blocks, target.workspace
+    ws = target.workspace
     if pairs is target.pairs:
         walk = ((rows, cols, shape, np.less(target.hops[rows, cols], 1,
                                             out=ws.view("off", shape, bool)))
                 for rows, cols, shape in ws.upper())
     else:
         walk = _batch_blocks(target, pairs)
-    ops = [_tile_operand(f, x) for f, x in zip(spec.factors, blocks)]
+    kernel = _TileKernel(emb.spec, emb.blocks, ws)
     # -0.0 is the additive identity: a row block's first tile keeps its bits
-    ambient = [np.full_like(x, -0.0) for x in blocks] if grad else None
+    ambient = [np.full_like(x, -0.0) for x in emb.blocks] if grad else None
     loss, skipped = 0.0, 0
     for rows, cols, shape, off in walk:
-        dws = [(ws.view(("dsq", k), shape), ws.view(("bad", k), shape, bool)) if f.sign else None
-               for k, f in enumerate(spec.factors)] if grad else None
-        dev = _product_sq_tile(spec, blocks, ops, rows, cols, ws.view("dev", shape),
-                               lambda name: ws.view(name, shape), dws)
         diag = rows is cols  # an upper walk's diagonal tile has one slice for both
-        part, base, count = _masked_tile(target, dev, rows, cols, off, dws, ws, diag)
-        loss += part
+        dev = kernel.sq(rows, cols, shape, grad)
+        d_g2 = np.square(target.hops[rows, cols], dtype=np.float64, out=ws.view("d_g2", shape))
+        d_g2[off] = 1.0
+        dev /= d_g2
+        dev[off] = 1.0
+        dev -= 1.0
         if grad:
-            skipped += count
-            _tile_gradient(spec, blocks, ambient, dws, base, rows, cols, diag, ws)
-    if grad:
-        for f, amb in zip(spec.factors, ambient):
-            if f.sign < 0:
-                _neg_space(amb)  # dw/dx of -<x,y>_M
+            weight = np.sign(dev, out=ws.view("base", shape))
+            weight /= d_g2  # 0 off the pairs
+            count = kernel.singular(np.logical_not(off, out=off))
+            skipped += count // 2 if diag else count
+            kernel.add_gradient(ambient, weight, rows, cols, diag)
+        part = float(np.abs(dev, out=dev).sum())
+        loss += part / 2.0 if diag else part
     return loss, skipped, ambient
-
-
-def _masked_tile(target, dev, rows, cols, off, dws, ws, diag):
-    """A tile or block with ``dev`` holding its squared distances, ``off`` its
-    cells that hold no pair of the pass (overwritten) and ``dws`` the quadrics'
-    (dsq, bad) buffers, None without a gradient: (its loss, its weight tile or
-    None, its singular pairs). A diagonal tile holds each pair twice."""
-    d_g2 = np.square(target.hops[rows, cols], dtype=np.float64, out=ws.view("d_g2", dev.shape))
-    d_g2[off] = 1.0
-    dev /= d_g2
-    dev[off] = 1.0
-    dev -= 1.0
-    base, count = None, 0
-    if dws is not None:
-        base = np.sign(dev, out=ws.view("base", dev.shape))
-        base /= d_g2  # 0 off the pairs
-        on = np.logical_not(off, out=off)
-        for _, bad in filter(None, dws):
-            singular = int(np.count_nonzero(np.logical_and(bad, on, out=bad)))
-            count += singular // 2 if diag else singular
-    part = float(np.abs(dev, out=dev).sum())
-    return part / 2.0 if diag else part, base, count
-
-
-def _tile_gradient(spec, blocks, ambient, dws, base, rows, cols, diag, ws) -> None:
-    """Adds one tile's or block's terms to every factor's ambient derivatives
-    (see :func:`_pair_pass`)."""
-    for f, x, amb, dw in zip(spec.factors, blocks, ambient, dws):
-        lam2 = f.lam**2
-        weight = base if lam2 == 1.0 else np.multiply(base, lam2, out=ws.view("weight", base.shape))
-        if dw is None:  # flat: d/dx_i of |x_i - x_j|^2 is 2 (x_i - x_j)
-            amb[rows] += 2.0 * (weight.sum(axis=1)[:, None] * x[rows] - weight @ x[cols])
-            if not diag:
-                amb[cols] += 2.0 * (weight.sum(axis=0)[:, None] * x[cols] - weight.T @ x[rows])
-            continue
-        tile = np.multiply(dw[0], weight, out=dw[0])
-        amb[rows] += tile @ x[cols]
-        if not diag:
-            amb[cols] += tile.T @ x[rows]
 
 
 def loss_distance(emb: Embedding, target: DistanceTarget, pairs: np.ndarray) -> float:

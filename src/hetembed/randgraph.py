@@ -12,6 +12,7 @@ from .clique import max_clique
 from .graph import Graph, _from_upper_rows, triangle_counts
 from .manifold import (Factor, ManifoldSpec, pairwise_sq_distances, rotsym_curvature,
                        sample_tangent_ball)
+from .optim import _is_int
 
 
 @dataclass
@@ -30,6 +31,9 @@ class SampleConfig:
             value = getattr(self, f.name)
             if f.type.startswith("float") and value is not None and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
+        for name in ("n", "runs", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
         if self.n < 1 or self.runs < 1:
             raise ValueError("n and runs must be positive")
         if self.tangent_radius <= 0 or self.alpha <= 0 or self.rho <= 0:

@@ -6,6 +6,7 @@ dense matrix sweeps) kept independent of the library's vectorized paths.
 
 from __future__ import annotations
 
+import decimal
 import tracemalloc
 
 import numpy as np
@@ -151,7 +152,7 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def forman_reference(g: Graph, gamma: float, normalize: bool = False):
+def forman_reference(g: Graph, gamma: float):
     """Forman curvature by the edge loop: edges in ``g.edges()`` order, each
     adding its value to both endpoints; triangles from neighbour sets.
 
@@ -163,8 +164,6 @@ def forman_reference(g: Graph, gamma: float, normalize: bool = False):
     node_values = np.zeros(g.n)
     for i, j in g.edges().tolist():
         val = 4.0 - deg[i] - deg[j] + 3.0 * gamma * len(nbrs[i] & nbrs[j])
-        if normalize:
-            val /= max(deg[i], deg[j])
         edge_values.append(val)
         node_values[i] += val
         node_values[j] += val
@@ -533,6 +532,50 @@ def quadric_sq_dw_reference(factor, w: np.ndarray):
     dsq *= -2.0 if sphere else 2.0
     dsq[~ok] = 0.0
     return dsq, ok
+
+
+def tile_gradient_reference(spec, blocks, weight: np.ndarray, rows, cols, diag: bool):
+    """The ambient derivatives of one weighted tile, assembled factor by factor
+    from zeros: a flat factor's 2 (rowsum(W) x - W x) with W the lambda^2-scaled
+    weights, and onto the columns 2 (colsum(W) x - W^T x) off the diagonal; a
+    quadric's T = d(sq)/dw * W (:func:`quadric_sq_dw_reference` of its Gram
+    tile) as ``T @ x[cols]`` onto the rows and ``T.T @ x[rows]`` onto the
+    columns off the diagonal, with the hyperboloid's space coordinates
+    negated after, since there w = -<x,y>_M."""
+    ambient = []
+    for f, x in zip(spec.factors, blocks):
+        amb = np.zeros_like(x)
+        w = weight * f.lam**2
+        if f.kind in ("euclidean", "rotsym"):
+            amb[rows] += 2.0 * (w.sum(axis=1)[:, None] * x[rows] - w @ x[cols])
+            if not diag:
+                amb[cols] += 2.0 * (w.sum(axis=0)[:, None] * x[cols] - w.T @ x[rows])
+        else:
+            lhs = x if f.kind == "sphere" else x * np.append(-np.ones(f.dim), 1.0)
+            tile = quadric_sq_dw_reference(f, lhs[rows] @ x[cols].T)[0] * w
+            amb[rows] += tile @ x[cols]
+            if not diag:
+                amb[cols] += tile.T @ x[rows]
+            if f.kind == "hyperbolic":
+                amb[:, :-1] *= -1.0
+        ambient.append(amb)
+    return ambient
+
+
+def hyperboloid_distance_oracle(x_space: np.ndarray, y_space: np.ndarray) -> float:
+    """The hyperboloid distance of two stored points, from their space
+    coordinates alone, in 80-digit decimal arithmetic: each time coordinate is
+    sqrt(1 + |x_space|^2), the value on the surface, not the stored float
+    (far out, the stored floats give w < 1, where arccosh is undefined), and
+    d = arccosh(w) = ln(w + sqrt(w^2 - 1))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        xs = [decimal.Decimal(float(v)) for v in x_space]
+        ys = [decimal.Decimal(float(v)) for v in y_space]
+        x_t = (1 + sum(v * v for v in xs)).sqrt()
+        y_t = (1 + sum(v * v for v in ys)).sqrt()
+        w = x_t * y_t - sum(a * b for a, b in zip(xs, ys))
+        return float((w + (w * w - 1).sqrt()).ln())
 
 
 def pair_sq_distances(emb, pairs: np.ndarray) -> np.ndarray:

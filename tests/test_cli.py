@@ -636,9 +636,14 @@ def test_embedding_bytes_equal_under_one_and_two_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_parser_built_once_keeps_each_commands_defaults(tmp_path, graph_file, monkeypatch):
+def test_parser_built_once_keeps_each_commands_defaults(tmp_path, monkeypatch):
     import hetembed.cli as cli
 
+    # a graph with triangles, so that eval's --gamma moves its output
+    g = random_connected_graph(30, 0.2, seed=5)
+    assert triangle_counts(g)[0].any()
+    graph_file = str(tmp_path / "g.edges")
+    Path(graph_file).write_text(save_edge_list(g))
     builds = []
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
@@ -647,7 +652,7 @@ def test_parser_built_once_keeps_each_commands_defaults(tmp_path, graph_file, mo
     assert run_cli("embed", graph_file, "-m", "h3,rot(a=auto)", "--tau", "0.3",
                    "--epochs", "6", "--out", str(emb)) == 0
     outputs = []
-    for flags in ([], ["--gamma", "4", "--normalized-forman"], [], ["--rho", "0.5", "--seed", "3"],
+    for flags in ([], ["--gamma", "4"], [], ["--rho", "0.5", "--seed", "3"],
                   []):
         command = "reconstruct" if "--rho" in flags or len(outputs) == 4 else "eval"
         out = tmp_path / f"out{len(outputs)}.json"

@@ -434,19 +434,17 @@ class TestForman:
             avg = f.edge_values[(edges == i).any(axis=1)].sum() / deg[i]
             assert f.node_values[i] == pytest.approx(avg, rel=1e-12)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_matches_edge_loop_exactly(self, normalize):
+    def test_matches_edge_loop_exactly(self):
         # non-integer gammas make the node sums depend on their order
         for seed in range(8):
             g = gnp_graph(25, 0.1 + 0.08 * seed, seed=seed)
             for gamma in (0.7, 2.3):
-                f = forman(g, gamma=gamma, normalize_by_max_degree=normalize)
-                edge_ref, node_ref = forman_reference(g, gamma, normalize)
+                f = forman(g, gamma=gamma)
+                edge_ref, node_ref = forman_reference(g, gamma)
                 assert f.edge_values.tolist() == edge_ref.tolist()
                 assert f.node_values.tobytes() == node_ref.tobytes()
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_entry_kernel_matches_edge_loop_on_row_subsets(self, normalize, rng):
+    def test_entry_kernel_matches_edge_loop_on_row_subsets(self, rng):
         # the kernel behind forman and the correction loop's partial recomputes;
         # two nodes past the last id are isolated, n = 132 packs three words a row
         for seed, n in enumerate((20, 40, 70, 130)):
@@ -454,20 +452,19 @@ class TestForman:
             deg, bits = g.degrees, g.adjacency_bits()
             rows, cols = g.entries()
             for gamma in (0.3, 0.7, 1.0, 4.0):
-                edge_ref, node_ref = forman_reference(g, gamma, normalize)
+                edge_ref, node_ref = forman_reference(g, gamma)
                 tri = _common_neighbours(bits, rows, cols)
-                values, nodes = _forman_entries(deg, tri, rows, cols, gamma, normalize)
+                values, nodes = _forman_entries(deg, tri, rows, cols, gamma)
                 assert values[rows < cols].tobytes() == edge_ref.tobytes()
                 assert nodes.tobytes() == node_ref.tobytes()
-                f = forman(g, gamma=gamma, normalize_by_max_degree=normalize)
+                f = forman(g, gamma=gamma)
                 assert f.edge_values.tobytes() == edge_ref.tobytes()
                 assert f.node_values.tobytes() == node_ref.tobytes()
                 for _ in range(3):
                     subset = np.sort(rng.choice(g.n, size=int(rng.integers(1, g.n)),
                                                 replace=False))
                     listed = np.isin(rows, subset)
-                    _, nodes = _forman_entries(deg, tri[listed], rows[listed], cols[listed], gamma,
-                                               normalize)
+                    _, nodes = _forman_entries(deg, tri[listed], rows[listed], cols[listed], gamma)
                     assert nodes[subset].tobytes() == node_ref[subset].tobytes()
 
     def test_regular_triangle_free_constant(self):
@@ -475,14 +472,6 @@ class TestForman:
         for g, d in [(cycle_graph(8), 2), (from_edges(6, [(i, j + 3) for i in range(3) for j in range(3)]), 3)]:
             f = forman(g, gamma=1.0)
             assert np.allclose(f.node_values, 4 - 2 * d)
-
-    def test_normalized_variant(self):
-        g = path_graph(3)
-        f = forman(g, gamma=1.0, normalize_by_max_degree=True)
-        # edge (0,1): value 1 over max degree 2
-        assert g.edges()[0].tolist() == [0, 1]
-        assert f.edge_values[0] == pytest.approx(0.5)
-        assert f.normalized
 
 
 class TestDirichletEnergy:

@@ -10,12 +10,10 @@ from hetembed.manifold import (
     ManifoldSpec,
     ShapeError,
     TangencyError,
+    _TileKernel,
     _Workspace,
-    _neg_space,
-    _product_sq_tile,
     _quadric_inner,
     _quadric_sq_dw,
-    _tile_operand,
     alpha_from_range,
     annular_volume,
     check_point,
@@ -34,9 +32,9 @@ from hetembed.manifold import (
     scalar_curvature,
 )
 
-from conftest import (CONSTRAINT_TOL, mink_inner, pairwise_sq_distances_reference,
-                      quadric_sq_dw_reference, rotsym_phi, simpson_grid, tangent_basis,
-                      traced_peak)
+from conftest import (CONSTRAINT_TOL, hyperboloid_distance_oracle, mink_inner,
+                      pairwise_sq_distances_reference, quadric_sq_dw_reference, rotsym_phi,
+                      simpson_grid, tangent_basis, tile_gradient_reference, traced_peak)
 
 
 def rotsym_curvature_oracle(alpha: float, r: float, h: float = 1e-4) -> float:
@@ -153,14 +151,13 @@ def _random_tangent(spec, point, rng, scale=1.0):
 
 def _tile_sq_dw(spec, pts, rows, cols):
     """The squared product distances of one tile with each quadric's (dsq, bad)
-    buffers filled, and the same tile without them, all in fresh buffers."""
-    shape = (len(range(*rows.indices(len(pts[0])))), len(range(*cols.indices(len(pts[0])))))
-    ops = [_tile_operand(f, x) for f, x in zip(spec.factors, pts)]
-    dws = [(np.empty(shape), np.empty(shape, bool)) if f.kind in ("sphere", "hyperbolic") else None
-           for f in spec.factors]
-    fresh = lambda name: np.empty(shape)
-    with_dw = _product_sq_tile(spec, pts, ops, rows, cols, np.empty(shape), fresh, dws)
-    plain = _product_sq_tile(spec, pts, ops, rows, cols, np.empty(shape), fresh)
+    buffers filled, and the same tile without them, as fresh copies."""
+    n = len(pts[0])
+    shape = (len(range(*rows.indices(n))), len(range(*cols.indices(n))))
+    kernel = _TileKernel(spec, pts, _Workspace(n))
+    plain = kernel.sq(rows, cols, shape).copy()
+    with_dw = kernel.sq(rows, cols, shape, grad=True).copy()
+    dws = [None if dw is None else (dw[0].copy(), dw[1].copy()) for dw in kernel.dws]
     return with_dw, plain, dws
 
 
@@ -253,7 +250,7 @@ class TestPairwiseKernel:
                     assert dw is None
                     continue
                 dsq, bad = dw
-                lhs = x[rows] if f.kind == "sphere" else _neg_space(x[rows].copy())
+                lhs = x[rows] if f.kind == "sphere" else x[rows] * np.append(-np.ones(f.dim), 1.0)
                 want, want_ok = quadric_sq_dw_reference(f, lhs @ x[cols].T)
                 assert dsq.tobytes() == want.tobytes()
                 assert (bad == ~want_ok).all()
@@ -272,6 +269,84 @@ class TestPairwiseKernel:
             assert dsq.tobytes() == want.tobytes() and (bad == ~want_ok).all()
             assert sq.tobytes() == factor_sq_distance(f, x[iu], x[ju]).tobytes()
             assert np.count_nonzero(bad) == singular
+
+
+class TestTileKernelGradient:
+    def test_matches_reference_assembly(self, rng):
+        # a diagonal tile, an off-diagonal tile and an anchor-row block, with
+        # coincident points, and antipodal ones on the sphere, inside them and
+        # across the tile boundary; the kernel's rows start from -0.0 and the
+        # reference's from +0.0, which compare equal
+        spec = resolve_spec(parse_manifold("h3,s2(l=0.7),e2,rot(a=1.0,l=0.5)"))
+        n = 400
+        ws = _Workspace(n)
+        tiles = ws.tiles
+        cut = tiles[1].start
+        pts = _random_points(spec, rng, n)
+        for f, b in zip(spec.factors, pts):
+            for i, j in ((20, 40), (cut - 1, cut), (cut - 3, cut + 5)):
+                b[j] = b[i]
+            if f.kind == "sphere":
+                for i, j in ((50, 60), (cut - 2, cut + 1)):
+                    b[j] = -b[i]
+        anchors = np.array([5, 20, cut - 3, cut - 2, cut + 7])
+        kernel = _TileKernel(spec, pts, ws)
+        for rows, cols, diag in ((tiles[0], tiles[0], True), (tiles[0], tiles[1], False),
+                                 (anchors, tiles[1], False)):
+            shape = (np.arange(n)[rows].size, np.arange(n)[cols].size)
+            weight = rng.choice([-1.0, 0.0, 1.0], size=shape) / rng.integers(1, 5, size=shape) ** 2
+            if diag:
+                weight = np.triu(weight, 1) + np.triu(weight, 1).T
+            kernel.sq(rows, cols, shape, grad=True)
+            assert kernel.singular(weight != 0) > 0
+            got = [np.full_like(x, -0.0) for x in pts]
+            kernel.add_gradient(got, weight, rows, cols, diag)
+            want = tile_gradient_reference(spec, pts, weight, rows, cols, diag)
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g, w)
+                assert np.abs(g).max() > 0
+
+
+def _ray_point(direction: np.ndarray, depth: float) -> np.ndarray:
+    """The point at ``depth`` from the pole along the unit space vector
+    ``direction``, its time coordinate recomputed as factor_exp does."""
+    space = math.sinh(depth) * direction
+    return np.append(space, math.sqrt(1.0 + space @ space))
+
+
+def _relative_distance_errors(pairs) -> np.ndarray:
+    """|d - oracle| / oracle of each (x, y) pair's distance by pairwise_sq_distances."""
+    pts = np.stack([p for pair in pairs for p in pair])
+    sq = pairwise_sq_distances(parse_manifold(f"h{pts.shape[1] - 1}"), [pts])
+    want = np.array([hyperboloid_distance_oracle(x[:-1], y[:-1]) for x, y in pairs])
+    got = np.sqrt(sq[np.arange(0, len(pts), 2), np.arange(1, len(pts), 2)])
+    return np.abs(got - want) / want
+
+
+class TestHyperboloidPrecision:
+    """The hyperboloid kernel against an 80-digit oracle of the stored points.
+    Its Gram form, cosh d = x_t y_t - <x_s, y_s>, cancels far from the pole
+    (the precision-depth tradeoff of Sala et al., ICML 2018)."""
+
+    def test_same_ray_pairs_one_apart_through_depth_10(self):
+        # 8.4e-9 at depth 10 on this ray; 6.4e-8 the worst of 40 random rays
+        u = np.full(5, 1.0 / math.sqrt(5.0))
+        pairs = [(_ray_point(u, depth), _ray_point(u, depth + 1.0)) for depth in range(11)]
+        assert _relative_distance_errors(pairs).max() < 1e-7
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+    def test_random_and_adversarial_pairs_through_depth_20(self, rng):
+        pairs = []
+        for depth in np.linspace(0.5, 20.0, 40):
+            u, v = rng.standard_normal((2, 5))
+            u /= np.linalg.norm(u)
+            v -= (v @ u) * u
+            v /= np.linalg.norm(v)
+            tilted = math.cos(1e-6) * u + math.sin(1e-6) * v  # 1e-6 from u
+            pairs += [(_ray_point(u, depth), _ray_point(v, rng.uniform(0.0, 20.0))),
+                      (_ray_point(u, depth), _ray_point(u, depth + 1.0)),
+                      (_ray_point(u, depth), _ray_point(tilted, depth))]
+        assert _relative_distance_errors(pairs).max() < 1e-9
 
 
 class TestExpMap:

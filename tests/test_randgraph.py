@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +83,14 @@ class TestGenerators:
     def test_rho_to_zero_empty(self):
         g = generate_homogeneous(SampleConfig(n=80, rho=1e-9, seed=1))
         assert g.num_edges == 0
+
+    def test_integer_fields_reject_bools_and_floats(self):
+        # bool subclasses int: n=True would sample one point, seed=True seed 1
+        for field in ("n", "runs", "seed"):
+            for value in (True, 2.5, 3.0):
+                with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                    generate_homogeneous(replace(SampleConfig(n=5), **{field: value}))
+        assert generate_homogeneous(SampleConfig(n=5, runs=2, seed=3)).n == 5
 
     def test_heterogeneous_requires_ell(self):
         with pytest.raises(ValueError):
