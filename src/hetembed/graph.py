@@ -87,13 +87,16 @@ def _pack_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _from_keys(n: int, keys: np.ndarray) -> Graph:
     """Build a Graph on n nodes from the int64 keys i * n + j (i < j) of its edges, in any
-    order and with repeats: both directions sorted, repeats dropped, rows bounded by search."""
-    rows, cols = np.divmod(keys, n)
-    both = np.concatenate([keys, cols * n + rows])
+    order and with repeats. Both directions share one key array, sorted with repeats
+    dropped: row i is the keys from i * n on, and their remainders are its columns."""
+    both = np.concatenate([keys, keys % n * n])
+    both[keys.size:] += keys // n  # the mirror j * n + i of each key
     both.sort()
-    both = both[np.diff(both, prepend=-1) != 0]
-    rows, cols = np.divmod(both, n)
-    return Graph(n=n, indptr=np.searchsorted(rows, np.arange(n + 1)), indices=cols)
+    fresh = np.concatenate([[True], both[1:] != both[:-1]])
+    if not fresh.all():  # a copy only when there are repeats to drop
+        both = both[fresh]
+    indptr = np.searchsorted(both, np.arange(n + 1) * n)
+    return Graph(n=n, indptr=indptr, indices=np.remainder(both, n, out=both))
 
 
 def from_edges(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Graph:

@@ -354,12 +354,56 @@ def rsgd_step(emb: Embedding, grads: GradientResult, lr: float) -> Embedding:
     return replace(emb, blocks=stepped)
 
 
-def _resolve_batch(batch_pairs: int | str, n_pairs: int, n_nodes: int) -> int:
-    if batch_pairs == "all":
-        return n_pairs
-    if batch_pairs == "auto":
-        return n_pairs if n_nodes <= 2000 else min(n_pairs, _BIG_GRAPH_BATCH)
-    return min(int(batch_pairs), n_pairs)
+def _start(g: Graph, spec: ManifoldSpec, cfg: TrainConfig):
+    """The run's initial embedding and the Forman signal it fits (None when no
+    curvature data is read). The embedding carries the resolved spec, the
+    shift constants (set exactly when the spec has a radial factor and tau >
+    0) and the digest of ``cfg`` as given."""
+    rot, f_signal, shift = spec.rotsym_factor, None, None
+    radial_init = (0.1, 1.0) if cfg.radial_init == "auto" else cfg.radial_init
+    if rot is not None:
+        if cfg.tau > 0 or rot.alpha is None:
+            f_signal = forman(g, cfg.gamma)
+            fitted_alpha, delta_hat = alpha_from_range(
+                f_signal.max_node, f_signal.min_node, cfg.delta, cfg.ell_plus
+            )
+        spec = resolve_spec(spec, alpha=fitted_alpha if rot.alpha is None else rot.alpha,
+                            rot_scale=cfg.lambda_rot)
+        if cfg.tau > 0:
+            shift = ShiftConstants(min_forman=f_signal.min_node, delta_hat=delta_hat,
+                                   lam=spec.rotsym_factor.lam, r_h=spec.homogeneous_curvature)
+        if shift is not None and cfg.radial_init == "auto":
+            # the paper's curvature formula pins where each target lives; start
+            # the radii inside that band, both ends clamped at R_a(0), to dodge
+            # the flat tail and the origin
+            alpha = spec.rotsym_factor.alpha
+            targets = (delta_hat, f_signal.max_node - f_signal.min_node + delta_hat)
+            if delta_hat <= 8.0 / (math.pi**2 * alpha**2):
+                raise ValueError(f"radial_init auto: curvature targets {targets[0]:g}..{targets[1]:g}"
+                                 f" reach the asymptote of the fixed alpha {alpha:g}")
+            top = rotsym_curvature(alpha, 0.0)
+            lo, hi = (rotsym_curvature_inverse(alpha, min(t, top)) for t in reversed(targets))
+            radial_init = (lo, hi if hi - lo >= 1e-9 else lo + max(alpha * 0.1, 1e-3))
+    emb = initialize(spec, g, replace(cfg, radial_init=radial_init))
+    emb.config_digest = cfg.digest()  # digest the config as given, not resolved
+    emb.shift_constants = shift
+    return emb, f_signal
+
+
+def _batches(target: DistanceTarget, g: Graph, cfg: TrainConfig):
+    """Each epoch's batch, without end: ``target.pairs`` itself for the full
+    batch, else a minibatch, every connected pair with an end among k random
+    anchor nodes (:meth:`DistanceTarget.anchor_pairs`). k is the batch size
+    over n - 1 rounded up, drawn from the c nodes with an edge (those with a
+    pair); k < c, since the batch is below P <= c(c - 1) / 2."""
+    n_pairs = target.pairs.shape[0]
+    auto = n_pairs if g.n <= 2000 else _BIG_GRAPH_BATCH
+    size = {"all": n_pairs, "auto": auto}.get(cfg.batch_pairs, cfg.batch_pairs)
+    candidates, k = np.flatnonzero(g.degrees), -(-size // (g.n - 1))
+    rng = np.random.default_rng((cfg.seed, 0xBA7C4))
+    while True:
+        yield target.pairs if size >= n_pairs else target.anchor_pairs(
+            np.sort(rng.choice(candidates, size=k, replace=False)))
 
 
 def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, TrainHistory]:
@@ -372,107 +416,47 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
     """
     cfg.validate()
     target = DistanceTarget.from_hops(bfs_apsp(g))
-    all_pairs = target.pairs
-    if all_pairs.shape[0] == 0:
+    n_pairs = target.pairs.shape[0]
+    if n_pairs == 0:
         raise ValueError("graph has no connected node pairs")
-
-    rot = spec.rotsym_factor
-    f_signal = None
-    shift = None
-    tau = cfg.tau
-    if rot is None:
-        tau = 0.0  # homogeneous baseline: curvature loss is inactive
-        spec_resolved = spec
-    else:
-        if tau > 0 or rot.alpha is None:
-            f_signal = forman(g, cfg.gamma)
-            fitted_alpha, delta_hat = alpha_from_range(
-                f_signal.max_node, f_signal.min_node, cfg.delta, cfg.ell_plus
-            )
-        alpha = fitted_alpha if rot.alpha is None else rot.alpha
-        spec_resolved = resolve_spec(spec, alpha=alpha, rot_scale=cfg.lambda_rot)
-        if tau > 0:
-            shift = ShiftConstants(
-                min_forman=f_signal.min_node,
-                delta_hat=delta_hat,
-                lam=spec_resolved.rotsym_factor.lam,
-                r_h=spec_resolved.homogeneous_curvature,
-            )
-
-    radial_init = cfg.radial_init
-    if radial_init == "auto":
-        if shift is not None:
-            # the paper's curvature formula pins where each target lives; start
-            # the radii inside that band to dodge the flat tail and the origin
-            alpha_c = spec_resolved.rotsym_factor.alpha
-            top = rotsym_curvature(alpha_c, 0.0)
-            hi_target = min(f_signal.max_node - shift.min_forman + shift.delta_hat, top)
-            lo = rotsym_curvature_inverse(alpha_c, hi_target)
-            hi = rotsym_curvature_inverse(alpha_c, shift.delta_hat)
-            if hi - lo < 1e-9:
-                hi = lo + max(alpha_c * 0.1, 1e-3)
-            radial_init = (lo, hi)
-        else:
-            radial_init = (0.1, 1.0)
-    cfg_init = replace(cfg, radial_init=radial_init)
-
-    emb = initialize(spec_resolved, g, cfg_init)
-    emb.config_digest = cfg.digest()  # digest the config as given, not resolved
-    emb.shift_constants = shift
-    cfg_run = replace(cfg, tau=tau)
-
-    n_pairs = all_pairs.shape[0]
-    batch_size = _resolve_batch(cfg.batch_pairs, n_pairs, g.n)
-    # a minibatch is every connected pair with an end among k random anchor
-    # nodes, k the batch size over n - 1 rounded up, drawn from the c nodes with
-    # an edge (those with a pair). k < c, since the batch is below P <= c(c - 1) / 2
-    candidates = np.flatnonzero(g.degrees)
-    n_anchors = -(-batch_size // (g.n - 1))
-    minibatch = batch_size < n_pairs
-    batch_rng = np.random.default_rng((cfg.seed, 0xBA7C4))
+    emb, f_signal = _start(g, spec, cfg)
+    cfg_run = replace(cfg, tau=cfg.tau if emb.shift_constants else 0.0)
+    batches = _batches(target, g, cfg)
     # piecewise-constant decay; the late x0.01 tail damps the oscillation of
     # the nonsmooth distance loss around its optimum
     decay1 = int(math.floor(0.8 * cfg.epochs))
     decay2 = int(math.floor(0.9 * cfg.epochs))
 
-    def draw_batch() -> np.ndarray:
-        if not minibatch:
-            return all_pairs
-        return target.anchor_pairs(np.sort(batch_rng.choice(candidates, size=n_anchors,
-                                                            replace=False)))
-
-    def logged_losses(emb: Embedding, grad: GradientResult, batch, index: int):
-        """The losses at the index-th point, where ``grad`` was taken on ``batch``:
-        a minibatch's distance loss is scaled to all pairs, except at every
-        _FULL_LOSS_EVERY-th point, which takes it over all pairs."""
-        if minibatch and index % _FULL_LOSS_EVERY:
-            return grad.loss_distance * n_pairs / batch.shape[0], grad.loss_curvature
-        if minibatch:
-            return loss_distance(emb, target, all_pairs), grad.loss_curvature
-        return grad.loss_distance, grad.loss_curvature
+    def logged(emb: Embedding, index: int):
+        """The gradient at the index-th point, on the next batch, and the losses
+        logged there, read from its pass: a minibatch's distance loss is scaled
+        to all pairs, except at every _FULL_LOSS_EVERY-th point, which takes it
+        over all pairs. The last point has no gradient; both losses are taken
+        there on their own, the distance loss over all pairs."""
+        if index == cfg.epochs:
+            l_d = loss_distance(emb, target, target.pairs)
+            return None, l_d, loss_curvature(emb, f_signal, cfg_run) if cfg_run.tau > 0 else 0.0
+        batch = next(batches)
+        grad = gradients(emb, target, f_signal, cfg_run, batch)
+        if batch is target.pairs:
+            return grad, grad.loss_distance, grad.loss_curvature
+        if index % _FULL_LOSS_EVERY:
+            return grad, grad.loss_distance * n_pairs / batch.shape[0], grad.loss_curvature
+        return grad, loss_distance(emb, target, target.pairs), grad.loss_curvature
 
     # the losses after each step are read from the next epoch's gradient,
-    # taken right after the step on the next batch. The last epoch has no
-    # next gradient.
+    # taken right after the step on the next batch
     history = TrainHistory()
     t0 = time.perf_counter()
-    batch = draw_batch()
-    ahead = gradients(emb, target, f_signal, cfg_run, batch)
-    l_d, l_c = logged_losses(emb, ahead, batch, 0)
+    ahead, l_d, l_c = logged(emb, 0)
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * (0.01 if epoch >= decay2 else 0.1 if epoch >= decay1 else 1.0)
-        grad, ahead = ahead, None
+        grad = ahead
         # rsgd_step raises TangencyError for a step too long for the tangent
         # space; l_d and l_c then still hold the losses where the step started
         try:
             emb = rsgd_step(emb, grad, lr)
-            if epoch + 1 < cfg.epochs:
-                batch = draw_batch()
-                ahead = gradients(emb, target, f_signal, cfg_run, batch)
-                l_d, l_c = logged_losses(emb, ahead, batch, epoch + 1)
-            else:
-                l_d = loss_distance(emb, target, all_pairs)
-                l_c = loss_curvature(emb, f_signal, cfg_run) if tau > 0 else 0.0
+            ahead, l_d, l_c = logged(emb, epoch + 1)
             if not (np.isfinite(l_d) and np.isfinite(l_c)):
                 raise FloatingPointError("non-finite loss")
         except (TangencyError, FloatingPointError) as exc:
@@ -490,4 +474,3 @@ def train(g: Graph, spec: ManifoldSpec, cfg: TrainConfig) -> tuple[Embedding, Tr
         history.append(epoch, l_d, l_c, (time.perf_counter() - t0) * 1000.0)
     emb.epochs = cfg.epochs
     return emb, history
-

@@ -13,6 +13,7 @@ from .graph import Graph, _from_upper_rows, triangle_counts
 from .manifold import (Factor, ManifoldSpec, pairwise_sq_distances, rotsym_curvature,
                        sample_tangent_ball)
 from .optim import _is_int
+from .reconstruct import nn_graph
 
 
 @dataclass
@@ -74,9 +75,7 @@ def sample_points(cfg: SampleConfig, with_radial: bool, seed: int | None = None)
 def generate_homogeneous(cfg: SampleConfig, seed: int | None = None) -> Graph:
     """Nearest-neighbor graph of a tangent-uniform H^3 cloud at threshold rho."""
     blocks = sample_points(cfg, with_radial=False, seed=seed)
-    spec = ManifoldSpec((_H3,))
-    sq = pairwise_sq_distances(spec, blocks)
-    return _from_upper_rows(cfg.n, lambda rows: sq[rows, rows.start:] <= cfg.rho**2)
+    return nn_graph(pairwise_sq_distances(ManifoldSpec((_H3,)), blocks), cfg.rho)
 
 
 def generate_heterogeneous(cfg: SampleConfig, seed: int | None = None) -> Graph:
@@ -96,7 +95,7 @@ def generate_heterogeneous(cfg: SampleConfig, seed: int | None = None) -> Graph:
     def upper(rows: slice) -> np.ndarray:
         block = sq[rows, rows.start:]
         gate = curved[rows, None] & curved[rows.start:]
-        return (block <= 1.0) | (gate & (block <= cfg.rho**2))
+        return (block <= 1.0) | (gate & (block <= cfg.rho * cfg.rho))  # as nn_graph squares
 
     return _from_upper_rows(cfg.n, upper)
 

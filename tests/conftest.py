@@ -667,8 +667,8 @@ def train_reference(g: Graph, spec, cfg):
     from hetembed.graph import bfs_apsp, forman
     from hetembed.manifold import (alpha_from_range, resolve_spec, rotsym_curvature,
                                    rotsym_curvature_inverse)
-    from hetembed.optim import (DistanceTarget, ShiftConstants, _resolve_batch, gradients,
-                                initialize, loss_curvature, loss_distance, rsgd_step)
+    from hetembed.optim import (DistanceTarget, ShiftConstants, gradients, initialize,
+                                loss_curvature, loss_distance, rsgd_step)
 
     target = DistanceTarget.from_hops(bfs_apsp(g))
     all_pairs = target.pairs
@@ -693,13 +693,16 @@ def train_reference(g: Graph, spec, cfg):
             top = rotsym_curvature(a, 0.0)
             lo = rotsym_curvature_inverse(a, min(f_signal.max_node - shift.min_forman
                                                  + shift.delta_hat, top))
-            hi = rotsym_curvature_inverse(a, shift.delta_hat)
+            hi = rotsym_curvature_inverse(a, min(shift.delta_hat, top))
             radial_init = (lo, hi if hi - lo >= 1e-9 else lo + max(a * 0.1, 1e-3))
     emb = initialize(spec_resolved, g, replace(cfg, radial_init=radial_init))
     emb.shift_constants = shift
     cfg_run = replace(cfg, tau=tau)
     n_pairs = all_pairs.shape[0]
-    batch_size = _resolve_batch(cfg.batch_pairs, n_pairs, g.n)
+    if cfg.batch_pairs == "all" or (cfg.batch_pairs == "auto" and g.n <= 2000):
+        batch_size = n_pairs
+    else:
+        batch_size = min(n_pairs, 200_000 if cfg.batch_pairs == "auto" else cfg.batch_pairs)
     batch_rng = np.random.default_rng((cfg.seed, 0xBA7C4))
     candidates = np.array([i for i in range(g.n) if (target.hops[i] > 0).any()])
     k = math.ceil(batch_size / (g.n - 1))

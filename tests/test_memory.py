@@ -67,3 +67,11 @@ def test_generate_heterogeneous_holds_the_distances_and_the_graph():
     cfg = SampleConfig(n=N, rho=7.0, ell=11.45, seed=3)  # the benchmark's flags
     peak, g = traced_peak(generate_heterogeneous, cfg)
     assert peak < 8 * N * N + graph_bytes(g) + ROW_BLOCK
+
+
+def test_dense_threshold_graph_holds_at_most_40_bytes_per_edge():
+    # every pair of the complete graph is an edge: the build's key arrays, not
+    # the row blocks, set the peak (524,800 edges, 8.4 MB of CSR arrays)
+    peak, g = traced_peak(nn_graph, np.zeros((N, N)), 1.0)
+    assert g.num_edges == N * (N - 1) // 2
+    assert peak <= 40 * g.num_edges

@@ -34,7 +34,8 @@ from hetembed.optim import (
 from conftest import (anchor_batch_reference, gradients_reference, graph_sq_distances,
                       initialize_blocks_reference, mink_inner, pair_sq_distances, tangent_basis,
                       traced_peak, train_reference)
-from synthetic import complete_graph, cycle_graph, path_graph, random_connected_graph
+from synthetic import (complete_graph, cycle_graph, path_graph, random_connected_graph,
+                       star_graph)
 
 
 def make_embedding(spec_text, g, cfg, rng_shift=True):
@@ -708,6 +709,35 @@ class TestTrain:
         assert hi == lo + alpha * 0.1
         assert 2.3 < lo < hi < 2.5
 
+    @staticmethod
+    def star_and_path():
+        # node Forman values -97 to 1: a 100-leaf star on node 0 plus the path 101-110
+        star = star_graph(100)
+        return from_edges(111, [tuple(e) for e in star.edges()]
+                          + [(i, i + 1) for i in range(101, 110)])
+
+    def test_auto_radial_init_starts_at_the_origin_below_a_fixed_profile(self, monkeypatch):
+        # rot(a=1.5) tops out at R_a(0) = 5.33, below every curvature target:
+        # both ends of the band clamp there, and the band of r = 0 is widened
+        seen = []
+
+        def spy(spec, g, cfg):
+            seen.append(cfg.radial_init)
+            return initialize(spec, g, cfg)
+
+        monkeypatch.setattr(optim, "initialize", spy)
+        g = self.star_and_path()
+        emb, _ = train(g, parse_manifold("h2,rot(a=1.5)"),
+                       TrainConfig(tau=1.0, epochs=1, learning_rate=1e-3, radial_init="auto"))
+        assert emb.shift_constants.delta_hat > rotsym_curvature(1.5, 0.0)
+        assert seen == [(0.0, 1.5 * 0.1)]
+
+    def test_auto_radial_init_rejects_targets_at_a_fixed_asymptote(self):
+        # rot(a=0.1) has the asymptote 8 / (pi^2 a^2) = 81.06, above the lowest target
+        with pytest.raises(ValueError, match=r"radial_init auto.*8\.82.*alpha 0\.1"):
+            train(self.star_and_path(), parse_manifold("h2,rot(a=0.1)"),
+                  TrainConfig(tau=1.0, epochs=1, radial_init="auto"))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_carries_state(self):
         g = path_graph(3)
@@ -741,6 +771,22 @@ class TestTrainLoopOrder:
         cfg = TrainConfig(**{**self.TWIN, "batch_pairs": 100, "radial_init": "auto",
                              "epochs": 12})
         self.assert_matches_reference(g, "h5,h5,rot(a=auto)", cfg)
+
+    @pytest.mark.parametrize("epochs", [12, 21])
+    @pytest.mark.parametrize("batch_pairs, extra", [("auto", 0), (100, 1)], ids=["full", "batch"])
+    def test_pair_passes_per_call(self, monkeypatch, epochs, batch_pairs, extra):
+        # one gradient per epoch and one loss over all pairs after the last step;
+        # a minibatch run adds one all-pairs loss on every 10th point from 0
+        counts = {"_pair_pass": 0, "rsgd_step": 0}
+        for name in counts:
+            def counted(*args, _name=name, _real=getattr(optim, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(optim, name, counted)
+        train(random_connected_graph(30, 0.12, seed=41), parse_manifold("h5,h5,rot(a=auto)"),
+              TrainConfig(**{**self.TWIN, "batch_pairs": batch_pairs, "epochs": epochs}))
+        assert counts == {"_pair_pass": epochs + 1 + extra * math.ceil(epochs / 10),
+                          "rsgd_step": epochs}
 
     @staticmethod
     def assert_matches_reference(g, spec_text, cfg):

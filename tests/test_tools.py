@@ -1,4 +1,5 @@
-"""tools/output_digests.py prints one sha256 per benchmark workload and command."""
+"""tools/output_digests.py prints one sha256 per benchmark workload and command, and one
+per workload of its training history."""
 
 import re
 import subprocess
@@ -13,9 +14,10 @@ def test_output_digests_prints_one_line_per_workload_and_command():
     done = subprocess.run([sys.executable, str(DIGESTS), str(ROOT)], capture_output=True,
                           text=True, check=True, timeout=300)
     lines = done.stdout.splitlines()
-    assert len(lines) == 16
+    assert len(lines) == 20
     for line in lines:
-        assert re.fullmatch(r"\w+ +(embed|eval|reconstruct|generate) +[0-9a-f]{64}", line), line
+        assert re.fullmatch(r"\w+ +(embed|history|eval|reconstruct|generate) +[0-9a-f]{64}",
+                            line), line
     assert len({line.split()[0] for line in lines}) == 4
 
 
