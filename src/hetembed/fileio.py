@@ -96,8 +96,9 @@ def embedding_from_json(text: str) -> Embedding:
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("embedding file must hold a JSON object")
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported embedding format version {payload.get('format_version')}")
+    version = payload.get("format_version")
+    if not (_is_int(version) and version == FORMAT_VERSION):
+        raise ValueError(f"unsupported embedding format version {version!r}")
     if not isinstance(payload.get("manifold"), str):
         raise ValueError("embedding 'manifold' must be a string")
     spec = parse_manifold(payload["manifold"])
@@ -109,7 +110,8 @@ def embedding_from_json(text: str) -> Embedding:
         if not (isinstance(node, dict) and isinstance(node.get("blocks"), list)
                 and len(node["blocks"]) == k):
             raise ValueError(f"every embedding node must be an object with a list of {k} blocks")
-    if [node.get("id") for node in nodes] != list(range(len(nodes))):
+    ids = [node.get("id") for node in nodes]
+    if not all(map(_is_int, ids)) or ids != list(range(len(nodes))):
         raise ValueError("embedding node ids must be 0..n-1 in list order")
     blocks = []
     for f, column in zip(spec.factors, zip(*(node["blocks"] for node in nodes))):

@@ -8,7 +8,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .manifold import _Workspace
+from .manifold import _TILE, _Workspace
 
 UNREACHABLE = -1
 MAX_DENSE_NODES = 20000
@@ -234,11 +234,11 @@ def bfs_apsp(g: Graph) -> np.ndarray:
     Each node keeps a bitset of the sources whose search has not reached it;
     one level ORs the last level's new bits over every node's neighbours, and
     the bits it newly reaches at level L are ORed into packed bit planes, plane
-    b for each set bit b of L. Each plane is unpacked once at the end, shifted
-    by its bit and added. An isolated node reads an all-zero sentinel row as
-    its one neighbour, so every node has a neighbour segment. Sources go in
-    blocks that bound the per-level temporaries. Returns an (n, n) int16
-    matrix; unreachable pairs hold ``UNREACHABLE``.
+    b for each set bit b of L. At the end each plane is unpacked one row block
+    at a time, shifted by its bit and added. An isolated node reads an
+    all-zero sentinel row as its one neighbour, so every node has a neighbour
+    segment. Sources go in blocks that bound the per-level temporaries.
+    Returns an (n, n) int16 matrix; unreachable pairs hold ``UNREACHABLE``.
     """
     n = g.n
     if n > MAX_DENSE_NODES:
@@ -248,9 +248,11 @@ def bfs_apsp(g: Graph) -> np.ndarray:
     indices = np.insert(g.indices, g.indptr[isolated], n)
     starts = g.indptr[:-1] + isolated.searchsorted(np.arange(n))
     dist = np.empty((n, n), dtype=np.int16)
-    # bytes per 64-source word: the gathered neighbour rows, then the unpacked
-    # bits of a plane and their int16 shift
-    block = max(1, _BFS_BLOCK_BYTES // (8 * indices.size + 192 * n))
+    # bytes per 64-source word: the gathered neighbour rows, then 8 B per node
+    # for each of the frontier, the unreached bits and at most 15 bit planes
+    # (a hop count fits int16), then a row block's unpacked bits, their int16
+    # shift and its unreached mask
+    block = max(1, _BFS_BLOCK_BYTES // (8 * indices.size + 136 * n + 256 * _TILE))
     for s0 in range(0, n, 64 * block):
         s1 = min(n, s0 + 64 * block)
         count, src = s1 - s0, np.arange(s0, s1)
@@ -274,13 +276,13 @@ def bfs_apsp(g: Graph) -> np.ndarray:
             for b, plane in enumerate(planes):
                 if level >> b & 1:
                     plane |= new
-        out, shifted = dist[:, s0:s1], np.empty((n, count), dtype=np.int16)
-        out[...] = 0
-        for b, plane in enumerate(planes):
-            out += np.left_shift(_unpack_bits(plane, count), b, out=shifted, dtype=np.int16)
-        lost = _unpack_bits(unreached, count).view(bool)
-        if lost.any():
-            out[lost] = UNREACHABLE
+        shifted = np.empty((_TILE, count), dtype=np.int16)
+        for rows in _Workspace(n).tiles:
+            out, tile = dist[rows, s0:s1], shifted[:rows.stop - rows.start]
+            out[...] = 0
+            for b, plane in enumerate(planes):
+                out += np.left_shift(_unpack_bits(plane[rows], count), b, out=tile, dtype=np.int16)
+            out[_unpack_bits(unreached[rows], count).view(bool)] = UNREACHABLE
     return dist
 
 
@@ -319,19 +321,20 @@ def _upper_connected(dist: np.ndarray):
 
 
 def triangle_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge and per-node triangle counts, as int arrays.
+    """Per-edge and per-node triangle counts, as int64 arrays.
 
     ``edge_counts[k]`` is |adj(i) ∩ adj(j)| for the k-th edge (i, j) of
-    ``g.edges()``; node counts obey 2·t(i) = Σ_{j~i} t(i,j) since every
-    triangle at i is seen by two of its edges.
+    ``g.edges()``, the k-th upper adjacency entry; node counts obey
+    2·t(i) = Σ_{j~i} t(i,j) since every triangle at i is seen by two of its
+    edges. Only the upper entries are counted: the lower ones repeat them.
     """
-    edges = g.edges()
-    edge_counts = _common_neighbours(g.adjacency_bits(), edges[:, 0], edges[:, 1])
-    node_counts = np.zeros(g.n, dtype=np.int64)
-    np.add.at(node_counts, edges, edge_counts[:, None])
-    # each triangle at a node is counted once per incident edge pair
-    assert np.all(node_counts % 2 == 0)
-    return edge_counts, node_counts // 2
+    rows, cols = g.entries()
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
+    counts = _common_neighbours(g.adjacency_bits(), rows, cols)
+    twice = (np.bincount(rows, counts, g.n) + np.bincount(cols, counts, g.n)).astype(np.int64)
+    assert np.all(twice % 2 == 0)
+    return counts, twice // 2
 
 
 @dataclass

@@ -57,12 +57,12 @@ class Factor:
         if self.kind not in _SIGN:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.kind == "rotsym":
-            if self.alpha is not None and self.alpha <= 0:
-                raise ValueError("alpha must be positive")
+            if self.alpha is not None and not 0 < self.alpha < math.inf:
+                raise ValueError("alpha must be positive and finite")
         elif self.dim < 1:
             raise ValueError(f"{self.kind} factor needs dim >= 1")
-        if self.scale is not None and self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if self.scale is not None and not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
 
     @property
     def sign(self) -> int:
@@ -130,43 +130,27 @@ class ManifoldSpec:
         return ",".join(f.to_string() for f in self.factors)
 
 
-def _split_atoms(text: str) -> list[str]:
-    atoms, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "," and depth == 0:
-            atoms.append("".join(cur))
-            cur = []
-            continue
-        depth += ch == "("
-        depth -= ch == ")"
-        cur.append(ch)
-    atoms.append("".join(cur))
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in manifold spec {text!r}")
-    return [a.strip() for a in atoms if a.strip()]
-
-
-def _parse_params(body: str, atom: str) -> dict[str, str]:
-    params: dict[str, str] = {}
-    if not body:
-        return params
-    for piece in body.split(","):
-        if "=" not in piece:
-            raise ValueError(f"bad parameter {piece!r} in factor {atom!r}")
-        key, val = piece.split("=", 1)
-        params[key.strip()] = val.strip()
-    return params
+# one factor atom with the comma after it, or with the end of the string
+_ATOM = re.compile(r"\s*(rot|[esh]\d+)\s*(?:\(([^()]*)\))?\s*(?:(,)|\Z)")
 
 
 def parse_manifold(text: str) -> ManifoldSpec:
-    """Parse the textual encoding, e.g. ``"h5,h5,rot(a=auto,l=0.5)"``."""
-    factors = []
-    for atom in _split_atoms(text):
-        m = re.fullmatch(r"(rot|[esh]\d+)\s*(?:\((.*)\))?", atom)
+    """Parse the textual encoding, e.g. ``"h5,h5,rot(a=auto,l=0.5)"``. The
+    atoms are matched left to right, each with its comma, so an empty atom, a
+    missing comma or a stray parenthesis stops the match."""
+    factors, pos, more = [], 0, True
+    while more:
+        m = _ATOM.match(text, pos)
         if not m:
-            raise ValueError(f"cannot parse factor atom {atom!r}")
-        head, body = m.group(1), m.group(2) or ""
-        params = _parse_params(body, atom)
+            raise ValueError(f"cannot parse manifold spec {text!r} at position {pos}")
+        head, body, more, pos = m.group(1), m.group(2), m.group(3), m.end()
+        atom = m.group(0).rstrip(",").strip()
+        params = {}
+        for piece in body.split(",") if body else ():
+            key, eq, val = piece.partition("=")
+            if not eq:
+                raise ValueError(f"bad parameter {piece!r} in factor {atom!r}")
+            params[key.strip()] = val.strip()
         scale = float(params.pop("l")) if "l" in params else None
         if head == "rot":
             alpha_s = params.pop("a", "auto")

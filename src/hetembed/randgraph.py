@@ -4,7 +4,7 @@ quantile-averaged degree-histogram barycenter."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -57,14 +57,14 @@ class GraphStats:
 _H3 = Factor("hyperbolic", dim=3)
 
 
-def sample_points(cfg: SampleConfig, with_radial: bool, seed: int | None = None) -> list[np.ndarray]:
+def sample_points(cfg: SampleConfig, with_radial: bool) -> list[np.ndarray]:
     """Uniform tangent-ball sampling at the base point, pushed through exp.
 
     Radial coordinates (for the heterogeneous cloud) are uniform on the
     configured interval, independent of the hyperbolic part.
     """
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed)
     blocks = [sample_tangent_ball(_H3, cfg.n, cfg.tangent_radius, rng)]
     if with_radial:
         lo, hi = cfg.radial_interval
@@ -72,13 +72,13 @@ def sample_points(cfg: SampleConfig, with_radial: bool, seed: int | None = None)
     return blocks
 
 
-def generate_homogeneous(cfg: SampleConfig, seed: int | None = None) -> Graph:
+def generate_homogeneous(cfg: SampleConfig) -> Graph:
     """Nearest-neighbor graph of a tangent-uniform H^3 cloud at threshold rho."""
-    blocks = sample_points(cfg, with_radial=False, seed=seed)
+    blocks = sample_points(cfg, with_radial=False)
     return nn_graph(pairwise_sq_distances(ManifoldSpec((_H3,)), blocks), cfg.rho)
 
 
-def generate_heterogeneous(cfg: SampleConfig, seed: int | None = None) -> Graph:
+def generate_heterogeneous(cfg: SampleConfig) -> Graph:
     """Curvature-gated generator on H^3 x R.
 
     Every pair within unit distance connects; pairs whose both endpoints sit
@@ -87,7 +87,7 @@ def generate_heterogeneous(cfg: SampleConfig, seed: int | None = None) -> Graph:
     """
     if cfg.ell is None:
         raise ValueError("heterogeneous generation needs the curvature threshold ell")
-    blocks = sample_points(cfg, with_radial=True, seed=seed)
+    blocks = sample_points(cfg, with_radial=True)
     spec = ManifoldSpec((_H3, Factor("rotsym", alpha=cfg.alpha)))
     sq = pairwise_sq_distances(spec, blocks)
     curved = rotsym_curvature(cfg.alpha, blocks[1][:, 0]) > cfg.ell
@@ -119,9 +119,9 @@ def graph_stats(g: Graph, clique_budget: float = 10.0) -> GraphStats:
 
 def run_generator(mode: str, cfg: SampleConfig,
                   clique_budget: float = 10.0) -> tuple[list[Graph], list[GraphStats]]:
-    """cfg.runs independent graphs with per-run derived seeds (seed + index)."""
+    """cfg.runs independent graphs, run k drawn at seed cfg.seed + k."""
     gen = {"homogeneous": generate_homogeneous, "heterogeneous": generate_heterogeneous}[mode]
-    graphs = [gen(cfg, seed=cfg.seed + k) for k in range(cfg.runs)]
+    graphs = [gen(replace(cfg, seed=cfg.seed + k)) for k in range(cfg.runs)]
     stats = [graph_stats(g, clique_budget=clique_budget) for g in graphs]
     return graphs, stats
 

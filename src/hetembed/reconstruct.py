@@ -4,40 +4,16 @@ local curvature-correction repair loop."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .graph import (Graph, _common_neighbours, _forman_entries, _from_upper_rows, _unpack_bits,
-                    triangle_counts)
+from .graph import Graph, _common_neighbours, _forman_entries, _from_upper_rows, _unpack_bits
 
 
-@dataclass
-class TriangleEstimates:
-    """Curvature-decoded per-node triangle estimates plus the NN-only baseline."""
-
-    raw: np.ndarray
-    clamped: np.ndarray
-    nn_baseline: np.ndarray
-
-
-@dataclass
-class ReconstructionResult:
-    rho: float
+class ReconstructionResult(NamedTuple):
     graph: Graph
-    mismatch: int | None = None
-    correction_log: list[tuple[int, str, bool]] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "edges": self.graph.edges().tolist(),
-            "mismatch": self.mismatch,
-            "correction_log": [
-                {"node": int(n), "action": a, "accepted": bool(ok)}
-                for n, a, ok in self.correction_log
-            ],
-        }
+    correction_log: list[tuple[int, str, bool]]
 
 
 def nn_graph(sq: np.ndarray, rho: float) -> Graph:
@@ -121,33 +97,20 @@ def estimate_triangles_from_curvature(a_rho: Graph, node_curvature: np.ndarray,
     """Invert the node Forman identity 6*gamma*t(i) = d(i) F(i) - sum_j (4 - d_i - d_j).
 
     ``node_curvature`` plays the role of F on the reconstructed graph; exact
-    Forman values give back exact triangle counts.
+    Forman values give back exact triangle counts. On an embedding it is the
+    manifold curvature at each node, shift-adjusted back to the Forman scale
+    (``metrics.reconstructed_forman``), and ``gamma`` is the Forman gamma the
+    embedding was trained at. The estimates are not clamped at 0.
     """
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
+    if np.size(node_curvature) != a_rho.n:
+        raise ValueError("reconstructed graph and curvature proxy node counts differ")
     deg = a_rho.degrees.astype(float)
     rows, cols = a_rho.entries()
     est = deg * np.asarray(node_curvature, dtype=float)
     est -= np.bincount(rows, weights=4.0 - deg[rows] - deg[cols], minlength=a_rho.n)
     return est / (6.0 * gamma)
-
-
-def estimate_triangles(proxy: np.ndarray, a_rho: Graph, gamma: float) -> TriangleEstimates:
-    """Curvature-based triangle estimates on a reconstructed graph.
-
-    ``proxy`` is the manifold curvature at each embedded node, shift-adjusted
-    back to the Forman scale (``metrics.reconstructed_forman``); it substitutes
-    for the (unknown) true node curvature, and ``gamma`` is the Forman gamma
-    the embedding was trained at. The NN-only baseline counts triangles of
-    ``a_rho`` directly.
-    """
-    if a_rho.n != proxy.size:
-        raise ValueError("reconstructed graph and curvature proxy node counts differ")
-    raw = estimate_triangles_from_curvature(a_rho, proxy, gamma)
-    _, nn_counts = triangle_counts(a_rho)
-    return TriangleEstimates(
-        raw=raw, clamped=np.maximum(raw, 0.0), nn_baseline=nn_counts.astype(float)
-    )
 
 
 def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: float,
@@ -160,8 +123,10 @@ def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: f
     given percentile are processed in descending error order. A node with
     too-low graph curvature gets its incident edges re-thresholded at
     rho + step (densify); too-high at rho - step (sparsify). Each change is
-    accepted only if the summed error strictly decreases. ``proxy`` is as in
-    :func:`estimate_triangles` and ``sq`` as in :func:`nn_graph`.
+    accepted only if the summed error strictly decreases. ``proxy`` is the
+    ``node_curvature`` of :func:`estimate_triangles_from_curvature` and ``sq``
+    as in :func:`nn_graph`. Returns the repaired graph and the log of
+    (node, action, accepted) for each worklist node it tries.
 
     A candidate at node i moves only the Forman values of i, of its old and
     new neighbours and of the neighbours of its toggled partners; only those
@@ -254,7 +219,7 @@ def curvature_correction(proxy: np.ndarray, a_rho: Graph, sq: np.ndarray, rho: f
     if changed:  # the lists' lengths are the degrees
         current = Graph(n=n, indptr=np.concatenate([[0], np.cumsum(deg)]),
                         indices=np.concatenate(nbrs))
-    return ReconstructionResult(rho=rho, graph=current, correction_log=log)
+    return ReconstructionResult(graph=current, correction_log=log)
 
 
 def _common_table(n: int, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -790,12 +790,12 @@ def initialize_blocks_reference(spec, n: int, cfg) -> list[np.ndarray]:
     return blocks
 
 
-def sample_points_reference(cfg, with_radial: bool, seed: int | None = None) -> list[np.ndarray]:
+def sample_points_reference(cfg, with_radial: bool) -> list[np.ndarray]:
     """The generator's H^3 (x R) cloud drawn by a tangent-ball sampler of its own."""
     from hetembed.manifold import Factor, factor_exp
 
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed)
     direction = rng.standard_normal((cfg.n, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     radii = cfg.tangent_radius * rng.random(cfg.n) ** (1.0 / 3.0)

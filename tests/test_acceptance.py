@@ -43,7 +43,6 @@ from hetembed.randgraph import SampleConfig, generate_heterogeneous, run_generat
 from hetembed.reconstruct import (
     curvature_correction,
     edge_mismatch,
-    estimate_triangles,
     estimate_triangles_from_curvature,
     nn_graph,
     tune_threshold,
@@ -425,9 +424,9 @@ def test_criterion_6_triangle_estimation_aves():
     emb, _ = train(g, parse_manifold("h5,h5,rot(a=auto)"), cfg)
     rho = tune_threshold(sq_distances(emb), g, seed=3)
     rec = nn_graph(sq_distances(emb), rho)
-    est = estimate_triangles(reconstructed_forman(emb), rec, gamma=4.0)
-    ad_nn = avg_triangle_distortion(true_tri, est.nn_baseline)
-    ad_curv = avg_triangle_distortion(true_tri, est.clamped)
+    est = estimate_triangles_from_curvature(rec, reconstructed_forman(emb), gamma=4.0)
+    ad_nn = avg_triangle_distortion(true_tri, triangle_counts(rec)[1])
+    ad_curv = avg_triangle_distortion(true_tri, est.clip(min=0.0))
     assert ad_curv <= 0.8 * ad_nn
     report("6", f"aves AD_tri curvature {ad_curv:.3f} vs NN {ad_nn:.3f}")
 
@@ -447,9 +446,9 @@ def test_criterion_6s_synthetic_twin(twin_graph, twin_g4):
     _, true_tri = triangle_counts(twin_graph)
     rho = tune_threshold(sq_distances(twin_g4), twin_graph, seed=3)
     rec = nn_graph(sq_distances(twin_g4), rho)
-    est = estimate_triangles(reconstructed_forman(twin_g4), rec, gamma=4.0)
-    ad_nn = avg_triangle_distortion(true_tri, est.nn_baseline)
-    ad_curv = avg_triangle_distortion(true_tri, est.clamped)
+    est = estimate_triangles_from_curvature(rec, reconstructed_forman(twin_g4), gamma=4.0)
+    ad_nn = avg_triangle_distortion(true_tri, triangle_counts(rec)[1])
+    ad_curv = avg_triangle_distortion(true_tri, est.clip(min=0.0))
     assert ad_curv <= 0.8 * ad_nn
     report("6s", f"twin AD_tri curvature {ad_curv:.3f} vs NN {ad_nn:.3f} "
                  f"({100 * (1 - ad_curv / ad_nn):.0f}% improvement)")

@@ -217,8 +217,15 @@ class TestEmbeddingFile:
         lambda p: {**p, "shift_constants": {**p["shift_constants"], "r_h": float("nan")}},
         lambda p: {**p, "shift_constants": {**p["shift_constants"], "delta_hat": 10**400}},
         lambda p: {**p, "seed": None},
+        # bool subclasses int and 1.0 == 1, so these used to read as version 1 and ids 0, 1
+        lambda p: {**p, "format_version": True},
+        lambda p: {**p, "nodes": [{**p["nodes"][0], "id": False}] + p["nodes"][1:]},
+        lambda p: {**p, "nodes": p["nodes"][:1] + [{**p["nodes"][1], "id": 1.0}] + p["nodes"][2:]},
+        # an infinite alpha used to be read and evaluated
+        lambda p: {**p, "manifold": "h2,rot(a=inf,l=1.0)"},
     ], ids=["nodes-int", "manifold-int", "shift-str", "top-level-list", "blocks-null",
-            "coordinate-str", "min-forman-inf", "r-h-nan", "delta-hat-huge", "seed-null"])
+            "coordinate-str", "min-forman-inf", "r-h-nan", "delta-hat-huge", "seed-null",
+            "version-true", "id-false", "id-float", "alpha-inf"])
     def test_malformed_file_exits_1(self, tmp_path, graph_file, capsys, edit):
         # each of these used to raise a TypeError or AttributeError traceback,
         # or, for a non-finite shift constant, write "ad_c": Infinity
@@ -338,7 +345,7 @@ class TestCliCommands:
         assert hist[0] == "epoch,loss_d,loss_c,wall_ms"
         assert len(hist) == 7
 
-    def test_embed_parse_error_exit_1(self, tmp_path, graph_file):
+    def test_embed_parse_error_exit_1(self, tmp_path, graph_file, capsys):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 1\n2 x\n")
         assert run_cli("embed", str(bad), "-m", "e2", "--epochs", "2",
@@ -349,6 +356,16 @@ class TestCliCommands:
                             ("--curvature-residuals", "cubic")]:
             assert run_cli("embed", graph_file, "-m", "h2,rot(a=auto)", "--epochs", "2",
                            flag, value, "--out", str(tmp_path / "e.json")) == 1, flag
+        # non-finite parameters used to end in a numeric abort (exit 2) or, for
+        # a=inf, in an embedding file; empty atoms were dropped
+        capsys.readouterr()
+        for manifold in ["h2(l=nan)", "h2,rot(a=nan)", "e2(l=inf)", "h2,rot(a=inf)", "h2,,e2",
+                         "h2,"]:
+            assert run_cli("embed", graph_file, "-m", manifold, "--epochs", "3",
+                           "--out", str(tmp_path / "e.json")) == 1, manifold
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, manifold
+        assert not (tmp_path / "e.json").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_embed_numeric_abort_exit_2(self, tmp_path, graph_file):
@@ -462,12 +479,14 @@ class TestCliCommands:
         result = recon.curvature_correction(proxy, recon.nn_graph(sq, rho), sq, rho,
                                             step=0.1 * rho, gamma=2.0)
         _, true_counts = triangle_counts(g)
-        ad = {gamma: avg_triangle_distortion(
-            true_counts, recon.estimate_triangles(proxy, result.graph, gamma).clamped)
-            for gamma in (2.0, 4.0)}
+        est = {gamma: recon.estimate_triangles_from_curvature(result.graph, proxy, gamma)
+               for gamma in (2.0, 4.0)}
+        ad = {gamma: avg_triangle_distortion(true_counts, e.clip(min=0.0)) for gamma, e in est.items()}
         assert payload["edges"] == result.graph.edges().tolist()
         assert payload["triangles"]["gamma"] == 2.0
         assert payload["triangles"]["ad_curvature"] == ad[2.0] != ad[4.0]
+        # the command clamps the estimate at 0; here some nodes decode below it
+        assert ad[2.0] != avg_triangle_distortion(true_counts, est[2.0])
 
     def test_reconstruct_one_node_exit_1(self, tmp_path, capsys):
         # a one-node graph leaves the threshold search no validation pair

@@ -63,7 +63,10 @@ class TestSpecParsing:
             parse_manifold("rot(a=1),rot(a=2)")
 
     def test_bad_atoms(self):
-        for bad in ["q3", "h0", "h2(z=1)", "rot(a=-1)", "h2(l=0)"]:
+        for bad in ["q3", "h0", "h2(z=1)", "rot(a=-1)", "h2(l=0)",
+                    # non-finite parameters, empty atoms, stray parentheses, no comma
+                    "h2(l=nan)", "h2,rot(a=nan)", "e2(l=inf)", "h2,rot(a=inf)", "h2,,e2", "h2,",
+                    "(h2", "h2(l=1", "h2(l=1))", "h2 e2"]:
             with pytest.raises(ValueError):
                 parse_manifold(bad)
 

@@ -1,6 +1,7 @@
 """Traced memory of the library calls behind each command, on the 1,025-node
 graph of the benchmark's tree1k_full workload. Each call peaks at the arrays
-it keeps plus at most one row block of scratch: ``_TILE`` rows of float64.
+it keeps plus at most one row block of scratch: ``_TILE`` rows of float64;
+``bfs_apsp`` also holds a few packed (n, ceil(n / 64)) uint64 bit arrays.
 The (n, n) float64 distance matrix and the hop matrix are kept arrays; a
 temporary of a byte or more per node pair is not."""
 
@@ -32,6 +33,15 @@ def tree():
     g = random_connected_graph(N, 3.45e-5, seed=3)
     spec = resolve_spec(parse_manifold("h5,h5,rot(a=1.0)"))
     return g, bfs_apsp(g), initialize(spec, g, TrainConfig(seed=11, epochs=1))
+
+
+def test_bfs_apsp_holds_the_result_one_row_block_and_packed_bits(tree):
+    # the bit planes are unpacked one row block at a time, not all rows at once
+    g, dist, _ = tree
+    peak, got = traced_peak(bfs_apsp, g)
+    assert np.array_equal(got, dist)
+    packed = 8 * N * -(-N // 64)  # one (n, ceil(n / 64)) uint64 array
+    assert peak < dist.nbytes + ROW_BLOCK + 6 * packed
 
 
 def test_connected_pairs_holds_the_list(tree):

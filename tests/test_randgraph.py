@@ -71,10 +71,10 @@ class TestSamplePoints:
     def test_matches_own_tangent_ball_sampler(self):
         for cfg in (SampleConfig(n=1, seed=0), SampleConfig(n=131, tangent_radius=1.6, seed=7),
                     SampleConfig(n=300, radial_interval=(0.5, 3.0), seed=2)):
-            for seed in (None, 0, 1, 4):
+            for seed in (cfg.seed, 0, 1, 4):
                 for with_radial in (False, True):
-                    got = sample_points(cfg, with_radial, seed=seed)
-                    want = sample_points_reference(cfg, with_radial, seed=seed)
+                    got = sample_points(replace(cfg, seed=seed), with_radial)
+                    want = sample_points_reference(replace(cfg, seed=seed), with_radial)
                     assert [(b.shape, b.tobytes()) for b in got] == [
                         (b.shape, b.tobytes()) for b in want]
 
@@ -161,6 +161,8 @@ class TestGenerators:
         assert edge_set(graphs[0]) != edge_set(graphs[1])
         graphs2, _ = run_generator("homogeneous", cfg)
         assert all(edge_set(a) == edge_set(b) for a, b in zip(graphs, graphs2))
+        # run k is the graph of the config at seed + k
+        assert graphs == [generate_homogeneous(replace(cfg, seed=100 + k)) for k in range(3)]
 
 
 class TestGraphStats:
@@ -194,8 +196,8 @@ class TestGraphStats:
 
     def test_max_clique_matches_reference(self):
         # the reference's greedy pre-pass alone takes 1-10 s from homogeneous rho 2.6 up
-        graphs = [generate_homogeneous(SampleConfig(rho=rho), seed=7) for rho in (1.0, 1.5, 2.0)]
-        graphs += [generate_heterogeneous(SampleConfig(rho=7.0, ell=11.45), seed=s)
+        graphs = [generate_homogeneous(SampleConfig(rho=rho, seed=7)) for rho in (1.0, 1.5, 2.0)]
+        graphs += [generate_heterogeneous(SampleConfig(rho=7.0, ell=11.45, seed=s))
                    for s in range(3)]
         graphs += [gnp_graph(n, p, seed=3) for n in (60, 90) for p in (0.1, 0.3, 0.5, 0.7)]
         for g in graphs:
@@ -205,7 +207,7 @@ class TestGraphStats:
         # isolated nodes, and n on both sides of a 64-bit word boundary
         graphs = [from_edges(0, []), from_edges(3, []), from_edges(9, [(0, 1), (1, 2), (4, 8)])]
         graphs += [gnp_graph(n, 0.2, seed=n) for n in (63, 64, 65, 130)]
-        graphs += [generate_heterogeneous(SampleConfig(n=300, rho=7.0, ell=11.45), seed=1)]
+        graphs += [generate_heterogeneous(SampleConfig(n=300, rho=7.0, ell=11.45, seed=1))]
         for g in graphs:
             assert _degree_order_masks(g) == degree_order_masks_reference(g)
 

@@ -16,7 +16,6 @@ from hetembed import reconstruct
 from hetembed.reconstruct import (
     curvature_correction,
     edge_mismatch,
-    estimate_triangles,
     estimate_triangles_from_curvature,
     nn_graph,
     tune_threshold,
@@ -231,13 +230,15 @@ class TestEstimateTriangles:
         r = rotsym_curvature_inverse(1.0, 3.0)
         emb = rot_embedding_for(g, [r] * 3, shift)
         assert np.allclose(reconstructed_forman(emb), 12.0)
-        out = estimate_triangles(reconstructed_forman(emb), g, gamma=4.0)
-        assert np.allclose(out.raw, 1.0)
-        assert np.allclose(out.nn_baseline, 1.0)
+        est = estimate_triangles_from_curvature(g, reconstructed_forman(emb), gamma=4.0)
+        assert np.allclose(est, 1.0)
+        assert np.allclose(triangle_counts(g)[1], 1.0)
 
     def test_proxy_and_graph_node_counts_must_match(self):
-        with pytest.raises(ValueError):
-            estimate_triangles(np.zeros(4), path_graph(3), gamma=1.0)
+        # a one-node proxy would otherwise broadcast over every node
+        for proxy in (np.zeros(4), np.zeros(1)):
+            with pytest.raises(ValueError):
+                estimate_triangles_from_curvature(path_graph(3), proxy, gamma=1.0)
 
     def test_negative_estimates_clamped_copy(self):
         g = path_graph(3)
@@ -245,8 +246,9 @@ class TestEstimateTriangles:
         assert (est < 0).any()
         shift = ShiftConstants(min_forman=0.0, delta_hat=50.0, lam=1.0, r_h=0.0)
         emb = rot_embedding_for(g, [5.0, 5.0, 5.0], shift)
-        out = estimate_triangles(reconstructed_forman(emb), g, gamma=4.0)
-        assert np.all(out.clamped >= 0.0)
+        # the estimate is not clamped; the command clamps a copy at 0
+        est = estimate_triangles_from_curvature(g, reconstructed_forman(emb), gamma=4.0)
+        assert (est < 0).all()
 
 
 class TestCurvatureCorrection:
@@ -308,13 +310,6 @@ class TestCurvatureCorrection:
             assert action in ("densify", "sparsify")
             assert isinstance(accepted, bool)
 
-    def test_mismatch_reported(self):
-        g, emb = self._setup(seed=9)
-        result = curvature_correction(reconstructed_forman(emb), g, sq_distances(emb), rho=1.0,
-                                      step=0.2, gamma=1.0)
-        # the true graph is not an input: the command line sets the mismatch
-        assert result.mismatch is None
-
     @staticmethod
     def _random_case(seed, n, gamma, rho=0.8, drop=0.2):
         """Random e2 x rot cloud; its threshold graph with a share ``drop`` of the edges dropped."""
@@ -373,9 +368,6 @@ class TestCurvatureCorrection:
         # an accepted sparsify that leaves its node with no edge at all
         assert any(action == "sparsify" and ok and dm[i].min() > rho - step
                    for i, action, ok in result.correction_log)
-        edges = result.to_json_dict()["edges"]
-        assert edges == [[int(i), int(j)] for i, j in result.graph.edges()]
-        assert all(type(v) is int for edge in edges for v in edge)
 
     def test_all_unchanged_returns_the_input_graph(self):
         # a tiny step re-thresholds every row of the threshold graph to itself
